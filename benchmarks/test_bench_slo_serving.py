@@ -1,7 +1,7 @@
 """SLO control-plane benchmark and the EDF-vs-FIFO attainment gates.
 
-The control-plane event loop (closed-loop clients, EDF heap, autoscaler
-ticks) must stay cheap enough for the e12 sweeps: tens of thousands of
+The serving loop's control-plane settings (closed-loop clients, EDF
+heap, autoscaler ticks) must stay cheap enough for the e12 sweeps: tens of thousands of
 closed-loop requests have to simulate in well under a second.  The
 attainment gates pin the experiment's headline: on the e12 skew sweep's
 bursty two-class traffic, EDF keeps attainment at or above 95% where

@@ -34,21 +34,15 @@ import numpy as np
 
 from repro.utils.validation import require_non_negative, require_positive
 
-__all__ = ["FREE", "ARRIVE", "TIMEOUT", "TICK", "EventLoop", "ServerPool", "StageJitter"]
+__all__ = ["FREE", "ARRIVE", "TIMEOUT", "EventLoop", "ServerPool", "StageJitter"]
 
 #: Canonical event kinds.  At equal timestamps lower kinds are processed
 #: first: a server finishing its forward (``FREE``) is handled before a
 #: simultaneous arrival (``ARRIVE``), which is handled before batching
-#: timers (``TIMEOUT``).  Clients may define further kinds; only the
-#: relative ordering matters.
+#: timers (``TIMEOUT``).  Clients may define further kinds around these
+#: (the serving simulator's table is in :mod:`repro.serving.simulator`);
+#: only the relative ordering matters.
 FREE, ARRIVE, TIMEOUT = 0, 1, 2
-
-#: Periodic controller timers (autoscaler evaluation, metric sampling).
-#: ``TICK`` deliberately sorts *after* every workload kind — including the
-#: deferred-dispatch kind clients conventionally place at ``TIMEOUT + 1`` —
-#: so a controller observing the system at time ``t`` sees the state after
-#: all of ``t``'s arrivals, completions and dispatches have settled.
-TICK = TIMEOUT + 2
 
 
 class EventLoop:

@@ -11,8 +11,7 @@ layers on the shared discrete-event core (:mod:`repro.core.events`):
 * :mod:`~repro.serving.batcher` — the max-size + timeout dynamic batcher,
   draining FIFO or EDF (earliest absolute deadline first);
 * :mod:`~repro.serving.slo` — SLO classes/policies for tagging traffic
-  and the control-plane event loop (EDF dispatch, closed-loop clients,
-  autoscaling);
+  with service classes and deadlines;
 * :mod:`~repro.serving.autoscale` — the hysteresis-band autoscaler that
   parks idle chips into non-volatile deep sleep and wakes them against
   utilization/backlog targets;
@@ -23,7 +22,9 @@ layers on the shared discrete-event core (:mod:`repro.core.events`):
   per-chip heterogeneity, shared bounded pricing caches, and tiered
   fidelity (a sampled fraction of dispatches priced off cached
   executed-schedule templates with per-layer jitter);
-* :mod:`~repro.serving.simulator` — the event-driven simulation itself;
+* :mod:`~repro.serving.simulator` — the event-driven simulation itself:
+  one event loop whose queue topology, drain order, arrival source and
+  fault/admission/autoscaler hooks all compose;
 * :mod:`~repro.serving.routing` — topology-aware multi-queue serving:
   per-chip queues behind a front-end router with a configurable
   front-end→chip network stage, round-robin / join-shortest-queue /
@@ -90,6 +91,7 @@ from repro.serving.report import (
     ScaleEvent,
     ServingReport,
     StealRecord,
+    StealTable,
 )
 from repro.serving.routing import ROUTING_POLICIES, NetworkModel, Router
 from repro.serving.sharded import SPLIT_POLICIES, ShardedServingSimulator
@@ -141,6 +143,7 @@ __all__ = [
     "FailureRecord",
     "ScaleEvent",
     "StealRecord",
+    "StealTable",
     "RoutingStats",
     "ServingReport",
     "Profiler",

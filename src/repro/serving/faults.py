@@ -29,8 +29,8 @@ misbehaves, each usable on its own and composed by
   failure).
 
 Every process is seeded and deterministic; a fault-injected simulation is
-exactly reproducible, and with no :class:`FaultInjector` the simulator's
-healthy path is bit-identical to the pre-fault code.
+exactly reproducible, and without a :class:`FaultInjector` the simulator
+never schedules a failure.
 """
 
 from __future__ import annotations

@@ -27,12 +27,12 @@ Fault-injected runs (:mod:`repro.serving.faults`) extend the report with
 an availability ledger: chip failures and their downtime, retries, shed
 and abandoned requests, goodput against offered traffic, and the wasted
 energy of batches lost mid-service.  All fault fields default to empty,
-so healthy-path reports are bit-identical to the pre-fault format.
+so reports of runs without faults keep the pre-fault format.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -49,6 +49,7 @@ __all__ = [
     "FailureRecord",
     "ScaleEvent",
     "StealRecord",
+    "StealTable",
     "RoutingStats",
     "ServingReport",
 ]
@@ -484,16 +485,78 @@ class StealRecord:
             raise ValueError(f"steal from queue {self.queue} to its own chip")
 
 
+class StealTable:
+    """Columnar store of a routed run's steals (see :class:`RequestTable`).
+
+    Iterating or indexing materializes :class:`StealRecord` views; a slice
+    is the table of the sliced rows.
+    """
+
+    __slots__ = ("batch_index", "queue", "chip", "decided_s")
+
+    def __init__(self, batch_index, queue, chip, decided_s) -> None:
+        self.batch_index = _column(batch_index, np.int64)
+        self.queue = _column(queue, np.int64)
+        self.chip = _column(chip, np.int64)
+        self.decided_s = _column(decided_s, np.float64)
+        length = self.batch_index.size
+        for name in self.__slots__:
+            if getattr(self, name).size != length:
+                raise ValueError(
+                    f"steal column {name!r} has {getattr(self, name).size} "
+                    f"entries for {length} steals"
+                )
+
+    @classmethod
+    def empty(cls) -> "StealTable":
+        return cls(*[[] for _ in cls.__slots__])
+
+    @classmethod
+    def concatenate(cls, tables: Sequence["StealTable"]) -> "StealTable":
+        return cls(
+            *[
+                np.concatenate([getattr(t, name) for t in tables])
+                for name in cls.__slots__
+            ]
+        )
+
+    def __len__(self) -> int:
+        return self.batch_index.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return StealTable(*[getattr(self, name)[i] for name in self.__slots__])
+        return StealRecord(
+            batch_index=int(self.batch_index[i]),
+            queue=int(self.queue[i]),
+            chip=int(self.chip[i]),
+            decided_s=float(self.decided_s[i]),
+        )
+
+    def __iter__(self) -> Iterator[StealRecord]:
+        for i in range(len(self)):
+            yield self[i]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StealTable):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self.__slots__
+        )
+
+
 @dataclass(frozen=True)
 class RoutingStats:
     """Per-queue and per-policy ledger of a multi-queue routed run.
 
     ``queue_peaks`` / ``queue_requests`` / ``queue_wait_s`` are per-queue
     (one slot per chip): the deepest the queue ever got, the requests
-    dispatched *from* it (whether served locally or stolen), and their
+    served *from* it (locally or stolen) in completed batches, and their
     summed arrival-to-dispatch waits.  ``route_network_s`` and
     ``steal_network_s`` total the front-end→chip and chip→chip hop time
-    charged; ``steals`` records each individual steal.
+    charged; ``steals`` holds one :class:`StealRecord` per steal, in
+    batch order.
     """
 
     policy: str
@@ -506,7 +569,7 @@ class RoutingStats:
     queue_peaks: tuple[int, ...]
     queue_requests: tuple[int, ...]
     queue_wait_s: tuple[float, ...]
-    steals: tuple[StealRecord, ...] = ()
+    steals: StealTable = field(default_factory=StealTable.empty)
 
     @property
     def num_queues(self) -> int:
@@ -540,17 +603,17 @@ class RoutingStats:
                 f"cannot merge routing stats with differing policies: "
                 f"{sorted(policies)}"
             )
-        steals: list[StealRecord] = []
-        for stats, chip_offset, batch_offset in parts:
-            steals.extend(
-                replace(
-                    steal,
-                    batch_index=steal.batch_index + batch_offset,
-                    queue=steal.queue + chip_offset,
-                    chip=steal.chip + chip_offset,
+        steals = StealTable.concatenate(
+            [
+                StealTable(
+                    stats.steals.batch_index + batch_offset,
+                    stats.steals.queue + chip_offset,
+                    stats.steals.chip + chip_offset,
+                    stats.steals.decided_s,
                 )
-                for steal in stats.steals
-            )
+                for stats, chip_offset, batch_offset in parts
+            ]
+        )
         first = parts[0][0]
         return cls(
             policy=first.policy,
@@ -563,7 +626,7 @@ class RoutingStats:
             queue_peaks=tuple(p for s, _, _ in parts for p in s.queue_peaks),
             queue_requests=tuple(r for s, _, _ in parts for r in s.queue_requests),
             queue_wait_s=tuple(w for s, _, _ in parts for w in s.queue_wait_s),
-            steals=tuple(steals),
+            steals=steals,
         )
 
 
@@ -956,7 +1019,7 @@ class ServingReport:
         """Completed requests that also met their deadline.
 
         Without a deadline every completion is good — goodput equals
-        throughput, as on the healthy path.
+        throughput, as in a run without faults.
         """
         if self.deadline_s is None:
             return self.num_requests

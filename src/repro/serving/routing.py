@@ -1,9 +1,10 @@
-"""Topology-aware multi-queue serving: router, per-chip queues, work stealing.
+"""Topology-aware multi-queue serving: router, network stage, cost oracle.
 
-The plain :class:`~repro.serving.simulator.ServingSimulator` drains one
-fleet-wide FIFO, so a long sequence routinely lands on a small-tile chip
-while a big-tile chip idles.  This module puts a *front-end router* in
-front of per-chip queues instead:
+The global queue of :class:`~repro.serving.simulator.ServingSimulator`
+is one fleet-wide heap, so a long sequence routinely lands on a
+small-tile chip while a big-tile chip idles.  A :class:`Router` passed to
+the simulator puts a *front-end router* in front of per-chip queues
+instead; the simulator's one event loop then runs them:
 
 * **Network stage** — every routed request crosses a front-end→chip link
   (:class:`NetworkModel`, configurable per-link latency) and only joins
@@ -17,6 +18,8 @@ front of per-chip queues instead:
   candidate is priced at the batcher's full batch size on each chip, so
   the per-request amortized cost of a long sequence is far lower on a
   big-tile chip and long requests prefer it even when its queue is deeper.
+  Every policy picks among the chips that can take work (awake and not
+  failed), or, when none can, among the chips that are not parked.
 * **Work stealing** — dispatch is fleet-wide oldest-head-first (most
   urgent first under an EDF batcher): an idle chip whose own queue holds
   no mature batch pulls the oldest/most-urgent mature batch from a peer
@@ -34,57 +37,28 @@ baseline, bit for bit (the property suite asserts full report equality).
 ``round_robin`` genuinely reorders service even then; that is the point
 of comparing policies.
 
-The loop threads the same fault machinery as the global path: failed
-chips go offline (their queue survives and peers may steal from it), the
-in-flight batch is lost and re-enters through the *router* — a retried
-request is re-routed and pays a fresh network hop — and admission
-control sheds against the fleet-wide landed backlog.
+Faults, admission control, EDF and the autoscaler compose with routing
+like with the global queue: a failed chip's queue survives and peers may
+steal from it, a retried request re-enters through the router and pays a
+fresh network hop, admission control sheds against the fleet-wide landed
+backlog, and the autoscaler parks only chips with no queued or inbound
+work.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from typing import Sequence
+from typing import Callable, Sequence
 
-from repro.core.events import ARRIVE, FREE, TIMEOUT, EventLoop, ServerPool
 from repro.serving.arrivals import Request
-from repro.serving.batcher import DynamicBatcher
-from repro.serving.faults import (
-    AdmissionController,
-    FaultInjector,
-    NO_ADMISSION,
-    RetryPolicy,
-)
 from repro.serving.fleet import ChipFleet
-from repro.serving.report import (
-    DropRecord,
-    FailureRecord,
-    RetryRecord,
-    RoutingStats,
-    ServingReport,
-    StealRecord,
-)
 from repro.utils.validation import require_non_negative
 
-__all__ = ["ROUTING_POLICIES", "NetworkModel", "Router", "run_routed"]
+__all__ = ["ROUTING_POLICIES", "NetworkModel", "Router", "front_end"]
 
 #: Front-end request-to-queue routing policies.
 ROUTING_POLICIES = ("round_robin", "join_shortest_queue", "shortest_expected_delay")
-
-#: A request lands in its chip queue (after the front-end→chip hop).
-#: Sorts after same-instant TIMEOUTs but before the dispatch sweeps they
-#: schedule, so every landing at time ``t`` is queued before any batch
-#: decision at ``t`` — mirroring the global loop's enqueue-then-dispatch
-#: order.
-_HOP = TIMEOUT + 1
-
-#: Deferred dispatch sweep: after every same-instant landing.
-_DISPATCH = TIMEOUT + 2
-
-#: Fault-process events order before workload events (see simulator.py).
-_FAIL = FREE - 2
-_REPAIR = FREE - 1
 
 
 @dataclass(frozen=True)
@@ -173,479 +147,71 @@ def _oracle_latency_s(fleet: ChipFleet, chip: int, batch: int, seq_len: int) -> 
     return latency / fleet.speedups[chip]
 
 
-def run_routed(
-    fleet: ChipFleet,
-    batcher: DynamicBatcher,
+def front_end(
     router: Router,
-    ordered: Sequence[Request],
-    faults: FaultInjector | None = None,
-    retry: RetryPolicy | None = None,
-    admission: AdmissionController | None = None,
-) -> tuple[ServingReport, EventLoop, int]:
-    """Serve an arrival-ordered request list through per-chip queues.
+    fleet: ChipFleet,
+    batch_size: int,
+    queues: Sequence[list],
+    in_service: Sequence[int],
+) -> Callable[[Request, Sequence[int]], int]:
+    """The routing decision of one run: ``route(request, usable) -> queue``.
 
-    Healthy and fault-aware in one loop: without any fault component,
-    records are written at dispatch (the healthy record order); with one,
-    at completion, exactly like the global fault path.  Returns
-    ``(report, event loop, dispatch sweeps)`` like the simulator's
-    internal paths; the report carries a :class:`~repro.serving.report.RoutingStats`.
+    ``usable`` lists the chips the request may go to; ``queues`` (the
+    per-chip heaps) and ``in_service`` (requests each chip is serving)
+    are the event loop's live lists, read at every call.  The returned
+    closure keeps the run's state: the round-robin cursor and, for the
+    shortest-expected-delay oracle, one amortized cost row per
+    ``seq_len`` priced at ``batch_size``.
     """
     num_chips = fleet.num_chips
-    fault_aware = faults is not None or retry is not None or admission is not None
-    retry = retry if retry is not None else RetryPolicy()
-    admission = admission if admission is not None else NO_ADMISSION
-    deadline_on = fault_aware and retry.deadline_s is not None
-    session = faults.session(num_chips) if faults is not None else None
+    if router.policy == "round_robin":
+        cursor = 0
 
-    loop = EventLoop()
-    chips = ServerPool("chips", num_chips, speedups=fleet.speedups)
-    for request in ordered:
-        loop.schedule(request.arrival_s, ARRIVE, request)
-    if session is not None:
-        for chip in range(num_chips):
-            loop.schedule(session.time_to_failure_s(chip), _FAIL, chip)
+        def route(request: Request, usable: Sequence[int]) -> int:
+            nonlocal cursor
+            while True:
+                chip = cursor
+                cursor = (cursor + 1) % num_chips
+                if chip in usable:
+                    return chip
+
+        return route
+
+    if router.policy == "join_shortest_queue":
+
+        def route(request: Request, usable: Sequence[int]) -> int:
+            best = -1
+            best_cost = math.inf
+            for c in usable:
+                cost = len(queues[c]) + in_service[c]
+                if cost < best_cost:
+                    best = c
+                    best_cost = cost
+            return best
+
+        return route
 
     links = router.network.links(num_chips)
-    steal_latency_s = router.network.steal_latency_s
-    policy = router.policy
-    stealing = router.stealing
-    sed = policy == "shortest_expected_delay"
-    jsq = policy == "join_shortest_queue"
-
-    # one heap per chip; entries are (drain key, arrival order, request)
-    # with the key from the batcher (arrival order under FIFO, absolute
-    # deadline under EDF), so ties and order are deterministic everywhere
-    queues: list[list[tuple[float, int, Request]]] = [[] for _ in range(num_chips)]
-    inflight_requests = [0] * num_chips  # requests in service, for JSQ/SED costs
-    total_backlog = 0
-    queue_peak = 0
-    queue_peaks = [0] * num_chips
-    queue_requests = [0] * num_chips
-    queue_wait_s = [0.0] * num_chips
-    num_routed = 0
-    local_batches = 0
-    stolen_batches = 0
-    route_network_s = 0.0
-    steal_network_s = 0.0
-    steal_records: list[StealRecord] = []
-    rr_next = 0  # round-robin cursor
-    order = 0  # fleet-wide arrival counter (FIFO drain key)
-    oracle_batch = batcher.max_batch_size
     # per-seq_len amortized cost row (one float per chip), built lazily:
     # route() runs once per request, so it must not allocate
     cost_rows: dict[int, list[float]] = {}
-    all_chips = tuple(range(num_chips))
-    offline_count = 0
-    num_idle = num_chips  # chips idle AND online: dispatch early-out
 
-    req_index: list[int] = []
-    req_arrival: list[float] = []
-    req_batch: list[int] = []
-    req_attempts: list[int] = []
-    req_slo: list[int] = []
-    req_deadline: list[float] = []
-    b_chip: list[int] = []
-    b_dispatch: list[float] = []
-    b_completion: list[float] = []
-    b_size: list[int] = []
-    b_seq_len: list[int] = []
-    b_energy: list[float] = []
-    b_tier: list[int] = []
-    shed: list[DropRecord] = []
-    abandoned: list[DropRecord] = []
-    retries: list[RetryRecord] = []
-    failures: list[FailureRecord] = []
-    attempts: dict[int, int] = {}
-    timed_wait = batcher.max_wait_s > 0.0
-    queued: set[int] = set()
-    dispatch_calls = 0
-    inflight: list[dict | None] = [None] * num_chips  # fault path batch info
-    epoch = [0] * num_chips
-    failed_chips = [False] * num_chips
-    outstanding = len(ordered)
-
-    schedule = loop.schedule
-    batcher_ready = batcher.ready
-    batcher_batch_of = batcher.batch_of
-    batcher_queue_key = batcher.queue_key
-    batch_latency_s = fleet.batch_latency_s
-    batch_energy_j = fleet.batch_energy_j
-    batch_tier = fleet.batch_tier
-    max_wait_s = batcher.max_wait_s
-    idle = chips.idle
-    online = chips.online
-
-    def cost_row(seq_len: int) -> list[float]:
-        """Amortized per-request service of this length on every chip."""
-        row = cost_rows.get(seq_len)
-        if row is None:
-            row = [
-                _oracle_latency_s(fleet, chip, oracle_batch, seq_len) / oracle_batch
-                for chip in all_chips
-            ]
-            cost_rows[seq_len] = row
-        return row
-
-    def route(request: Request) -> int:
-        """The queue the front end sends this request to."""
-        nonlocal rr_next
-        if policy == "round_robin":
-            chip = rr_next
-            rr_next = (rr_next + 1) % num_chips
-            return chip
-        # health-aware: never route to a failed chip unless all are down
-        if offline_count:
-            candidates = [c for c in all_chips if online[c]] or all_chips
-        else:
-            candidates = all_chips
-        if jsq:
-            best = -1
-            best_cost = -1
-            for c in candidates:
-                cost = len(queues[c]) + inflight_requests[c]
-                if best < 0 or cost < best_cost:
-                    best, best_cost = c, cost
-            return best
+    def route(request: Request, usable: Sequence[int]) -> int:
         # shortest expected delay: network hop plus the chip's outstanding
         # work priced at the candidate's amortized full-batch cost
-        costs = cost_row(request.seq_len)
+        costs = cost_rows.get(request.seq_len)
+        if costs is None:
+            costs = cost_rows[request.seq_len] = [
+                _oracle_latency_s(fleet, chip, batch_size, request.seq_len) / batch_size
+                for chip in range(num_chips)
+            ]
         best = -1
-        best_cost = 0.0
-        for c in candidates:
-            cost = links[c] + (len(queues[c]) + inflight_requests[c] + 1) * costs[c]
-            if best < 0 or cost < best_cost:
-                best, best_cost = c, cost
+        best_cost = math.inf
+        for c in usable:
+            cost = links[c] + (len(queues[c]) + in_service[c] + 1) * costs[c]
+            if cost < best_cost:
+                best = c
+                best_cost = cost
         return best
 
-    def expired(request: Request, now: float) -> bool:
-        return deadline_on and now > retry.deadline_of(request.arrival_s)
-
-    def shed_from_queue(request: Request, time: float) -> None:
-        nonlocal outstanding
-        queued.discard(request.index)
-        shed.append(
-            DropRecord(
-                index=request.index,
-                time_s=time,
-                reason="deadline",
-                attempts=attempts.get(request.index, 0),
-            )
-        )
-        outstanding -= 1
-
-    def land(time: float, request: Request, arrival_order: int, queue: int) -> None:
-        """The request's network hop completes: join the chip queue."""
-        nonlocal total_backlog, queue_peak
-        heap = queues[queue]
-        heappush(
-            heap, (batcher_queue_key(request, arrival_order), arrival_order, request)
-        )
-        total_backlog += 1
-        if total_backlog > queue_peak:
-            queue_peak = total_backlog
-        if len(heap) > queue_peaks[queue]:
-            queue_peaks[queue] = len(heap)
-        queued.add(request.index)
-        if timed_wait:
-            # maturity measured from front-end arrival, like the global loop
-            schedule(max(time, request.arrival_s + max_wait_s), TIMEOUT, request.index)
-        schedule(time, _DISPATCH)
-
-    def dispatch(time: float, force: bool = False) -> None:
-        """Serve mature queue heads fleet-wide, oldest/most-urgent first.
-
-        Each round picks the globally best mature head: its own chip if
-        idle, else — with stealing on — the lowest-indexed idle chip,
-        which pays the steal hop.  ``force`` releases the first batch past
-        a maturity check that float rounding may have stranded (set by a
-        TIMEOUT whose request is still queued), exactly like the global
-        loop.
-        """
-        nonlocal total_backlog, local_batches, stolen_batches
-        nonlocal steal_network_s, outstanding, num_idle
-        shedding = deadline_on and admission.shed_expired
-        while True:
-            if num_idle == 0 or total_backlog == 0:
-                return
-            best = -1
-            best_key: tuple[float, int] | None = None
-            for q in all_chips:
-                heap = queues[q]
-                while heap and shedding and expired(heap[0][2], time):
-                    # head-of-line deadline shedding, per queue
-                    _, _, head = heappop(heap)
-                    total_backlog -= 1
-                    shed_from_queue(head, time)
-                if not heap:
-                    continue
-                key, count, head = heap[0]
-                if not stealing and not (idle[q] and online[q]):
-                    continue  # without stealing only the home chip serves q
-                # without a wait timer every queued head is already mature
-                if timed_wait and not (
-                    force or batcher_ready(len(heap), time - head.arrival_s)
-                ):
-                    continue
-                if best_key is None or (key, count) < best_key:
-                    best, best_key = q, (key, count)
-            if best < 0:
-                return
-            if idle[best] and online[best]:
-                chip = best
-            else:
-                chip = chips.idle_server()  # lowest-indexed idle online chip
-                if chip is None:
-                    return
-            force = False
-            heap = queues[best]
-            take = batcher_batch_of(len(heap))
-            if admission.degraded_max_batch is not None and any(failed_chips):
-                take = min(take, admission.degraded_max_batch)
-            stolen = chip != best
-            hop = steal_latency_s if stolen else 0.0
-            dispatch_s = time + hop
-            wait_sum = 0.0
-            members: list[Request] = []
-            while len(members) < take and heap:
-                _, _, request = heappop(heap)
-                total_backlog -= 1
-                if shedding and expired(request, time):
-                    shed_from_queue(request, time)
-                    continue
-                members.append(request)
-                wait_sum += dispatch_s - request.arrival_s
-            if not members:
-                continue  # everything popped was expired; re-evaluate
-            queued.difference_update(r.index for r in members)
-            seq_len = max(r.seq_len for r in members)
-            service = batch_latency_s(chip, len(members), seq_len)
-            tier = batch_tier(chip)
-            energy = batch_energy_j(chip, len(members), seq_len)
-            completion = dispatch_s + service
-            chips.acquire(chip)
-            num_idle -= 1
-            chips.occupy(service)
-            inflight_requests[chip] = len(members)
-            queue_requests[best] += len(members)
-            queue_wait_s[best] += wait_sum
-            batch_row = len(b_chip)
-            if stolen:
-                stolen_batches += 1
-                steal_network_s += steal_latency_s
-                steal_records.append(
-                    StealRecord(
-                        batch_index=batch_row, queue=best, chip=chip, decided_s=time
-                    )
-                )
-            else:
-                local_batches += 1
-            epoch[chip] += 1
-            if fault_aware:
-                # records written at completion: a killed batch leaves none
-                inflight[chip] = {
-                    "epoch": epoch[chip],
-                    "members": members,
-                    "dispatch_s": dispatch_s,
-                    "completion_s": completion,
-                    "seq_len": seq_len,
-                    "energy_j": energy,
-                    "tier": tier,
-                }
-            else:
-                b_chip.append(chip)
-                b_dispatch.append(dispatch_s)
-                b_completion.append(completion)
-                b_size.append(len(members))
-                b_seq_len.append(seq_len)
-                b_energy.append(energy)
-                b_tier.append(tier)
-                for r in members:
-                    req_index.append(r.index)
-                    req_arrival.append(r.arrival_s)
-                    req_batch.append(batch_row)
-                    req_slo.append(r.slo_class)
-                    req_deadline.append(r.deadline_s)
-            schedule(completion, FREE, chip, epoch[chip])
-
-    while loop:
-        time, kind, data = loop.pop()
-        if kind == ARRIVE:
-            request = data[0]
-            if fault_aware and not admission.admits(total_backlog):
-                shed.append(
-                    DropRecord(
-                        index=request.index,
-                        time_s=time,
-                        reason="queue_full",
-                        attempts=attempts.get(request.index, 0),
-                    )
-                )
-                outstanding -= 1
-                continue
-            queue = route(request)
-            num_routed += 1
-            hop = links[queue]
-            route_network_s += hop
-            if hop == 0.0:
-                # zero-latency link: land within the arrival event, exactly
-                # where the global loop enqueues (no extra heap traffic)
-                land(time, request, order, queue)
-            else:
-                schedule(time + hop, _HOP, request, order, queue)
-            order += 1
-        elif kind == FREE:
-            chip, free_epoch = data
-            if fault_aware:
-                info = inflight[chip]
-                if info is None or info["epoch"] != free_epoch:
-                    continue  # completion of a batch a failure already killed
-                inflight[chip] = None
-                batch_row = len(b_chip)
-                b_chip.append(chip)
-                b_dispatch.append(info["dispatch_s"])
-                b_completion.append(time)
-                b_size.append(len(info["members"]))
-                b_seq_len.append(info["seq_len"])
-                b_energy.append(info["energy_j"])
-                b_tier.append(info["tier"])
-                for r in info["members"]:
-                    req_index.append(r.index)
-                    req_arrival.append(r.arrival_s)
-                    req_batch.append(batch_row)
-                    req_attempts.append(attempts.get(r.index, 0))
-                    req_slo.append(r.slo_class)
-                    req_deadline.append(r.deadline_s)
-                outstanding -= len(info["members"])
-            inflight_requests[chip] = 0
-            chips.release(chip)
-            num_idle += 1  # a valid FREE only comes from an online chip
-            schedule(time, _DISPATCH)
-        elif kind == TIMEOUT:
-            if data[0] in queued:
-                schedule(time, _DISPATCH, data[0])
-        elif kind == _HOP:
-            land(time, data[0], data[1], data[2])
-        elif kind == _FAIL:
-            chip = data[0]
-            if outstanding == 0:
-                continue  # traffic resolved: let the failure process die out
-            failed_chips[chip] = True
-            offline_count += 1
-            if idle[chip]:
-                num_idle -= 1  # an idle chip going offline leaves the pool
-            chips.set_online(chip, False)
-            repaired_s = time + session.downtime_s(chip, fleet.reprogram_latency_s(chip))
-            lost = 0
-            wasted = 0.0
-            info = inflight[chip]
-            if info is not None:
-                inflight[chip] = None
-                inflight_requests[chip] = 0
-                chips.release(chip)
-                lost = len(info["members"])
-                service = info["completion_s"] - info["dispatch_s"]
-                progress = (time - info["dispatch_s"]) / service if service > 0 else 1.0
-                wasted = info["energy_j"] * max(0.0, progress)
-                for request in info["members"]:
-                    attempts[request.index] = attempts.get(request.index, 0) + 1
-                    attempt = attempts[request.index]
-                    if attempt >= retry.max_attempts:
-                        abandoned.append(
-                            DropRecord(
-                                index=request.index,
-                                time_s=time,
-                                reason="retries_exhausted",
-                                attempts=attempt,
-                            )
-                        )
-                        outstanding -= 1
-                        continue
-                    reenqueue_s = time + retry.backoff_s(
-                        attempt, session.jitter_rng if session else None
-                    )
-                    if deadline_on and reenqueue_s > retry.deadline_of(
-                        request.arrival_s
-                    ):
-                        abandoned.append(
-                            DropRecord(
-                                index=request.index,
-                                time_s=time,
-                                reason="deadline",
-                                attempts=attempt,
-                            )
-                        )
-                        outstanding -= 1
-                        continue
-                    retries.append(
-                        RetryRecord(
-                            index=request.index,
-                            attempt=attempt,
-                            failure_s=time,
-                            reenqueue_s=reenqueue_s,
-                        )
-                    )
-                    # a retry re-enters through the router: it is re-routed
-                    # (the failed chip is offline, so it lands elsewhere)
-                    # and pays a fresh front-end hop
-                    loop.schedule(reenqueue_s, ARRIVE, request)
-            failures.append(
-                FailureRecord(
-                    chip=chip,
-                    fail_s=time,
-                    repaired_s=repaired_s,
-                    lost_requests=lost,
-                    wasted_energy_j=wasted,
-                )
-            )
-            loop.schedule(repaired_s, _REPAIR, chip)
-        elif kind == _REPAIR:
-            chip = data[0]
-            failed_chips[chip] = False
-            offline_count -= 1
-            num_idle += 1  # repaired chips come back idle
-            chips.set_online(chip, True)
-            if outstanding > 0:
-                loop.schedule(time + session.time_to_failure_s(chip), _FAIL, chip)
-                loop.schedule(time, _DISPATCH)
-        else:  # _DISPATCH
-            dispatch_calls += 1
-            dispatch(time, force=bool(data) and data[0] in queued)
-
-    from repro.serving.simulator import _assemble_tables, _per_chip_busy
-
-    requests, batches = _assemble_tables(
-        req_index, req_arrival, req_batch, req_attempts if fault_aware else None,
-        b_chip, b_dispatch, b_completion, b_size, b_seq_len, b_energy,
-        req_slo, req_deadline, b_tier,
-    )
-    stats = RoutingStats(
-        policy=policy,
-        stealing=stealing,
-        num_routed=num_routed,
-        local_batches=local_batches,
-        stolen_batches=stolen_batches,
-        route_network_s=route_network_s,
-        steal_network_s=steal_network_s,
-        queue_peaks=tuple(queue_peaks),
-        queue_requests=tuple(queue_requests),
-        queue_wait_s=tuple(queue_wait_s),
-        steals=tuple(steal_records),
-    )
-    report = ServingReport(
-        num_chips=num_chips,
-        requests=requests,
-        batches=batches,
-        chip_busy_s=_per_chip_busy(batches, num_chips),
-        queue_peak=queue_peak,
-        chip_idle_power_w=tuple(
-            fleet.idle_power_w(chip) for chip in range(num_chips)
-        ),
-        shed=tuple(shed),
-        abandoned=tuple(abandoned),
-        retries=tuple(retries),
-        failures=tuple(failures),
-        deadline_s=retry.deadline_s if fault_aware else None,
-        faults_enabled=fault_aware,
-        routing=stats,
-    )
-    return report, loop, dispatch_calls
+    return route

@@ -63,7 +63,7 @@ from repro.serving.batcher import NO_BATCHING, DynamicBatcher
 from repro.serving.faults import AdmissionController, FaultInjector, RetryPolicy
 from repro.serving.fleet import ChipFleet, ServiceModel, TieredServiceModel
 from repro.serving.profiling import PROFILER, RunProfile
-from repro.serving.report import BatchTable, RequestTable, RoutingStats, ServingReport
+from repro.serving.report import ServingReport
 from repro.serving.routing import Router
 from repro.serving.simulator import ServingSimulator
 from repro.utils.validation import require_positive
@@ -105,56 +105,6 @@ class _ShardTask:
     index_offset: int = 0
 
 
-def _empty_report(
-    fleet: ChipFleet, simulator: ServingSimulator
-) -> ServingReport:
-    """A zero-request report for a shard the splitter left empty.
-
-    Keeps the merge well-formed (the shard's chips still count toward the
-    fleet) instead of failing a run because one shard of many got nothing.
-    """
-    retry = simulator.retry if simulator.retry is not None else RetryPolicy()
-    autoscaled = simulator.autoscaler is not None
-    routing = None
-    if simulator.router is not None:
-        # a routed empty shard still contributes its (all-zero) queue
-        # columns, keeping the merged per-queue layout chip-aligned
-        routing = RoutingStats(
-            policy=simulator.router.policy,
-            stealing=simulator.router.stealing,
-            num_routed=0,
-            local_batches=0,
-            stolen_batches=0,
-            route_network_s=0.0,
-            steal_network_s=0.0,
-            queue_peaks=(0,) * fleet.num_chips,
-            queue_requests=(0,) * fleet.num_chips,
-            queue_wait_s=(0.0,) * fleet.num_chips,
-        )
-    return ServingReport(
-        num_chips=fleet.num_chips,
-        requests=RequestTable.empty(),
-        batches=BatchTable.empty(),
-        chip_busy_s=(0.0,) * fleet.num_chips,
-        queue_peak=0,
-        chip_idle_power_w=tuple(
-            fleet.idle_power_w(chip) for chip in range(fleet.num_chips)
-        ),
-        deadline_s=retry.deadline_s if simulator.fault_aware else None,
-        faults_enabled=simulator.fault_aware,
-        # keep the merged per-chip sleep columns aligned: an empty autoscaled
-        # shard still contributes one (zero) entry per chip
-        chip_sleep_s=(0.0,) * fleet.num_chips if autoscaled else (),
-        chip_sleep_power_w=tuple(
-            fleet.sleep_power_w(chip) for chip in range(fleet.num_chips)
-        )
-        if autoscaled
-        else (),
-        autoscale_enabled=autoscaled,
-        routing=routing,
-    )
-
-
 def _simulate_shard(task: _ShardTask) -> tuple[ServingReport, RunProfile | None]:
     """Run one shard to completion (module-level so worker pools can pickle it)."""
     fleet = ChipFleet(service_models=task.models, speedups=task.speedups)
@@ -178,7 +128,8 @@ def _simulate_shard(task: _ShardTask) -> tuple[ServingReport, RunProfile | None]
             deadlines=task.deadlines,
         )
     if not requests:
-        return _empty_report(fleet, simulator), None
+        # an empty shard still counts its chips (and queues) in the merge
+        return simulator._simulate([])[0], None
     report = simulator.run(requests, label=f"shard {task.shard}/{task.num_shards}")
     return report, simulator.last_profile
 

@@ -6,65 +6,70 @@ one level up the stack: the *servers* are whole accelerator chips, the
 *items* are inference requests, and service times are whole-model batched
 inference latencies from the fleet's service model.
 
-Dynamics
---------
+One event loop serves every configuration.  It is set up only by what
+:class:`ServingSimulator` takes:
 
-Requests arrive open-loop (their timestamps do not react to system state),
-join one fleet-wide FIFO queue, and leave in dispatched batches governed by
-the :class:`~repro.serving.batcher.DynamicBatcher`: an idle chip takes a
-batch as soon as the queue holds ``max_batch_size`` requests **or** the
-oldest queued request has waited ``max_wait_s``.  A dispatched batch pads
-to its longest member's sequence length, occupies its chip for the service
-model's batch latency, and completes all member requests at once (requests
-within a batch keep FIFO order in the records).  In the single-chip,
-no-batching limit with deterministic service this is exactly an M/D/1
-queue, which :mod:`repro.serving.theory` cross-validates.
+* **Queue topology.**  ``router=None`` keeps one fleet-wide heap that any
+  idle chip drains, lowest-indexed chip first.  A
+  :class:`~repro.serving.routing.Router` puts one heap per chip behind a
+  front end: each arrival is routed to a queue and crosses that chip's
+  network link before joining it, and an idle chip whose own queue holds
+  no mature batch may steal one from a peer queue, paying a steal hop.
+* **Drain key.**  Heaps are keyed by the batcher's
+  :meth:`~repro.serving.batcher.DynamicBatcher.queue_key`: arrival order
+  (FIFO) or absolute deadline (EDF), arrival order breaking ties.  A
+  queue releases a batch to an idle chip once it holds ``max_batch_size``
+  requests or its head has waited ``max_wait_s``.  A batch pads to its
+  longest member's sequence length and completes all members at once.  In
+  the single-chip, no-batching limit with deterministic service the global
+  queue is exactly an M/D/1 queue, which :mod:`repro.serving.theory`
+  cross-validates.
+* **Arrival source.**  An open-loop request list (:meth:`~ServingSimulator.run`)
+  or closed-loop clients (:meth:`~ServingSimulator.run_closed_loop`): a
+  client thinks, issues a request, and thinks again once that request
+  completes, is shed or is abandoned.
+* **Optional hooks.**  A :class:`~repro.serving.faults.FaultInjector` runs
+  per-chip failure and repair processes: the failing chip's in-flight
+  batch dies (its energy so far is charged as wasted) and its requests
+  retry through the :class:`~repro.serving.faults.RetryPolicy` — re-routed,
+  under a router — or are abandoned.  Repair costs detection plus the
+  chip's full-model reprogramming.  An
+  :class:`~repro.serving.faults.AdmissionController` bounds the backlog,
+  sheds expired queue heads and caps batches while any chip is down.  An
+  :class:`~repro.serving.autoscale.Autoscaler` ticks periodically and
+  parks or wakes chips over the fleet's RRAM power-state model (parking
+  drains into deep sleep; waking pays the wake latency and energy).
 
-Results accumulate *columnar*: the hot loop appends plain scalars to
-per-column lists (three appends per request, six per batch) and the
-per-request dispatch/completion/chip columns — constant within a batch —
-are derived at the end by one vectorized gather from the batch columns.
-No per-request record object is built during simulation; the report's
-tables materialize records lazily for consumers that want them.
+The hooks compose under a few rules:
 
-Faults
-------
+* A chip takes work only while it is awake and not failed.  Failures keep
+  running on parked chips, and repairing a parked chip leaves it parked.
+* The autoscaler parks only an idle chip with an empty own queue and no
+  request on a network hop to it, so per-chip queues never strand work.
+  The front end routes only to chips that can take work, or, if none can,
+  to chips that are not parked.
+* Every request that enters or re-enters a queue gets a maturity timer at
+  ``max(now, arrival_s + max_wait_s)``.
+* Records are written once, when a batch completes; a killed batch writes
+  none.  The report lists batches in dispatch order, so fault-free runs
+  list requests in dispatch order too.
 
-With a :class:`~repro.serving.faults.FaultInjector` (and optionally a
-:class:`~repro.serving.faults.RetryPolicy` and
-:class:`~repro.serving.faults.AdmissionController`) the same event loop
-also runs per-chip failure/repair processes:
-
-* a failing chip goes offline — dispatch is health-aware and never offers
-  work to a failed chip — and its in-flight batch is lost: the member
-  requests re-enter the queue through the retry policy (bounded attempts,
-  deadline-aware exponential backoff with jitter) or are abandoned;
-* repair takes detection/drain time plus the chip's full-model operand
-  reprogramming cost (``ChipFleet.reprogram_latency_s``) — the
-  physically-priced maintenance event — after which the chip rejoins the
-  pool and a fresh time-to-failure is drawn;
-* the admission controller sheds arrivals beyond a bounded queue depth,
-  drops queued requests whose deadline has already passed, and may cap
-  batch size while any chip is down (degraded mode).
-
-A failure simultaneous with a batch completion loses the batch (failures
-order before completions at equal timestamps) — the conservative reading.
-Fault-aware runs record requests and batches at *completion* (a lost batch
-produces no records, only a :class:`~repro.serving.report.FailureRecord`),
-so their record order is completion order.  Without any fault component
-the simulator takes the original healthy path, bit-identical to the
-pre-fault simulator.
+Results accumulate as one tuple per completed batch; the report's
+columnar tables are built from them by one vectorized gather at the end.
 """
 
 from __future__ import annotations
 
 import time as _time
+from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.events import ARRIVE, FREE, TIMEOUT, EventLoop, ServerPool
-from repro.serving.arrivals import Request
+from repro.serving.arrivals import ClosedLoopClients, Request
+from repro.serving.autoscale import Autoscaler
 from repro.serving.batcher import NO_BATCHING, DynamicBatcher
 from repro.serving.faults import AdmissionController, FaultInjector, NO_ADMISSION, RetryPolicy
 from repro.serving.fleet import ChipFleet
@@ -75,77 +80,128 @@ from repro.serving.report import (
     FailureRecord,
     RequestTable,
     RetryRecord,
+    RoutingStats,
+    ScaleEvent,
     ServingReport,
+    StealTable,
 )
+from repro.serving.routing import Router, front_end
+from repro.utils.validation import require_positive
 
 __all__ = ["ServingSimulator"]
 
-#: Deferred dispatch check: sorts after FREE/ARRIVE/TIMEOUT at the same
-#: instant, so simultaneous arrivals (real in replayed traces) are all
-#: enqueued before any batch-formation decision at that timestamp.
-_DISPATCH = TIMEOUT + 1
+#: Event kinds, in the order events of one instant are processed.  A
+#: failure tied with a completion kills the batch (the conservative
+#: reading); repairs and wakes are visible to same-instant work; a chip
+#: freeing is seen by a simultaneous arrival; every arrival, maturity
+#: timer and network landing of an instant is queued before the deferred
+#: dispatch sweep decides on batches; the autoscaler ticks last, on the
+#: settled state.
+_FAIL, _REPAIR, _WAKE = FREE - 3, FREE - 2, FREE - 1
+_HOP, _DISPATCH, _TICK = TIMEOUT + 1, TIMEOUT + 2, TIMEOUT + 3
 
-#: Fault-process events sort *before* the workload events at the same
-#: instant: a failure tied with a batch completion kills the batch (the
-#: conservative reading), and a repair tied with an arrival is visible to
-#: it.  Negative kinds keep the canonical FREE/ARRIVE/TIMEOUT order intact.
-_FAIL = FREE - 2
-_REPAIR = FREE - 1
+# chip power states under an autoscaler
+_AWAKE, _WAKING, _SLEEPING = 0, 1, 2
+
+# A batch, from dispatch to the report:
+# (dispatch seq, chip, dispatch_s, completion_s, seq_len, energy_j, tier,
+#  members, home queue, decided_s).  ``decided_s`` precedes ``dispatch_s``
+# by the steal hop when the chip served a peer's queue.
+
+# Sorts after every queue entry (drain key, arrival order, request): the
+# arrival order breaks ties between equal keys, even infinite ones.
+_LAST = (float("inf"), float("inf"))
 
 
 def _assemble_tables(
-    req_index: list[int],
-    req_arrival: list[float],
-    req_batch: list[int],
-    req_attempts: list[int] | None,
-    b_chip: list[int],
-    b_dispatch: list[float],
-    b_completion: list[float],
-    b_size: list[int],
-    b_seq_len: list[int],
-    b_energy: list[float],
-    req_slo: list[int] | None = None,
-    req_deadline: list[float] | None = None,
-    b_tier: list[int] | None = None,
+    completed: list[tuple], attempts: dict[int, int]
 ) -> tuple[RequestTable, BatchTable]:
-    """Build the report tables from the hot loop's column lists.
+    """Build the report tables from completed batches in dispatch order.
 
     Per-request dispatch/completion/chip/size/seq_len are batch-constant,
-    so only the batch row index is recorded per request and the rest is
-    one fancy-indexed gather here.
+    so they are one fancy-indexed gather from the batch columns.
     """
-    chip = np.asarray(b_chip, dtype=np.int64)
-    dispatch = np.asarray(b_dispatch, dtype=np.float64)
-    completion = np.asarray(b_completion, dtype=np.float64)
-    size = np.asarray(b_size, dtype=np.int64)
-    seq_len = np.asarray(b_seq_len, dtype=np.int64)
-    batch_of_request = np.asarray(req_batch, dtype=np.int64)
+    if not completed:
+        return RequestTable.empty(), BatchTable.empty()
+    _, chip, dispatch_s, completion_s, seq_len, energy_j, tier, members, _, _ = zip(
+        *completed
+    )
+    chip = np.asarray(chip, dtype=np.int64)
+    dispatch_s = np.asarray(dispatch_s, dtype=np.float64)
+    completion_s = np.asarray(completion_s, dtype=np.float64)
+    seq_len = np.asarray(seq_len, dtype=np.int64)
+    size = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
+    flat = [request for batch in members for request in batch]
+    count = len(flat)
+    batch_of_request = np.repeat(np.arange(len(members), dtype=np.int64), size)
     requests = RequestTable(
-        np.asarray(req_index, dtype=np.int64),
-        np.asarray(req_arrival, dtype=np.float64),
-        dispatch[batch_of_request],
-        completion[batch_of_request],
+        np.fromiter((r.index for r in flat), dtype=np.int64, count=count),
+        np.fromiter((r.arrival_s for r in flat), dtype=np.float64, count=count),
+        dispatch_s[batch_of_request],
+        completion_s[batch_of_request],
         chip[batch_of_request],
         batch_of_request,
         size[batch_of_request],
         seq_len[batch_of_request],
-        np.zeros(len(req_index), dtype=np.int64)
-        if req_attempts is None
-        else np.asarray(req_attempts, dtype=np.int64),
-        None if req_slo is None else np.asarray(req_slo, dtype=np.int64),
-        None if req_deadline is None else np.asarray(req_deadline, dtype=np.float64),
+        np.fromiter((attempts.get(r.index, 0) for r in flat), dtype=np.int64, count=count)
+        if attempts
+        else np.zeros(count, dtype=np.int64),
+        np.fromiter((r.slo_class for r in flat), dtype=np.int64, count=count),
+        np.fromiter((r.deadline_s for r in flat), dtype=np.float64, count=count),
     )
     batches = BatchTable(
-        np.arange(len(b_chip), dtype=np.int64),
+        np.arange(len(members), dtype=np.int64),
         chip,
-        dispatch,
-        completion,
+        dispatch_s,
+        completion_s,
         size,
         seq_len,
-        np.asarray(b_energy, dtype=np.float64),
-        None if b_tier is None else np.asarray(b_tier, dtype=np.int64),
+        np.asarray(energy_j, dtype=np.float64),
+        np.asarray(tier, dtype=np.int64),
     )
     return requests, batches
+
+
+def _routing_stats(
+    router: Router,
+    completed: list[tuple],
+    requests: RequestTable,
+    batches: BatchTable,
+    num_routed: int,
+    route_network_s: float,
+    queue_peaks: list[int],
+) -> RoutingStats:
+    """The per-queue ledger of a routed run, from its completed batches."""
+    num_queues = len(queue_peaks)
+    queue = np.fromiter((batch[8] for batch in completed), dtype=np.int64, count=len(completed))
+    queue_of_request = queue[requests.batch_index]
+    stolen = np.flatnonzero(queue != batches.chip)
+    steals = StealTable(
+        stolen,
+        queue[stolen],
+        batches.chip[stolen],
+        [completed[row][9] for row in stolen.tolist()],
+    )
+    steal_network_s = 0.0
+    for _ in range(len(steals)):
+        steal_network_s += router.network.steal_latency_s
+    return RoutingStats(
+        policy=router.policy,
+        stealing=router.stealing,
+        num_routed=num_routed,
+        local_batches=len(completed) - len(steals),
+        stolen_batches=len(steals),
+        route_network_s=route_network_s,
+        steal_network_s=steal_network_s,
+        queue_peaks=tuple(queue_peaks),
+        queue_requests=tuple(np.bincount(queue_of_request, minlength=num_queues).tolist()),
+        queue_wait_s=tuple(
+            np.bincount(
+                queue_of_request, weights=requests.wait_s, minlength=num_queues
+            ).tolist()
+        ),
+        steals=steals,
+    )
 
 
 def _fleet_cache_counters(fleet: ChipFleet) -> tuple[int, int, int, int, int, int]:
@@ -185,12 +241,12 @@ def _per_chip_busy(batches: BatchTable, num_chips: int) -> tuple[float, ...]:
 class ServingSimulator:
     """Event-driven executor of a request stream over a chip fleet.
 
-    ``faults``, ``retry`` and ``admission`` are all optional; passing any
-    of them switches the run to the fault-aware path (``retry`` defaults
-    to a stock :class:`~repro.serving.faults.RetryPolicy` and ``admission``
-    to :data:`~repro.serving.faults.NO_ADMISSION` there).  With none of
-    them the healthy path is taken, bit-identical to the pre-fault
-    simulator.
+    ``faults``, ``retry``, ``admission``, ``autoscaler`` and ``router`` are
+    all optional and combine freely (see the module docstring).  Passing
+    any of ``faults``/``retry``/``admission`` turns on the availability
+    ledger; ``retry`` then defaults to a stock
+    :class:`~repro.serving.faults.RetryPolicy` and ``admission`` to
+    :data:`~repro.serving.faults.NO_ADMISSION`.
 
     After every run :attr:`last_profile` holds the run's hot-path counters
     (events scheduled/popped, dispatch sweeps, wall time); when the global
@@ -205,8 +261,8 @@ class ServingSimulator:
         faults: FaultInjector | None = None,
         retry: RetryPolicy | None = None,
         admission: AdmissionController | None = None,
-        autoscaler=None,
-        router=None,
+        autoscaler: Autoscaler | None = None,
+        router: Router | None = None,
     ) -> None:
         self.fleet = fleet
         self.batcher = batcher
@@ -216,26 +272,6 @@ class ServingSimulator:
         self.autoscaler = autoscaler
         self.router = router
         self.last_profile: RunProfile | None = None
-        if self.router is not None and self.autoscaler is not None:
-            raise ValueError(
-                "the multi-queue router and the autoscaler cannot be combined "
-                "in one run yet: the autoscaler's control plane drains one "
-                "fleet-wide queue. Router + autoscaler interaction is tracked "
-                "as an open item in ROADMAP.md"
-            )
-        # the routed loop drains EDF per-queue heaps and runs the fault
-        # machinery in one loop, so the exclusion below only binds the
-        # global-queue paths
-        if self.router is None and self.fault_aware and self.slo_aware:
-            raise ValueError(
-                "fault injection and the SLO/autoscale control plane cannot "
-                "be combined in one run yet: pass either faults/retry/"
-                "admission or an EDF batcher/autoscaler, not both. "
-                "To study both effects, run two simulators over the same "
-                "arrivals — one with faults=..., one with the EDF batcher/"
-                "autoscaler — and compare their reports; unifying the two "
-                "event loops is tracked as an open item in ROADMAP.md"
-            )
 
     @property
     def fault_aware(self) -> bool:
@@ -245,11 +281,6 @@ class ServingSimulator:
             or self.retry is not None
             or self.admission is not None
         )
-
-    @property
-    def slo_aware(self) -> bool:
-        """Whether runs need the control-plane path (EDF order or autoscaling)."""
-        return self.autoscaler is not None or self.batcher.deadline_ordered
 
     def run(self, requests: Sequence[Request], label: str = "serving") -> ServingReport:
         """Serve every request and report the completed run.
@@ -261,452 +292,411 @@ class ServingSimulator:
         if not requests:
             raise ValueError("cannot simulate an empty request stream")
         ordered = sorted(requests, key=lambda r: r.arrival_s)
-        counters = _fleet_cache_counters(self.fleet)
-        start = _time.perf_counter()
-        if self.router is not None:
-            # the routed loop handles healthy, fault-aware, and EDF drains
-            # itself: per-chip queues replace both the global FIFO and the
-            # control plane's fleet-wide deadline heap
-            from repro.serving.routing import run_routed
-
-            report, loop, dispatch_calls = run_routed(
-                self.fleet,
-                self.batcher,
-                self.router,
-                ordered,
-                faults=self.faults,
-                retry=self.retry,
-                admission=self.admission,
-            )
-        elif self.fault_aware:
-            report, loop, dispatch_calls = self._run_fault_aware(ordered)
-        elif self.slo_aware:
-            from repro.serving.slo import run_control_plane
-
-            report, loop, dispatch_calls = run_control_plane(
-                self.fleet, self.batcher, self.autoscaler, requests=ordered
-            )
-        else:
-            report, loop, dispatch_calls = self._run_healthy(ordered)
-        wall_s = _time.perf_counter() - start
-        deltas = tuple(
-            after - before
-            for after, before in zip(_fleet_cache_counters(self.fleet), counters)
-        )
-        self.last_profile = RunProfile(
-            label=label,
-            events_scheduled=loop.events_scheduled,
-            events_popped=loop.events_popped,
-            dispatch_calls=dispatch_calls,
-            num_requests=report.num_requests,
-            num_batches=report.num_batches,
-            wall_s=wall_s,
-            pricing_hits=deltas[0],
-            pricing_misses=deltas[1],
-            template_hits=deltas[2],
-            template_misses=deltas[3],
-            analytic_batches=deltas[4],
-            executed_batches=deltas[5],
-            routed_requests=report.routing.num_routed if report.routing else 0,
-            stolen_batches=report.routing.stolen_batches if report.routing else 0,
-            peak_queue_depth=report.routing.peak_queue_depth if report.routing else 0,
-        )
-        PROFILER.record(self.last_profile)
-        return report
+        return self._profiled(label, ordered)
 
     def run_closed_loop(
-        self, clients, num_requests: int, label: str = "closed-loop"
+        self, clients: ClosedLoopClients, num_requests: int, label: str = "closed-loop"
     ) -> ServingReport:
         """Serve ``num_requests`` issued by closed-loop clients.
 
-        Arrivals react to completions (think -> request -> completion ->
-        think), so this always takes the control-plane path — with a FIFO
-        batcher and no autoscaler it is the plain machine-repair closed
-        queue the theory module cross-validates.  Fault injection is not
-        supported on this path.
+        Arrivals react to the system (think -> request -> completion,
+        shed or abandonment -> think); requests are issued with
+        consecutive indices until ``num_requests`` have entered, after
+        which clients retire.  With one chip, a FIFO batcher and no hooks
+        this is the machine-repair closed queue the theory module
+        cross-validates.
         """
-        if self.fault_aware:
-            raise ValueError("closed-loop runs do not support fault injection")
-        if self.router is not None:
-            raise ValueError(
-                "closed-loop runs do not support the multi-queue router: "
-                "closed-loop clients react to completions through the "
-                "control plane's fleet-wide queue"
-            )
-        from repro.serving.slo import run_control_plane
+        require_positive(num_requests, "num_requests")
+        return self._profiled(label, (), clients, num_requests)
 
+    def _profiled(
+        self,
+        label: str,
+        ordered: Sequence[Request],
+        clients: ClosedLoopClients | None = None,
+        num_requests: int = 0,
+    ) -> ServingReport:
         counters = _fleet_cache_counters(self.fleet)
         start = _time.perf_counter()
-        report, loop, dispatch_calls = run_control_plane(
-            self.fleet,
-            self.batcher,
-            self.autoscaler,
-            clients=clients,
-            num_requests=num_requests,
-        )
+        report, loop, dispatch_calls = self._simulate(ordered, clients, num_requests)
         wall_s = _time.perf_counter() - start
-        deltas = tuple(
+        deltas = [
             after - before
             for after, before in zip(_fleet_cache_counters(self.fleet), counters)
-        )
+        ]
+        routing = report.routing
         self.last_profile = RunProfile(
-            label=label,
-            events_scheduled=loop.events_scheduled,
-            events_popped=loop.events_popped,
-            dispatch_calls=dispatch_calls,
-            num_requests=report.num_requests,
-            num_batches=report.num_batches,
-            wall_s=wall_s,
-            pricing_hits=deltas[0],
-            pricing_misses=deltas[1],
-            template_hits=deltas[2],
-            template_misses=deltas[3],
-            analytic_batches=deltas[4],
-            executed_batches=deltas[5],
+            label,
+            loop.events_scheduled,
+            loop.events_popped,
+            dispatch_calls,
+            report.num_requests,
+            report.num_batches,
+            wall_s,
+            *deltas,
+            routed_requests=routing.num_routed if routing else 0,
+            stolen_batches=routing.stolen_batches if routing else 0,
+            peak_queue_depth=routing.peak_queue_depth if routing else 0,
         )
         PROFILER.record(self.last_profile)
         return report
 
-    # ------------------------------------------------------------------ #
-    # healthy path (no faults, no admission control)
-    # ------------------------------------------------------------------ #
-    def _run_healthy(
-        self, ordered: list[Request]
+    def _simulate(
+        self,
+        ordered: Sequence[Request],
+        clients: ClosedLoopClients | None = None,
+        num_requests: int = 0,
     ) -> tuple[ServingReport, EventLoop, int]:
-        loop = EventLoop()
-        chips = ServerPool("chips", self.fleet.num_chips, speedups=self.fleet.speedups)
-        for request in ordered:
-            loop.schedule(request.arrival_s, ARRIVE, request)
+        """The serving event loop.
 
-        req_index: list[int] = []
-        req_arrival: list[float] = []
-        req_batch: list[int] = []
-        req_slo: list[int] = []
-        req_deadline: list[float] = []
-        b_chip: list[int] = []
-        b_dispatch: list[float] = []
-        b_completion: list[float] = []
-        b_size: list[int] = []
-        b_seq_len: list[int] = []
-        b_energy: list[float] = []
-        b_tier: list[int] = []
-        timed_wait = self.batcher.max_wait_s > 0.0
-        queued: set[int] = set()  # indexes awaiting dispatch (timeout liveness)
+        Serves the arrival-ordered ``ordered`` list, or ``num_requests``
+        issued by ``clients``.  Returns ``(report, event loop, dispatch
+        sweeps)``; an input that completes nothing yields an empty report.
+        """
+        fleet = self.fleet
+        batcher = self.batcher
+        router = self.router
+        autoscaler = self.autoscaler
+        num_chips = fleet.num_chips
+        all_chips = tuple(range(num_chips))
+        retry = self.retry if self.retry is not None else RetryPolicy()
+        admission = self.admission if self.admission is not None else NO_ADMISSION
+        deadline_s = retry.deadline_s  # None without a fault hook
+        deadline_on = deadline_s is not None
+        shedding = deadline_on and admission.shed_expired
+        max_queue = admission.max_queue_depth
+        degraded_cap = admission.degraded_max_batch
+        session = self.faults.session(num_chips) if self.faults is not None else None
+        closed = clients is not None
+        client_session = clients.session() if closed else None
+
+        loop = EventLoop()
+        schedule = loop.schedule
+        chips = ServerPool("chips", num_chips, speedups=fleet.speedups)
+        idle = chips.idle
+        online = chips.online
+        ready = batcher.ready
+        batch_of = batcher.batch_of
+        queue_key = batcher.queue_key
+        batch_latency_s = fleet.batch_latency_s
+        batch_energy_j = fleet.batch_energy_j
+        batch_tier = fleet.batch_tier
+        max_wait_s = batcher.max_wait_s
+        timed_wait = max_wait_s > 0.0
+
+        # queues: one shared heap, or one per chip behind the router; entries
+        # are (drain key, arrival order, request)
+        routed = router is not None
+        queues: list[list[tuple[float, int, Request]]] = [
+            [] for _ in range(num_chips if routed else 1)
+        ]
+        queue_peaks = [0] * len(queues)
+        backlog = 0  # requests queued over all queues
+        queue_peak = 0
+        queued: set[int] = set()  # indexes awaiting dispatch (timer liveness)
+        arrivals = 0  # admitted arrivals: the FIFO key, and routes taken
         dispatch_calls = 0
 
-        # hot-loop local bindings: attribute loads cost in a loop that runs
-        # once per event over millions of events
-        schedule = loop.schedule
-        batcher_ready = self.batcher.ready
-        batcher_batch_of = self.batcher.batch_of
-        batch_latency_s = self.fleet.batch_latency_s
-        batch_energy_j = self.fleet.batch_energy_j
-        batch_tier = self.fleet.batch_tier
-        max_wait_s = self.batcher.max_wait_s
+        # chips: the batch each is serving, its power state, failures
+        inflight: list[tuple | None] = [None] * num_chips
+        in_service = [0] * num_chips  # requests in service, for the router
+        seq = 0  # dispatch sequence: the batch order of the report
+        completed: list[tuple] = []
+        num_idle = num_chips  # chips idle and able to take work
+        offline = 0  # chips not able to take work
+        failed = [False] * num_chips
+        state = [_AWAKE] * num_chips
 
-        def dispatch(time: float, force: bool = False) -> None:
-            """Release ready batches to idle chips until either runs out.
+        # availability ledger
+        shed: list[DropRecord] = []
+        abandoned: list[DropRecord] = []
+        retries: list[RetryRecord] = []
+        failures: list[FailureRecord] = []
+        attempts: dict[int, int] = {}  # index -> failed service attempts
+        # requests not yet completed, shed or abandoned: at 0 the failure
+        # processes and the autoscaler stop renewing and the heap drains
+        outstanding = num_requests if closed else len(ordered)
+
+        # closed-loop issue state
+        issued = 0
+        client_of: dict[int, int] = {}
+
+        # routing
+        if routed:
+            route = front_end(router, fleet, batcher.max_batch_size, queues, in_service)
+            links = router.network.links(num_chips)
+            steal_latency_s = router.network.steal_latency_s
+            stealing = router.stealing
+        hops_to = [0] * num_chips  # requests on a network hop to each chip
+        route_network_s = 0.0
+
+        # autoscaler
+        sleep_start = [0.0] * num_chips  # meaningful while _SLEEPING
+        sleep_intervals: list[list[tuple[float, float]]] = [[] for _ in all_chips]
+        scale_events: list[ScaleEvent] = []
+        awake_count = num_chips
+        awake_accum = 0.0  # awake chip-seconds integrated up to last_transition
+        last_transition = 0.0
+        window_busy = 0.0  # chips.busy_s at the previous tick
+        window_awake = 0.0  # awake_accum at the previous tick
+
+        def refresh(chip: int) -> None:
+            """Re-derive whether a chip can take work: awake and not failed."""
+            nonlocal num_idle, offline
+            can = state[chip] == _AWAKE and not failed[chip]
+            if online[chip] != can:
+                chips.set_online(chip, can)
+                offline += -1 if can else 1
+                if idle[chip]:
+                    num_idle += 1 if can else -1
+
+        def integrate_awake(time: float) -> None:
+            nonlocal awake_accum, last_transition
+            awake_accum += awake_count * (time - last_transition)
+            last_transition = time
+
+        def think(client: int, time: float) -> None:
+            if issued < num_requests:
+                schedule(time + client_session.next_think_s(), ARRIVE, None, client)
+
+        def drop(ledger: list, request: Request, time: float, reason: str, tries: int) -> None:
+            nonlocal outstanding
+            ledger.append(
+                DropRecord(index=request.index, time_s=time, reason=reason, attempts=tries)
+            )
+            outstanding -= 1
+            if closed:
+                think(client_of.pop(request.index), time)
+
+        def shed_queued(request: Request, time: float) -> None:
+            queued.discard(request.index)
+            drop(shed, request, time, "deadline", attempts.get(request.index, 0))
+
+        def land(time: float, request: Request, order: int, queue: int) -> None:
+            """Join a queue: at arrival, or when the network hop completes."""
+            nonlocal backlog, queue_peak
+            heap = queues[queue]
+            heappush(heap, (queue_key(request, order), order, request))
+            backlog += 1
+            if backlog > queue_peak:
+                queue_peak = backlog
+            if len(heap) > queue_peaks[queue]:
+                queue_peaks[queue] = len(heap)
+            queued.add(request.index)
+            mature_s = request.arrival_s + max_wait_s
+            if timed_wait and mature_s > time:
+                schedule(mature_s, TIMEOUT, request.index)
+            schedule(time, _DISPATCH)
+            if timed_wait and mature_s <= time:
+                # already mature (a retry, or a hop of max_wait_s or more):
+                # the timer is due now, so its forced sweep follows at once
+                schedule(time, _DISPATCH, request.index)
+
+        def dispatch(time: float, force: bool) -> None:
+            """Release ready batches to chips that can take work until either runs out.
 
             ``force`` releases the first batch even if the policy says the
             head is not quite mature: it is set by a TIMEOUT event whose
             request is still queued, where ``(arrival + max_wait) - arrival``
             may round below ``max_wait`` and strand the queue forever.
             """
+            nonlocal backlog, num_idle, seq
             while True:
-                depth = chips.queue_depth()
-                oldest = chips.peek(0)
-                if oldest is None:
-                    return
-                if not force and not batcher_ready(depth, time - oldest.arrival_s):
-                    return
-                chip = chips.idle_server()
-                if chip is None:
-                    return
+                if routed:
+                    # the fleet-wide most urgent mature head, served by its
+                    # own chip if that can take work, else (with stealing
+                    # on) by the lowest-indexed chip that can, over a hop
+                    if not num_idle or not backlog:
+                        return
+                    queue = -1
+                    best = _LAST
+                    for q in all_chips:
+                        heap = queues[q]
+                        while shedding and heap and time > heap[0][2].arrival_s + deadline_s:
+                            backlog -= 1
+                            shed_queued(heappop(heap)[2], time)
+                        if not heap or heap[0] >= best:
+                            continue
+                        if not stealing and not (idle[q] and online[q]):
+                            continue  # without stealing only the home chip serves q
+                        # without a wait timer every queued head is already mature
+                        if timed_wait and not (
+                            force or ready(len(heap), time - heap[0][2].arrival_s)
+                        ):
+                            continue
+                        queue, best = q, heap[0]
+                    if queue < 0:
+                        return
+                    chip = queue if idle[queue] and online[queue] else chips.idle_server()
+                    heap = queues[queue]
+                else:
+                    heap = queues[0]
+                    if not heap:
+                        return
+                    head = heap[0][2]
+                    # head-of-line deadline shedding: an expired head must
+                    # not mature a batch or burn chip time nobody awaits
+                    if shedding and time > head.arrival_s + deadline_s:
+                        heappop(heap)
+                        backlog -= 1
+                        shed_queued(head, time)
+                        continue
+                    if not force and not ready(len(heap), time - head.arrival_s):
+                        return
+                    if not num_idle:
+                        return
+                    queue, chip = 0, chips.idle_server()
                 force = False  # one forced batch per timeout
-                batch = [chips.pop(0) for _ in range(batcher_batch_of(depth))]
-                queued.difference_update(r.index for r in batch)
-                seq_len = max(r.seq_len for r in batch)
-                service = batch_latency_s(chip, len(batch), seq_len)
+                take = batch_of(len(heap))
+                if degraded_cap is not None and any(failed):
+                    take = min(take, degraded_cap)
+                members = []
+                seq_len = 0  # the batch pads to its longest member
+                while len(members) < take and heap:
+                    request = heappop(heap)[2]
+                    backlog -= 1
+                    if shedding and time > request.arrival_s + deadline_s:
+                        shed_queued(request, time)
+                        continue
+                    members.append(request)
+                    queued.discard(request.index)
+                    if request.seq_len > seq_len:
+                        seq_len = request.seq_len
+                if not members:
+                    continue  # everything popped was expired; re-evaluate
+                size = len(members)
+                service = batch_latency_s(chip, size, seq_len)
                 # tier must be read before the chip's model prices another
                 # batch — chips may share one model object
                 tier = batch_tier(chip)
-                completion = time + service
+                energy = batch_energy_j(chip, size, seq_len)
+                start_s = time + steal_latency_s if routed and chip != queue else time
+                completion = start_s + service
                 chips.acquire(chip)
+                num_idle -= 1
                 chips.occupy(service)
-                schedule(completion, FREE, chip)
-                batch_row = len(b_chip)
-                b_chip.append(chip)
-                b_dispatch.append(time)
-                b_completion.append(completion)
-                b_size.append(len(batch))
-                b_seq_len.append(seq_len)
-                b_energy.append(batch_energy_j(chip, len(batch), seq_len))
-                b_tier.append(tier)
-                for r in batch:
-                    req_index.append(r.index)
-                    req_arrival.append(r.arrival_s)
-                    req_batch.append(batch_row)
-                    req_slo.append(r.slo_class)
-                    req_deadline.append(r.deadline_s)
+                in_service[chip] = size
+                seq += 1
+                inflight[chip] = (
+                    seq, chip, start_s, completion, seq_len, energy, tier, members, queue, time
+                )
+                schedule(completion, FREE, chip, seq)
+
+        if autoscaler is not None:
+            for chip in range(autoscaler.initial(num_chips), num_chips):
+                state[chip] = _SLEEPING
+                refresh(chip)
+                awake_count -= 1
+            schedule(autoscaler.interval_s, _TICK)
+        if closed:
+            for client in range(clients.num_clients):
+                schedule(client_session.next_think_s(), ARRIVE, None, client)
+        for request in ordered:
+            schedule(request.arrival_s, ARRIVE, request)
+        if session is not None:
+            for chip in all_chips:
+                schedule(session.time_to_failure_s(chip), _FAIL, chip)
 
         while loop:
             time, kind, data = loop.pop()
             if kind == ARRIVE:
                 request = data[0]
-                chips.enqueue(0, request)
-                queued.add(request.index)
-                if timed_wait:
-                    # lazy maturity timer: when it fires the request either
-                    # already left in a batch (no-op) or unblocks a partial one
-                    schedule(time + max_wait_s, TIMEOUT, request.index)
-                schedule(time, _DISPATCH)
+                if request is None:  # a closed-loop client finished thinking
+                    if issued >= num_requests:
+                        continue  # traffic quota reached: the client retires
+                    client = data[1]
+                    request = Request(
+                        index=issued,
+                        arrival_s=time,
+                        seq_len=client_session.next_seq_len(),
+                        slo_class=client_session.slo_class_of(client),
+                        deadline_s=client_session.deadline_of(client),
+                    )
+                    client_of[issued] = client
+                    issued += 1
+                if max_queue is not None and backlog >= max_queue:
+                    drop(shed, request, time, "queue_full", attempts.get(request.index, 0))
+                    continue
+                order = arrivals
+                arrivals += 1
+                if not routed:
+                    land(time, request, order, 0)
+                    continue
+                # route among chips that can take work; if none can, among
+                # those not parked (failed ones come back at repair)
+                queue = route(
+                    request,
+                    all_chips
+                    if not offline
+                    else [c for c in all_chips if online[c]]
+                    or [c for c in all_chips if state[c] != _SLEEPING],
+                )
+                hop = links[queue]
+                route_network_s += hop
+                if hop == 0.0:
+                    # zero-latency link: land within the arrival event
+                    land(time, request, order, queue)
+                else:
+                    hops_to[queue] += 1
+                    schedule(time + hop, _HOP, request, order, queue)
+            elif kind == _DISPATCH:
+                # force only if the matured request is *still* waiting now
+                dispatch_calls += 1
+                dispatch(time, bool(data) and data[0] in queued)
             elif kind == FREE:
-                chips.release(data[0])
+                chip, batch_seq = data
+                batch = inflight[chip]
+                if batch is None or batch[0] != batch_seq:
+                    continue  # completion of a batch a failure already killed
+                inflight[chip] = None
+                in_service[chip] = 0
+                chips.release(chip)
+                num_idle += 1  # a live batch only runs on a chip that can work
+                completed.append(batch)
+                members = batch[7]
+                outstanding -= len(members)
+                if closed:
+                    for r in members:
+                        think(client_of.pop(r.index), time)
                 schedule(time, _DISPATCH)
             elif kind == TIMEOUT:
                 if data[0] in queued:
                     schedule(time, _DISPATCH, data[0])
-            else:  # _DISPATCH
-                # force only if the matured request is *still* waiting now
-                dispatch_calls += 1
-                dispatch(time, force=bool(data) and data[0] in queued)
-
-        requests, batches = _assemble_tables(
-            req_index, req_arrival, req_batch, None,
-            b_chip, b_dispatch, b_completion, b_size, b_seq_len, b_energy,
-            req_slo, req_deadline, b_tier,
-        )
-        report = ServingReport(
-            num_chips=self.fleet.num_chips,
-            requests=requests,
-            batches=batches,
-            chip_busy_s=_per_chip_busy(batches, self.fleet.num_chips),
-            queue_peak=chips.queue_peak,
-            chip_idle_power_w=tuple(
-                self.fleet.idle_power_w(chip) for chip in range(self.fleet.num_chips)
-            ),
-        )
-        return report, loop, dispatch_calls
-
-    # ------------------------------------------------------------------ #
-    # fault-aware path (failures, retries, admission control)
-    # ------------------------------------------------------------------ #
-    def _run_fault_aware(
-        self, ordered: list[Request]
-    ) -> tuple[ServingReport, EventLoop, int]:
-        num_chips = self.fleet.num_chips
-        retry = self.retry if self.retry is not None else RetryPolicy()
-        admission = self.admission if self.admission is not None else NO_ADMISSION
-        deadline_on = retry.deadline_s is not None
-        session = self.faults.session(num_chips) if self.faults is not None else None
-
-        loop = EventLoop()
-        chips = ServerPool("chips", num_chips, speedups=self.fleet.speedups)
-        for request in ordered:
-            loop.schedule(request.arrival_s, ARRIVE, request)
-        if session is not None:
-            for chip in range(num_chips):
-                loop.schedule(session.time_to_failure_s(chip), _FAIL, chip)
-
-        req_index: list[int] = []
-        req_arrival: list[float] = []
-        req_batch: list[int] = []
-        req_attempts: list[int] = []
-        req_slo: list[int] = []
-        req_deadline: list[float] = []
-        b_chip: list[int] = []
-        b_dispatch: list[float] = []
-        b_completion: list[float] = []
-        b_size: list[int] = []
-        b_seq_len: list[int] = []
-        b_energy: list[float] = []
-        b_tier: list[int] = []
-        shed: list[DropRecord] = []
-        abandoned: list[DropRecord] = []
-        retries: list[RetryRecord] = []
-        failures: list[FailureRecord] = []
-        attempts: dict[int, int] = {}  # index -> failed service attempts
-        timed_wait = self.batcher.max_wait_s > 0.0
-        queued: set[int] = set()
-        dispatch_calls = 0
-        # chip -> the batch it is serving: dict(epoch, members, dispatch_s,
-        # completion_s, seq_len, energy_j); records are written only when a
-        # batch *completes*, so a killed batch leaves no request records
-        inflight: list[dict | None] = [None] * num_chips
-        epoch = [0] * num_chips
-        failed = [False] * num_chips
-        # offered requests not yet completed / shed / abandoned: when this
-        # reaches 0 the traffic is resolved and fault events stop renewing,
-        # letting the event heap drain
-        outstanding = len(ordered)
-
-        def expired(request: Request, now: float) -> bool:
-            return deadline_on and now > retry.deadline_of(request.arrival_s)
-
-        def shed_from_queue(request: Request, time: float) -> None:
-            nonlocal outstanding
-            queued.discard(request.index)
-            shed.append(
-                DropRecord(
-                    index=request.index,
-                    time_s=time,
-                    reason="deadline",
-                    attempts=attempts.get(request.index, 0),
-                )
-            )
-            outstanding -= 1
-
-        def dispatch(time: float, force: bool = False) -> None:
-            """Health- and deadline-aware batch release (see healthy path)."""
-            while True:
-                oldest = chips.peek(0)
-                if oldest is None:
-                    return
-                # head-of-line deadline shedding: an expired head must not
-                # mature a batch or burn chip time nobody is waiting for
-                if admission.shed_expired and expired(oldest, time):
-                    chips.pop(0)
-                    shed_from_queue(oldest, time)
-                    continue
-                depth = chips.queue_depth()
-                if not force and not self.batcher.ready(depth, time - oldest.arrival_s):
-                    return
-                chip = chips.idle_server()  # never offers a failed chip
-                if chip is None:
-                    return
-                force = False
-                take = self.batcher.batch_of(depth)
-                if admission.degraded_max_batch is not None and any(failed):
-                    take = min(take, admission.degraded_max_batch)
-                members: list[Request] = []
-                while len(members) < take:
-                    request = chips.pop(0)
-                    if request is None:
-                        break
-                    if admission.shed_expired and expired(request, time):
-                        shed_from_queue(request, time)
-                        continue
-                    members.append(request)
-                if not members:
-                    continue  # everything popped was expired; re-evaluate
-                queued.difference_update(r.index for r in members)
-                seq_len = max(r.seq_len for r in members)
-                service = self.fleet.batch_latency_s(chip, len(members), seq_len)
-                completion = time + service
-                chips.acquire(chip)
-                chips.occupy(service)
-                epoch[chip] += 1
-                inflight[chip] = {
-                    "epoch": epoch[chip],
-                    "members": members,
-                    "dispatch_s": time,
-                    "completion_s": completion,
-                    "seq_len": seq_len,
-                    "energy_j": self.fleet.batch_energy_j(chip, len(members), seq_len),
-                    "tier": self.fleet.batch_tier(chip),
-                }
-                loop.schedule(completion, FREE, chip, epoch[chip])
-
-        while loop:
-            time, kind, data = loop.pop()
-            if kind == ARRIVE:
-                request = data[0]
-                if not admission.admits(chips.queue_depth()):
-                    shed.append(
-                        DropRecord(
-                            index=request.index,
-                            time_s=time,
-                            reason="queue_full",
-                            attempts=attempts.get(request.index, 0),
-                        )
-                    )
-                    outstanding -= 1
-                    continue
-                chips.enqueue(0, request)
-                queued.add(request.index)
-                if timed_wait:
-                    loop.schedule(
-                        time + self.batcher.max_wait_s, TIMEOUT, request.index
-                    )
-                loop.schedule(time, _DISPATCH)
-            elif kind == FREE:
-                chip, free_epoch = data
-                info = inflight[chip]
-                if info is None or info["epoch"] != free_epoch:
-                    continue  # completion of a batch a failure already killed
-                inflight[chip] = None
-                chips.release(chip)
-                batch_row = len(b_chip)
-                b_chip.append(chip)
-                b_dispatch.append(info["dispatch_s"])
-                b_completion.append(time)
-                b_size.append(len(info["members"]))
-                b_seq_len.append(info["seq_len"])
-                b_energy.append(info["energy_j"])
-                b_tier.append(info["tier"])
-                for r in info["members"]:
-                    req_index.append(r.index)
-                    req_arrival.append(r.arrival_s)
-                    req_batch.append(batch_row)
-                    req_attempts.append(attempts.get(r.index, 0))
-                    req_slo.append(r.slo_class)
-                    req_deadline.append(r.deadline_s)
-                outstanding -= len(info["members"])
-                loop.schedule(time, _DISPATCH)
-            elif kind == TIMEOUT:
-                if data[0] in queued:
-                    loop.schedule(time, _DISPATCH, data[0])
+            elif kind == _HOP:
+                request, order, queue = data
+                hops_to[queue] -= 1
+                land(time, request, order, queue)
             elif kind == _FAIL:
                 chip = data[0]
                 if outstanding == 0:
                     continue  # traffic resolved: let the failure process die out
                 failed[chip] = True
-                chips.set_online(chip, False)
-                repaired_s = time + session.downtime_s(
-                    chip, self.fleet.reprogram_latency_s(chip)
-                )
+                refresh(chip)
+                repaired_s = time + session.downtime_s(chip, fleet.reprogram_latency_s(chip))
                 lost = 0
                 wasted = 0.0
-                info = inflight[chip]
-                if info is not None:
+                batch = inflight[chip]
+                if batch is not None:
                     # the in-flight batch dies with the chip
                     inflight[chip] = None
+                    in_service[chip] = 0
                     chips.release(chip)
-                    lost = len(info["members"])
-                    service = info["completion_s"] - info["dispatch_s"]
-                    progress = (time - info["dispatch_s"]) / service if service > 0 else 1.0
-                    wasted = info["energy_j"] * progress
-                    for request in info["members"]:
-                        attempts[request.index] = attempts.get(request.index, 0) + 1
-                        attempt = attempts[request.index]
+                    _, _, start_s, completion_s, _, energy, _, members, _, _ = batch
+                    lost = len(members)
+                    service = completion_s - start_s
+                    # a steal hop may still be running: no progress yet
+                    progress = (time - start_s) / service if service > 0 else 1.0
+                    wasted = energy * max(0.0, progress)
+                    for request in members:
+                        attempt = attempts[request.index] = attempts.get(request.index, 0) + 1
                         if attempt >= retry.max_attempts:
-                            abandoned.append(
-                                DropRecord(
-                                    index=request.index,
-                                    time_s=time,
-                                    reason="retries_exhausted",
-                                    attempts=attempt,
-                                )
-                            )
-                            outstanding -= 1
+                            drop(abandoned, request, time, "retries_exhausted", attempt)
                             continue
-                        reenqueue_s = time + retry.backoff_s(
-                            attempt, session.jitter_rng if session else None
-                        )
-                        if deadline_on and reenqueue_s > retry.deadline_of(
-                            request.arrival_s
-                        ):
+                        reenqueue_s = time + retry.backoff_s(attempt, session.jitter_rng)
+                        if deadline_on and reenqueue_s > retry.deadline_of(request.arrival_s):
                             # deadline-aware backoff: a retry that cannot
                             # complete in time is abandoned, not queued
-                            abandoned.append(
-                                DropRecord(
-                                    index=request.index,
-                                    time_s=time,
-                                    reason="deadline",
-                                    attempts=attempt,
-                                )
-                            )
-                            outstanding -= 1
+                            drop(abandoned, request, time, "deadline", attempt)
                             continue
                         retries.append(
                             RetryRecord(
@@ -716,7 +706,9 @@ class ServingSimulator:
                                 reenqueue_s=reenqueue_s,
                             )
                         )
-                        loop.schedule(reenqueue_s, ARRIVE, request)
+                        # a retry re-enters like an arrival: re-routed, under
+                        # a router, with a fresh front-end hop
+                        schedule(reenqueue_s, ARRIVE, request)
                 failures.append(
                     FailureRecord(
                         chip=chip,
@@ -726,37 +718,121 @@ class ServingSimulator:
                         wasted_energy_j=wasted,
                     )
                 )
-                loop.schedule(repaired_s, _REPAIR, chip)
+                schedule(repaired_s, _REPAIR, chip)
             elif kind == _REPAIR:
                 chip = data[0]
                 failed[chip] = False
-                chips.set_online(chip, True)
+                refresh(chip)
                 if outstanding > 0:
-                    loop.schedule(time + session.time_to_failure_s(chip), _FAIL, chip)
-                    loop.schedule(time, _DISPATCH)
-            else:  # _DISPATCH
-                dispatch_calls += 1
-                dispatch(time, force=bool(data) and data[0] in queued)
+                    schedule(time + session.time_to_failure_s(chip), _FAIL, chip)
+                    schedule(time, _DISPATCH)
+            elif kind == _WAKE:
+                chip = data[0]
+                integrate_awake(time)
+                awake_count += 1
+                state[chip] = _AWAKE
+                refresh(chip)
+                schedule(time, _DISPATCH)
+            else:  # _TICK
+                if outstanding <= 0:
+                    continue  # traffic resolved: the controller stops
+                integrate_awake(time)
+                awake_delta = awake_accum - window_awake
+                busy_delta = chips.busy_s - window_busy
+                window_awake = awake_accum
+                window_busy = chips.busy_s
+                utilization = busy_delta / awake_delta if awake_delta > 0 else 0.0
+                active = sum(1 for s in state if s != _SLEEPING)
+                delta = autoscaler.decide(utilization, backlog, active)
+                if delta > 0:
+                    allowed = min(delta, autoscaler.bound(num_chips) - active)
+                    for chip in all_chips:
+                        if allowed <= 0:
+                            break
+                        if state[chip] != _SLEEPING:
+                            continue
+                        # the sleep interval ends at the wake *decision*: the
+                        # ramp is priced as wake energy, not sleep leakage
+                        sleep_intervals[chip].append((sleep_start[chip], time))
+                        state[chip] = _WAKING
+                        ready_s = time + fleet.wake_latency_s(chip)
+                        scale_events.append(
+                            ScaleEvent(
+                                chip=chip,
+                                time_s=time,
+                                action="wake",
+                                ready_s=ready_s,
+                                energy_j=fleet.wake_energy_j(chip),
+                            )
+                        )
+                        schedule(ready_s, _WAKE, chip)
+                        allowed -= 1
+                elif delta < 0:
+                    allowed = min(-delta, active - autoscaler.min_chips)
+                    # park from the top so low-indexed chips stay the stable core
+                    for chip in reversed(all_chips):
+                        if allowed <= 0:
+                            break
+                        if state[chip] != _AWAKE or not idle[chip]:
+                            continue  # never park a busy chip
+                        if routed and (queues[chip] or hops_to[chip]):
+                            continue  # nor one with work bound for it
+                        state[chip] = _SLEEPING
+                        refresh(chip)
+                        awake_count -= 1
+                        entry = fleet.sleep_entry_latency_s(chip)
+                        scale_events.append(
+                            ScaleEvent(
+                                chip=chip, time_s=time, action="sleep", ready_s=time + entry
+                            )
+                        )
+                        sleep_start[chip] = time + entry
+                        allowed -= 1
+                schedule(time + autoscaler.interval_s, _TICK)
 
-        requests, batches = _assemble_tables(
-            req_index, req_arrival, req_batch, req_attempts,
-            b_chip, b_dispatch, b_completion, b_size, b_seq_len, b_energy,
-            req_slo, req_deadline, b_tier,
-        )
+        completed.sort(key=itemgetter(0))  # dispatch order
+        requests, batches = _assemble_tables(completed, attempts)
+        chip_sleep_s: tuple[float, ...] = ()
+        chip_sleep_power_w: tuple[float, ...] = ()
+        if autoscaler is not None:
+            chip_sleep_s = (0.0,) * num_chips
+            if len(requests):
+                window_start = float(requests.arrival_s.min())
+                window_end = float(requests.completion_s.max())
+                for chip in all_chips:
+                    if state[chip] == _SLEEPING:
+                        sleep_intervals[chip].append((sleep_start[chip], window_end))
+                # clip every sleep interval to the observation window so sleep
+                # credit never exceeds the makespan the report charges idle over
+                chip_sleep_s = tuple(
+                    sum(
+                        max(0.0, min(end, window_end) - max(start, window_start))
+                        for start, end in sleep_intervals[chip]
+                    )
+                    for chip in all_chips
+                )
+            chip_sleep_power_w = tuple(fleet.sleep_power_w(chip) for chip in all_chips)
         report = ServingReport(
             num_chips=num_chips,
             requests=requests,
             batches=batches,
             chip_busy_s=_per_chip_busy(batches, num_chips),
-            queue_peak=chips.queue_peak,
-            chip_idle_power_w=tuple(
-                self.fleet.idle_power_w(chip) for chip in range(num_chips)
-            ),
+            queue_peak=queue_peak,
+            chip_idle_power_w=tuple(fleet.idle_power_w(chip) for chip in all_chips),
             shed=tuple(shed),
             abandoned=tuple(abandoned),
             retries=tuple(retries),
             failures=tuple(failures),
-            deadline_s=retry.deadline_s,
-            faults_enabled=True,
+            deadline_s=deadline_s,
+            faults_enabled=self.fault_aware,
+            scale_events=tuple(scale_events),
+            chip_sleep_s=chip_sleep_s,
+            chip_sleep_power_w=chip_sleep_power_w,
+            autoscale_enabled=autoscaler is not None,
+            routing=_routing_stats(
+                router, completed, requests, batches, arrivals, route_network_s, queue_peaks
+            )
+            if routed
+            else None,
         )
         return report, loop, dispatch_calls

@@ -1,86 +1,33 @@
-"""SLO classes and the deadline/power-aware serving control plane.
+"""SLO classes: named deadline classes and the taggers that assign them.
 
-This module is the scheduling side of the serving control plane.  It adds
-two things on top of the base simulator:
+:class:`SLOClass` / :class:`SLOPolicy` assign service classes and
+relative deadlines to a request stream — randomly by traffic mix, or by
+sequence length (the standard interactive-vs-batch split).  The tags ride
+on each :class:`~repro.serving.arrivals.Request`; the report breaks
+latency and deadline attainment down per class.
 
-* **SLO tagging** — :class:`SLOClass` / :class:`SLOPolicy` assign service
-  classes and relative deadlines to a request stream (randomly by traffic
-  mix, or by sequence length — the standard interactive-vs-batch split).
-* **The control-plane event loop** — :func:`run_control_plane`, a
-  generalized serving loop that the simulator routes to whenever a run
-  needs any of: an EDF-ordered queue, closed-loop clients (arrivals that
-  react to completions), or an :class:`~repro.serving.autoscale.Autoscaler`
-  parking and waking chips.  Plain open-loop FIFO runs without an
-  autoscaler never come through here — they keep the original healthy
-  path bit-for-bit.
-
-Queue ordering
---------------
-
-The queue is one fleet-wide heap.  Under FIFO the key is the arrival
-counter (exactly the old list queue); under EDF it is the *absolute*
-deadline ``arrival_s + deadline_s`` with the arrival counter breaking
-ties, so untagged requests (deadline ``inf``) sort last in arrival order.
-EDF here is non-preemptive batch-EDF: each dispatch takes the ``k`` most
-urgent queued requests.  Batcher maturity (``max_wait_s``) is measured on
-the current head — the most urgent request under EDF, the oldest under
-FIFO (where the two coincide).
-
-Closed-loop clients
--------------------
-
-``N`` clients cycle think -> request -> completion -> think: a client's
-next arrival is scheduled only when its previous request completes, so
-arrivals throttle with the system (the machine-repair regime of
-:class:`~repro.serving.theory.MachineRepairQueue`).  Requests are issued
-in arrival order with consecutive indices until ``num_requests`` have
-entered the system; later client cycles retire silently.
-
-Autoscaling and power states
-----------------------------
-
-With an autoscaler the loop runs a periodic ``TICK`` controller.  Chips
-move between three states — awake, waking, sleeping — with transitions
-priced by the fleet's power-state model: parking starts a sleep interval
-after the chip's drain latency, waking takes the wake latency (supply
-ramp plus RRAM re-bias, deliberately not speedup-scaled) and charges the
-wake energy to the report's :class:`~repro.serving.report.ScaleEvent`
-ledger.  A parked chip is taken out of the dispatchable pool via the
-server pool's online mask — the same mechanism fault injection uses —
-and scale-down only ever parks *idle* chips: in-flight batches always
-finish.  Sleep time is credited against idle leakage in the report's
-energy accounting (sleeping chips pay retention power instead).
+Scheduling by deadline is the batcher's job
+(:meth:`~repro.serving.batcher.DynamicBatcher.edf`): the simulator's one
+event loop keys its queues by absolute deadline ``arrival_s +
+deadline_s``, arrival order breaking ties, so untagged requests (deadline
+``inf``) sort last in arrival order.  EDF there is non-preemptive
+batch-EDF: each dispatch takes the ``k`` most urgent queued requests, and
+batcher maturity (``max_wait_s``) is measured on the current head — the
+most urgent request under EDF, the oldest under FIFO.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from repro.core.events import ARRIVE, FREE, TICK, TIMEOUT, EventLoop, ServerPool
-from repro.serving.arrivals import ClosedLoopClients, Request
-from repro.serving.autoscale import Autoscaler
-from repro.serving.batcher import DynamicBatcher
-from repro.serving.fleet import ChipFleet
-from repro.serving.report import BatchTable, RequestTable, ScaleEvent, ServingReport
+from repro.serving.arrivals import Request
 from repro.utils.validation import require_positive
 
-__all__ = ["SLOClass", "SLOPolicy", "run_control_plane"]
-
-#: Deferred dispatch check (same convention as the base simulator).
-_DISPATCH = TIMEOUT + 1
-
-#: A chip finishing its wake transition.  Sorts *before* a simultaneous
-#: batch completion / arrival, so the freshly awake chip is dispatchable
-#: to everything at its ready instant.
-_WAKE = FREE - 1
-
-# chip power states of the autoscaled loop
-_AWAKE, _WAKING, _SLEEPING = 0, 1, 2
+__all__ = ["SLOClass", "SLOPolicy"]
 
 
 @dataclass(frozen=True)
@@ -186,340 +133,3 @@ class SLOPolicy:
                     break
             tagged.append(self.tag(request, slo_class))
         return tagged
-
-
-def run_control_plane(
-    fleet: ChipFleet,
-    batcher: DynamicBatcher,
-    autoscaler: Autoscaler | None = None,
-    requests: Sequence[Request] | None = None,
-    clients: ClosedLoopClients | None = None,
-    num_requests: int | None = None,
-) -> tuple[ServingReport, EventLoop, int]:
-    """Run the SLO/autoscale-aware serving loop.
-
-    Pass either ``requests`` (open loop) or ``clients`` plus
-    ``num_requests`` (closed loop).  Returns ``(report, loop,
-    dispatch_calls)`` so the simulator can attach its usual profile.
-    """
-    closed = clients is not None
-    if closed == (requests is not None):
-        raise ValueError("pass exactly one of requests or clients")
-    if closed:
-        if num_requests is None:
-            raise ValueError("closed-loop runs need num_requests")
-        require_positive(num_requests, "num_requests")
-        session = clients.session()
-        outstanding = num_requests
-    else:
-        if not requests:
-            raise ValueError("cannot simulate an empty request stream")
-        ordered = sorted(requests, key=lambda r: r.arrival_s)
-        outstanding = len(ordered)
-
-    num_chips = fleet.num_chips
-    loop = EventLoop()
-    chips = ServerPool("chips", num_chips, speedups=fleet.speedups)
-    edf = batcher.deadline_ordered
-    timed_wait = batcher.max_wait_s > 0.0
-    max_wait_s = batcher.max_wait_s
-    schedule = loop.schedule
-    batcher_ready = batcher.ready
-    batcher_batch_of = batcher.batch_of
-    batch_latency_s = fleet.batch_latency_s
-    batch_energy_j = fleet.batch_energy_j
-
-    # one fleet-wide heap: FIFO keys on the arrival counter, EDF on the
-    # absolute deadline with the counter breaking ties deterministically
-    queue: list[tuple[float, int, Request]] = []
-    arrival_counter = 0
-    queue_peak = 0
-    queued: set[int] = set()
-
-    # record columns (dispatch-time writes, as on the healthy path)
-    req_index: list[int] = []
-    req_arrival: list[float] = []
-    req_batch: list[int] = []
-    req_slo: list[int] = []
-    req_deadline: list[float] = []
-    b_chip: list[int] = []
-    b_dispatch: list[float] = []
-    b_completion: list[float] = []
-    b_size: list[int] = []
-    b_seq_len: list[int] = []
-    b_energy: list[float] = []
-    b_tier: list[int] = []
-    dispatch_calls = 0
-
-    # closed-loop issue state
-    issued = 0
-    client_of: dict[int, int] = {}
-    # members of each chip's in-flight batch (one batch per chip)
-    inflight: list[list[Request] | None] = [None] * num_chips
-
-    # autoscaler state
-    state = [_AWAKE] * num_chips
-    sleep_start = [0.0] * num_chips  # meaningful while _SLEEPING
-    sleep_intervals: list[list[tuple[float, float]]] = [[] for _ in range(num_chips)]
-    scale_events: list[ScaleEvent] = []
-    awake_count = num_chips
-    awake_accum = 0.0  # awake chip-seconds integrated up to last_transition
-    last_transition = 0.0
-    window_busy = 0.0  # chips.busy_s at the previous tick
-    window_awake = 0.0  # awake_accum at the previous tick
-
-    def integrate_awake(time: float) -> None:
-        nonlocal awake_accum, last_transition
-        awake_accum += awake_count * (time - last_transition)
-        last_transition = time
-
-    if autoscaler is not None:
-        for chip in range(autoscaler.initial(num_chips), num_chips):
-            state[chip] = _SLEEPING
-            chips.set_online(chip, False)
-            awake_count -= 1
-        schedule(autoscaler.interval_s, TICK)
-
-    if closed:
-        for client in range(clients.num_clients):
-            schedule(session.next_think_s(), ARRIVE, client)
-    else:
-        for request in ordered:
-            schedule(request.arrival_s, ARRIVE, request)
-
-    def push(request: Request) -> None:
-        nonlocal arrival_counter, queue_peak
-        if edf:
-            heapq.heappush(
-                queue, (request.absolute_deadline_s, arrival_counter, request)
-            )
-        else:
-            heapq.heappush(queue, (arrival_counter, 0, request))
-        arrival_counter += 1
-        queued.add(request.index)
-        if len(queue) > queue_peak:
-            queue_peak = len(queue)
-
-    def admit(request: Request, time: float) -> None:
-        push(request)
-        if timed_wait:
-            schedule(time + max_wait_s, TIMEOUT, request.index)
-        schedule(time, _DISPATCH)
-
-    def dispatch(time: float, force: bool = False) -> None:
-        """Release ready batches to idle awake chips until either runs out."""
-        while queue:
-            head = queue[0][2]
-            if not force and not batcher_ready(len(queue), time - head.arrival_s):
-                return
-            chip = chips.idle_server()  # skips parked chips
-            if chip is None:
-                return
-            force = False
-            batch = [
-                heapq.heappop(queue)[2] for _ in range(batcher_batch_of(len(queue)))
-            ]
-            queued.difference_update(r.index for r in batch)
-            seq_len = max(r.seq_len for r in batch)
-            service = batch_latency_s(chip, len(batch), seq_len)
-            # read before the chip's model (possibly shared) prices again
-            tier = fleet.batch_tier(chip)
-            completion = time + service
-            chips.acquire(chip)
-            chips.occupy(service)
-            inflight[chip] = batch
-            schedule(completion, FREE, chip)
-            batch_row = len(b_chip)
-            b_chip.append(chip)
-            b_dispatch.append(time)
-            b_completion.append(completion)
-            b_size.append(len(batch))
-            b_seq_len.append(seq_len)
-            b_energy.append(batch_energy_j(chip, len(batch), seq_len))
-            b_tier.append(tier)
-            for r in batch:
-                req_index.append(r.index)
-                req_arrival.append(r.arrival_s)
-                req_batch.append(batch_row)
-                req_slo.append(r.slo_class)
-                req_deadline.append(r.deadline_s)
-
-    while loop:
-        time, kind, data = loop.pop()
-        if kind == ARRIVE:
-            if closed:
-                client = data[0]
-                if issued >= num_requests:
-                    continue  # traffic quota reached: the client retires
-                request = Request(
-                    index=issued,
-                    arrival_s=time,
-                    seq_len=session.next_seq_len(),
-                    slo_class=session.slo_class_of(client),
-                    deadline_s=session.deadline_of(client),
-                )
-                client_of[request.index] = client
-                issued += 1
-                admit(request, time)
-            else:
-                admit(data[0], time)
-        elif kind == FREE:
-            chip = data[0]
-            members = inflight[chip]
-            inflight[chip] = None
-            chips.release(chip)
-            outstanding -= len(members)
-            if closed:
-                for r in members:
-                    client = client_of.pop(r.index)
-                    if issued < num_requests:
-                        schedule(time + session.next_think_s(), ARRIVE, client)
-            schedule(time, _DISPATCH)
-        elif kind == TIMEOUT:
-            if data[0] in queued:
-                schedule(time, _DISPATCH, data[0])
-        elif kind == _WAKE:
-            chip = data[0]
-            integrate_awake(time)
-            awake_count += 1
-            state[chip] = _AWAKE
-            chips.set_online(chip, True)
-            schedule(time, _DISPATCH)
-        elif kind == TICK:
-            if outstanding <= 0:
-                continue  # traffic resolved: the controller stops
-            integrate_awake(time)
-            awake_delta = awake_accum - window_awake
-            busy_delta = chips.busy_s - window_busy
-            window_awake = awake_accum
-            window_busy = chips.busy_s
-            utilization = busy_delta / awake_delta if awake_delta > 0 else 0.0
-            active = sum(1 for s in state if s != _SLEEPING)
-            delta = autoscaler.decide(utilization, len(queue), active)
-            if delta > 0:
-                allowed = min(delta, autoscaler.bound(num_chips) - active)
-                for chip in range(num_chips):
-                    if allowed <= 0:
-                        break
-                    if state[chip] != _SLEEPING:
-                        continue
-                    # the sleep interval ends at the wake *decision*: the
-                    # ramp is priced as wake energy, not sleep leakage
-                    sleep_intervals[chip].append((sleep_start[chip], time))
-                    state[chip] = _WAKING
-                    ready = time + fleet.wake_latency_s(chip)
-                    scale_events.append(
-                        ScaleEvent(
-                            chip=chip,
-                            time_s=time,
-                            action="wake",
-                            ready_s=ready,
-                            energy_j=fleet.wake_energy_j(chip),
-                        )
-                    )
-                    schedule(ready, _WAKE, chip)
-                    allowed -= 1
-            elif delta < 0:
-                allowed = min(-delta, active - autoscaler.min_chips)
-                # park from the top so low-indexed chips stay the stable core
-                for chip in range(num_chips - 1, -1, -1):
-                    if allowed <= 0:
-                        break
-                    if state[chip] != _AWAKE or not chips.idle[chip]:
-                        continue  # never park a busy chip
-                    state[chip] = _SLEEPING
-                    chips.set_online(chip, False)
-                    awake_count -= 1
-                    entry = fleet.sleep_entry_latency_s(chip)
-                    scale_events.append(
-                        ScaleEvent(
-                            chip=chip,
-                            time_s=time,
-                            action="sleep",
-                            ready_s=time + entry,
-                        )
-                    )
-                    sleep_start[chip] = time + entry
-                    allowed -= 1
-            schedule(time + autoscaler.interval_s, TICK)
-        else:  # _DISPATCH
-            dispatch_calls += 1
-            dispatch(time, force=bool(data) and data[0] in queued)
-
-    if not req_index:
-        raise RuntimeError("control-plane run completed no requests")
-
-    # assemble tables (batch-constant columns gathered from batch rows)
-    chip_col = np.asarray(b_chip, dtype=np.int64)
-    dispatch_col = np.asarray(b_dispatch, dtype=np.float64)
-    completion_col = np.asarray(b_completion, dtype=np.float64)
-    size_col = np.asarray(b_size, dtype=np.int64)
-    seq_col = np.asarray(b_seq_len, dtype=np.int64)
-    batch_of_request = np.asarray(req_batch, dtype=np.int64)
-    request_table = RequestTable(
-        np.asarray(req_index, dtype=np.int64),
-        np.asarray(req_arrival, dtype=np.float64),
-        dispatch_col[batch_of_request],
-        completion_col[batch_of_request],
-        chip_col[batch_of_request],
-        batch_of_request,
-        size_col[batch_of_request],
-        seq_col[batch_of_request],
-        np.zeros(len(req_index), dtype=np.int64),
-        np.asarray(req_slo, dtype=np.int64),
-        np.asarray(req_deadline, dtype=np.float64),
-    )
-    batch_table = BatchTable(
-        np.arange(len(b_chip), dtype=np.int64),
-        chip_col,
-        dispatch_col,
-        completion_col,
-        size_col,
-        seq_col,
-        np.asarray(b_energy, dtype=np.float64),
-        np.asarray(b_tier, dtype=np.int64),
-    )
-
-    chip_sleep_s: tuple[float, ...] = ()
-    chip_sleep_power_w: tuple[float, ...] = ()
-    if autoscaler is not None:
-        window_start = float(request_table.arrival_s.min())
-        window_end = float(request_table.completion_s.max())
-        for chip in range(num_chips):
-            if state[chip] == _SLEEPING:
-                sleep_intervals[chip].append((sleep_start[chip], window_end))
-        # clip every sleep interval to the observation window so sleep
-        # credit never exceeds the makespan the report charges idle over
-        chip_sleep_s = tuple(
-            sum(
-                max(0.0, min(end, window_end) - max(start, window_start))
-                for start, end in sleep_intervals[chip]
-            )
-            for chip in range(num_chips)
-        )
-        chip_sleep_power_w = tuple(
-            fleet.sleep_power_w(chip) for chip in range(num_chips)
-        )
-
-    busy = (
-        np.bincount(
-            batch_table.chip, weights=batch_table.service_s, minlength=num_chips
-        )
-        if len(batch_table)
-        else np.zeros(num_chips)
-    )
-    report = ServingReport(
-        num_chips=num_chips,
-        requests=request_table,
-        batches=batch_table,
-        chip_busy_s=tuple(busy),
-        queue_peak=queue_peak,
-        chip_idle_power_w=tuple(
-            fleet.idle_power_w(chip) for chip in range(num_chips)
-        ),
-        scale_events=tuple(scale_events),
-        chip_sleep_s=chip_sleep_s,
-        chip_sleep_power_w=chip_sleep_power_w,
-        autoscale_enabled=autoscaler is not None,
-    )
-    return report, loop, dispatch_calls

@@ -102,19 +102,36 @@ class TestRouterValidation:
             "shortest_expected_delay",
         }
 
-    def test_router_with_autoscaler_rejected(self):
-        scaler = Autoscaler(min_chips=1)
-        with pytest.raises(ValueError, match="autoscal"):
-            ServingSimulator(fixed_fleet(), autoscaler=scaler, router=Router())
 
-    def test_router_with_closed_loop_rejected(self):
+class TestRouterComposition:
+    def test_router_composes_with_autoscaler(self):
+        # the autoscaler parks only chips with no queued or inbound work,
+        # so per-chip queues never strand a request on a parked chip
+        fleet = ChipFleet(
+            FixedServiceModel(
+                1e-3, idle_power_w=0.1, sleep_power_w=0.01, wake_latency_s=1e-3
+            ),
+            num_chips=4,
+        )
+        scaler = Autoscaler(interval_s=5e-3, min_chips=1, initial_chips=1)
+        simulator = ServingSimulator(
+            fleet,
+            autoscaler=scaler,
+            router=Router(network=NetworkModel(link_latency_s=1e-5)),
+        )
+        report = simulator.run(PoissonArrivals(1500.0, seed=2).generate(600))
+        assert report.num_requests == report.routing.num_routed == 600
+        assert report.num_wakes > 0
+        assert report.mean_awake_chips < 4
+
+    def test_router_composes_with_closed_loop(self):
         from repro.serving.arrivals import ClosedLoopClients
 
-        simulator = routed()
-        with pytest.raises(ValueError, match="closed-loop"):
-            simulator.run_closed_loop(
-                ClosedLoopClients(num_clients=4, think_s=1e-3, seed=0), 20
-            )
+        report = routed().run_closed_loop(
+            ClosedLoopClients(num_clients=4, think_s=1e-3, seed=0), 20
+        )
+        assert report.routing.num_routed == 20
+        assert sorted(report.requests.index.tolist()) == list(range(20))
 
 
 class TestRoutingPolicies:
@@ -296,6 +313,27 @@ class TestRoutingStatsAndReport:
         return routed(num_chips=2, policy="round_robin").run(
             PoissonArrivals(3000.0, seed=12).generate(200)
         )
+
+    def test_queue_ledger_matches_a_loop_over_the_tables(self):
+        # the loop reference the per-queue ledger is summed against: a
+        # batch's home queue is its chip unless a steal record says so
+        report = routed(
+            num_chips=3,
+            batcher=DynamicBatcher(max_batch_size=4, max_wait_s=1e-3),
+            faults=FaultInjector(mtbf_s=0.05, detection_s=1e-3, repair_s=2e-3, seed=4),
+        ).run(PoissonArrivals(2500.0, seed=13).generate(600))
+        home = report.batches.chip.tolist()
+        for steal in report.routing.steals:
+            home[steal.batch_index] = steal.queue
+        requests = [0] * 3
+        wait_s = [0.0] * 3
+        for record in report.requests:
+            requests[home[record.batch_index]] += 1
+            wait_s[home[record.batch_index]] += record.wait_s
+        stats = report.routing
+        assert stats.queue_requests == tuple(requests)
+        assert stats.queue_wait_s == pytest.approx(wait_s, rel=1e-12)
+        assert stats.local_batches + stats.stolen_batches == report.num_batches
 
     def test_summary_and_format_include_routing(self):
         report = self.one_report()

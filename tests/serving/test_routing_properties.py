@@ -5,7 +5,8 @@ link latencies and batching and asserts what any correct topology-aware
 scheduler obeys: request conservation (every arrival is served exactly
 once), the network stage is causal (no dispatch before the front-end hop
 lands), steal causality (every steal record names a real batch served
-off-queue after its decision instant), and the zero-cost limit — a
+off-queue after its decision instant, with chip failures killing and
+retrying batches too), and the zero-cost limit — a
 homogeneous fleet with free links, single-request dispatch and stealing
 is *bit-identical* to the global-FIFO baseline under JSQ/SED routing.
 The last leg also pins serial == parallel determinism for the sharded
@@ -21,33 +22,38 @@ from hypothesis import strategies as st
 from repro.serving import (
     ChipFleet,
     DynamicBatcher,
+    FaultInjector,
     FixedServiceModel,
     NetworkModel,
     NO_BATCHING,
     PoissonArrivals,
+    RetryPolicy,
     Router,
     ServingSimulator,
     ShardedServingSimulator,
 )
 
 # a random routed scenario: traffic, topology, policy and batching
-scenarios = st.fixed_dictionaries(
-    {
-        "num_requests": st.integers(min_value=1, max_value=120),
-        "rate_rps": st.floats(min_value=10.0, max_value=5000.0),
-        "service_s": st.floats(min_value=1e-5, max_value=5e-3),
-        "num_chips": st.integers(min_value=1, max_value=5),
-        "max_batch": st.integers(min_value=1, max_value=8),
-        "max_wait_s": st.sampled_from([0.0, 1e-4, 2e-3]),
-        "policy": st.sampled_from(
-            ["round_robin", "join_shortest_queue", "shortest_expected_delay"]
-        ),
-        "link_latency_s": st.sampled_from([0.0, 1e-5, 5e-4]),
-        "steal_latency_s": st.sampled_from([0.0, 2e-5]),
-        "stealing": st.booleans(),
-        "speed_skew": st.sampled_from([1.0, 4.0]),
-        "seed": st.integers(min_value=0, max_value=2**16),
-    }
+SCENARIO = {
+    "num_requests": st.integers(min_value=1, max_value=120),
+    "rate_rps": st.floats(min_value=10.0, max_value=5000.0),
+    "service_s": st.floats(min_value=1e-5, max_value=5e-3),
+    "num_chips": st.integers(min_value=1, max_value=5),
+    "max_batch": st.integers(min_value=1, max_value=8),
+    "max_wait_s": st.sampled_from([0.0, 1e-4, 2e-3]),
+    "policy": st.sampled_from(
+        ["round_robin", "join_shortest_queue", "shortest_expected_delay"]
+    ),
+    "link_latency_s": st.sampled_from([0.0, 1e-5, 5e-4]),
+    "steal_latency_s": st.sampled_from([0.0, 2e-5]),
+    "stealing": st.booleans(),
+    "speed_skew": st.sampled_from([1.0, 4.0]),
+    "seed": st.integers(min_value=0, max_value=2**16),
+}
+scenarios = st.fixed_dictionaries(SCENARIO)
+# the same, with per-chip failures (mean time between failures; None: off)
+fault_scenarios = st.fixed_dictionaries(
+    {**SCENARIO, "mtbf_s": st.sampled_from([None, 2e-3, 2e-2])}
 )
 
 
@@ -73,7 +79,15 @@ def simulate(params):
         ),
         stealing=params["stealing"],
     )
-    simulator = ServingSimulator(fleet, batcher, router=router)
+    faults = {}
+    if params.get("mtbf_s") is not None:
+        faults = dict(
+            faults=FaultInjector(
+                mtbf_s=params["mtbf_s"], detection_s=1e-4, repair_s=5e-4, seed=params["seed"]
+            ),
+            retry=RetryPolicy(max_attempts=4),
+        )
+    simulator = ServingSimulator(fleet, batcher, router=router, **faults)
     return requests, simulator.run(requests)
 
 
@@ -98,7 +112,7 @@ class TestRoutingProperties:
             hop * report.routing.num_routed
         )
 
-    @given(scenarios)
+    @given(fault_scenarios)
     @settings(max_examples=60, deadline=None)
     def test_steal_causality(self, params):
         _, report = simulate(params)

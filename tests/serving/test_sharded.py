@@ -93,6 +93,24 @@ class TestSplitters:
         assert report.num_chips == 4
         assert len(report.chip_busy_s) == 4
 
+    def test_empty_shard_keeps_hook_columns_aligned(self):
+        # an empty shard runs the same loop: its routed queues, sleep
+        # columns and fault settings still line up with the other shards'
+        from repro.serving import Autoscaler, Router
+
+        requests = PoissonArrivals(2000.0, seed=1).generate(3)
+        report = sharded(
+            faults=FaultInjector(mtbf_s=1.0, detection_s=1e-3, repair_s=1e-3),
+            retry=RetryPolicy(deadline_s=0.5),
+            autoscaler=Autoscaler(interval_s=1e-3),
+            router=Router(),
+        ).run(requests, policy="round_robin")
+        assert report.num_requests == 3
+        assert report.faults_enabled and report.deadline_s == 0.5
+        assert len(report.chip_sleep_s) == len(report.chip_sleep_power_w) == 4
+        assert report.routing.num_queues == 4
+        assert report.routing.num_routed == 3
+
 
 class TestShardValidation:
     def test_more_shards_than_chips_rejected(self):

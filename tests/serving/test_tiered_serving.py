@@ -3,11 +3,13 @@
 Covers the :class:`~repro.serving.fleet.TieredServiceModel` wrapper
 (Bernoulli routing, seeding, energy stream-independence, tabulation), the
 per-tier report columns and their merge, the schedule-template cache, the
-profiling counters, and the faults-vs-control-plane ``ValueError``
-remediation hint.
+profiling counters, and faults composing with the control plane (EDF,
+autoscaler) in one run.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,23 +237,35 @@ class TestTierReporting:
         assert "tiers a/x" in profiler.format_table()
 
 
-class TestFaultsControlPlaneGuard:
-    def test_combined_faults_and_autoscale_raise_with_remediation_hint(self):
+class TestFaultsControlPlaneComposition:
+    def test_faults_compose_with_autoscaler(self):
         from repro.serving.autoscale import Autoscaler
 
-        fleet = ChipFleet(FixedServiceModel(1e-3), num_chips=2)
-        with pytest.raises(ValueError, match="two simulators over the same"):
-            ServingSimulator(
-                fleet,
-                faults=FaultInjector(mtbf_s=1.0, detection_s=0.01, repair_s=0.01),
-                autoscaler=Autoscaler(),
-            )
+        fleet = ChipFleet(
+            FixedServiceModel(1e-3, idle_power_w=0.1, sleep_power_w=0.01),
+            num_chips=2,
+        )
+        report = ServingSimulator(
+            fleet,
+            faults=FaultInjector(mtbf_s=0.05, detection_s=0.01, repair_s=0.01),
+            autoscaler=Autoscaler(interval_s=0.01),
+        ).run(PoissonArrivals(800.0, seed=1).generate(500))
+        assert report.faults_enabled and report.autoscale_enabled
+        assert report.num_failures > 0
+        assert report.num_scale_events > 0
+        assert report.num_offered == 500
 
-    def test_combined_faults_and_edf_raise_with_remediation_hint(self):
+    def test_faults_compose_with_edf(self):
         fleet = ChipFleet(FixedServiceModel(1e-3), num_chips=2)
-        with pytest.raises(ValueError, match="ROADMAP"):
-            ServingSimulator(
-                fleet,
-                DynamicBatcher.edf(max_batch_size=4, max_wait_s=1e-3),
-                faults=FaultInjector(mtbf_s=1.0, detection_s=0.01, repair_s=0.01),
-            )
+        requests = [
+            replace(r, deadline_s=5e-3 if r.index % 2 else 1.0)
+            for r in PoissonArrivals(1500.0, seed=2).generate(500)
+        ]
+        report = ServingSimulator(
+            fleet,
+            DynamicBatcher.edf(max_batch_size=4, max_wait_s=1e-3),
+            faults=FaultInjector(mtbf_s=0.05, detection_s=0.01, repair_s=0.01),
+        ).run(requests)
+        assert report.num_failures > 0
+        assert report.num_retries > 0
+        assert report.num_offered == 500
