@@ -223,20 +223,27 @@ class ExponentialServiceModel:
 
 
 class PricingCache:
-    """A bounded LRU cache of ``(model fingerprint, batch, seq_len)`` timings.
+    """A bounded LRU cache of ``(slot, batch, seq_len)`` timings.
 
-    One instance is shared by default across every
-    :class:`StarServiceModel`, so the chips of a fleet — and repeated
-    sweeps over the same configuration — price each distinct shape exactly
-    once, while models with different configurations can never collide
-    (their fingerprints differ).  Bounded so day-long sweeps over many
-    shapes cannot grow memory without limit.
+    A *slot* is a small int the cache hands each distinct model
+    fingerprint once (:meth:`slot`), so a lookup hashes three ints instead
+    of a tuple of nested configuration dataclasses.  One instance is
+    shared by default across every :class:`StarServiceModel`, so the chips
+    of a fleet — and repeated sweeps over the same configuration — price
+    each distinct shape exactly once, while models with different
+    configurations can never collide (their fingerprints, hence their
+    slots, differ).  The slot map lives in the cache, so a model pickled
+    together with its cache keeps a consistent key in the copy.  Bounded
+    in shapes so day-long sweeps over many shapes cannot grow memory
+    without limit; the slot map grows by one entry per distinct
+    configuration.
     """
 
     def __init__(self, maxsize: int = 4096) -> None:
         require_positive(maxsize, "maxsize")
         self.maxsize = maxsize
         self._entries: OrderedDict[tuple, tuple[float, float]] = OrderedDict()
+        self._slots: dict[tuple, int] = {}
         self.hits = 0
         self.misses = 0
 
@@ -245,6 +252,10 @@ class PricingCache:
 
     def __contains__(self, key: tuple) -> bool:
         return key in self._entries
+
+    def slot(self, fingerprint: tuple) -> int:
+        """The key slot of a model fingerprint: equal fingerprints, equal slots."""
+        return self._slots.setdefault(fingerprint, len(self._slots))
 
     def get(self, key: tuple) -> tuple[float, float] | None:
         """The cached timing, refreshed as most-recently used."""
@@ -311,15 +322,18 @@ class StarServiceModel:
         self.seq_len = seq_len
         self._base_workload = BertWorkload(config=self.bert_config, seq_len=seq_len)
         self.cache = cache if cache is not None else _SHARED_PRICING_CACHE
-        self._fingerprint = (
-            type(self.accelerator),  # subclasses may override the timing model
-            self.bert_config,
-            self.accelerator.config,
-            self.accelerator.schedule,
-            self.accelerator.num_softmax_engines,
-            self.accelerator.system_overhead,  # feeds power_w -> cached energy
-            self.accelerator.batch_cost,
-            self.accelerator.jitter,
+        # the fingerprint is hashed once, here; lookups key by its int slot
+        self._slot = self.cache.slot(
+            (
+                type(self.accelerator),  # subclasses may override the timing model
+                self.bert_config,
+                self.accelerator.config,
+                self.accelerator.schedule,
+                self.accelerator.num_softmax_engines,
+                self.accelerator.system_overhead,  # feeds power_w -> cached energy
+                self.accelerator.batch_cost,
+                self.accelerator.jitter,
+            )
         )
 
     @property
@@ -392,7 +406,7 @@ class StarServiceModel:
         return resources.wake_energy_j(self.seq_len) + refresh
 
     def _timing(self, batch_size: int, seq_len: int) -> tuple[float, float]:
-        key = (self._fingerprint, batch_size, seq_len)
+        key = (self._slot, batch_size, seq_len)
         cached = self.cache.get(key)
         if cached is None:
             workload = self._base_workload.with_seq_len(seq_len).with_batch(batch_size)

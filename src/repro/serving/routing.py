@@ -67,9 +67,8 @@ class NetworkModel:
 
     ``link_latency_s`` is either one scalar (every front-end→chip link)
     or one latency per chip; ``steal_latency_s`` is the chip→chip hop a
-    stolen batch pays before service starts (default: the same as the
-    scalar link latency would suggest is *not* assumed — it defaults to
-    0, an on-package steal).
+    stolen batch pays before service starts.  It does not follow the link
+    latency: it defaults to 0, an on-package steal.
     """
 
     link_latency_s: float | tuple[float, ...] = 0.0

@@ -49,7 +49,8 @@ The hooks compose under a few rules:
   The front end routes only to chips that can take work, or, if none can,
   to chips that are not parked.
 * Every request that enters or re-enters a queue gets a maturity timer at
-  ``max(now, arrival_s + max_wait_s)``.
+  ``max(now, arrival_s + max_wait_s)``: a dispatch sweep forced for that
+  request, skipped if the request has left the queue by then.
 * Records are written once, when a batch completes; a killed batch writes
   none.  The report lists batches in dispatch order, so fault-free runs
   list requests in dispatch order too.
@@ -93,10 +94,13 @@ __all__ = ["ServingSimulator"]
 #: Event kinds, in the order events of one instant are processed.  A
 #: failure tied with a completion kills the batch (the conservative
 #: reading); repairs and wakes are visible to same-instant work; a chip
-#: freeing is seen by a simultaneous arrival; every arrival, maturity
-#: timer and network landing of an instant is queued before the deferred
-#: dispatch sweep decides on batches; the autoscaler ticks last, on the
-#: settled state.
+#: freeing is seen by a simultaneous arrival; every arrival and network
+#: landing of an instant is queued before any dispatch sweep decides on
+#: batches; the autoscaler ticks last, on the settled state.  A maturity
+#: timer is a dispatch sweep forced for its request (TIMEOUT's slot stays
+#: unused).  Sweeps of one instant run in the order they were scheduled,
+#: so a timer set when its request landed, earlier, sweeps before those
+#: the instant's own events ask for.
 _FAIL, _REPAIR, _WAKE = FREE - 3, FREE - 2, FREE - 1
 _HOP, _DISPATCH, _TICK = TIMEOUT + 1, TIMEOUT + 2, TIMEOUT + 3
 
@@ -483,25 +487,29 @@ class ServingSimulator:
             if len(heap) > queue_peaks[queue]:
                 queue_peaks[queue] = len(heap)
             queued.add(request.index)
-            mature_s = request.arrival_s + max_wait_s
-            if timed_wait and mature_s > time:
-                schedule(mature_s, TIMEOUT, request.index)
             schedule(time, _DISPATCH)
-            if timed_wait and mature_s <= time:
-                # already mature (a retry, or a hop of max_wait_s or more):
-                # the timer is due now, so its forced sweep follows at once
-                schedule(time, _DISPATCH, request.index)
+            if timed_wait:
+                # the maturity timer is the forced sweep itself, due at once
+                # for a request already mature (a retry, or a hop of
+                # max_wait_s or more)
+                mature_s = request.arrival_s + max_wait_s
+                schedule(mature_s if mature_s > time else time, _DISPATCH, request.index)
 
-        def dispatch(time: float, force: bool) -> None:
+        def dispatch(time: float, forced: int | None) -> None:
             """Release ready batches to chips that can take work until either runs out.
 
-            ``force`` releases the first batch even if the policy says the
-            head is not quite mature: it is set by a TIMEOUT event whose
-            request is still queued, where ``(arrival + max_wait) - arrival``
-            may round below ``max_wait`` and strand the queue forever.
+            ``forced`` is the index of the request whose maturity timer
+            runs this sweep, or ``None``.  While that request waits, the
+            sweep may release one batch the policy holds back (the most
+            urgent head, mature or not): ``(arrival + max_wait) - arrival``
+            may round below ``max_wait`` and would otherwise strand the
+            queue.  A batch released as mature anyway does not spend it.
             """
             nonlocal backlog, num_idle, seq
+            force = forced is not None
             while True:
+                if force and forced not in queued:
+                    force = False
                 if routed:
                     # the fleet-wide most urgent mature head, served by its
                     # own chip if that can take work, else (with stealing
@@ -529,6 +537,8 @@ class ServingSimulator:
                         return
                     chip = queue if idle[queue] and online[queue] else chips.idle_server()
                     heap = queues[queue]
+                    if force and not ready(len(heap), time - best[2].arrival_s):
+                        force = False  # spent on a batch that needed it
                 else:
                     heap = queues[0]
                     if not heap:
@@ -541,12 +551,13 @@ class ServingSimulator:
                         backlog -= 1
                         shed_queued(head, time)
                         continue
-                    if not force and not ready(len(heap), time - head.arrival_s):
-                        return
+                    if not ready(len(heap), time - head.arrival_s):
+                        if not force:
+                            return
+                        force = False  # spent on a batch that needs it
                     if not num_idle:
                         return
                     queue, chip = 0, chips.idle_server()
-                force = False  # one forced batch per timeout
                 take = batch_of(len(heap))
                 if degraded_cap is not None and any(failed):
                     take = min(take, degraded_cap)
@@ -640,9 +651,13 @@ class ServingSimulator:
                     hops_to[queue] += 1
                     schedule(time + hop, _HOP, request, order, queue)
             elif kind == _DISPATCH:
-                # force only if the matured request is *still* waiting now
+                # a maturity timer forces its sweep, and is moot once its
+                # request has left the queue
+                forced = data[0] if data else None
+                if forced is not None and forced not in queued:
+                    continue
                 dispatch_calls += 1
-                dispatch(time, bool(data) and data[0] in queued)
+                dispatch(time, forced)
             elif kind == FREE:
                 chip, batch_seq = data
                 batch = inflight[chip]
@@ -659,9 +674,6 @@ class ServingSimulator:
                     for r in members:
                         think(client_of.pop(r.index), time)
                 schedule(time, _DISPATCH)
-            elif kind == TIMEOUT:
-                if data[0] in queued:
-                    schedule(time, _DISPATCH, data[0])
             elif kind == _HOP:
                 request, order, queue = data
                 hops_to[queue] -= 1

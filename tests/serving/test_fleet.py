@@ -8,6 +8,8 @@ idle/leakage power over the makespan while keeping the active-only figure.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.accelerator import STARAccelerator
@@ -168,3 +170,51 @@ class TestLinearServiceModel:
         )
         assert hot.batch_energy_j(1, 128) > base.batch_energy_j(1, 128)
         assert len(cache) == 2
+
+
+class TestPricingKey:
+    """Warm lookups key the shared cache by a per-configuration int slot."""
+
+    SHAPES = ((1, 64), (4, 64), (4, 128))
+
+    def test_identically_configured_models_share_a_slot(self):
+        cache = PricingCache()
+        first, twin, other = star_model(96, cache), star_model(96, cache), star_model(16, cache)
+        assert first._slot == twin._slot != other._slot
+        first.batch_latency_s(4, 64)
+        twin.batch_latency_s(4, 64)
+        assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
+
+    def test_pickled_model_and_cache_stay_consistent(self):
+        cache = PricingCache()
+        models = (star_model(96, cache), star_model(96, cache))
+        priced = {
+            shape: (models[0].batch_latency_s(*shape), models[0].batch_energy_j(*shape))
+            for shape in self.SHAPES
+        }
+        # a shard task pickles its service models, and each model's cache with it
+        shipped = pickle.loads(pickle.dumps(models))
+        copied = shipped[0].cache
+        assert copied is shipped[1].cache and copied is not cache
+        hits, misses = copied.hits, copied.misses
+        for shape, (latency, energy) in priced.items():
+            assert shipped[1].batch_latency_s(*shape) == latency
+            assert shipped[0].batch_energy_j(*shape) == energy
+        assert (copied.hits, copied.misses) == (hits + 2 * len(priced), misses)
+        # an identical model built after the unpickle shares the copied entries
+        twin = star_model(96, copied)
+        assert twin._slot == shipped[0]._slot
+        assert twin.batch_latency_s(*self.SHAPES[0]) == priced[self.SHAPES[0]][0]
+        assert copied.misses == misses
+
+    def test_other_configuration_built_after_unpickle_never_reads_shipped_entries(self):
+        cache = PricingCache()
+        model = star_model(96, cache)
+        priced = {shape: model.batch_latency_s(*shape) for shape in self.SHAPES}
+        copied = pickle.loads(pickle.dumps(model)).cache
+        other = star_model(16, copied)
+        hits, misses = copied.hits, copied.misses
+        for shape, latency in priced.items():
+            assert other.batch_latency_s(*shape) != latency
+        assert (copied.hits, copied.misses) == (hits, misses + len(priced))
+        assert len(copied) == 2 * len(priced)

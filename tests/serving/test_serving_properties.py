@@ -3,8 +3,9 @@
 The property suite drives the simulator with randomly generated traffic,
 fleets and batching policies and asserts the structural invariants any
 correct serving system obeys: request conservation, causal timestamps,
-FIFO dispatch (and FIFO completion within a batch), chip exclusivity and
-Little's law at steady state.  The queueing cross-check pins the
+FIFO dispatch (and FIFO completion within a batch), chip exclusivity,
+work conservation (no chip idles while a request past its wait timer
+waits) and Little's law at steady state.  The queueing cross-check pins the
 simulator's single-chip no-batching limit to the Pollaczek–Khinchine
 M/D/1 mean wait — the acceptance criterion of the serving subsystem.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.serving import (
@@ -23,7 +24,10 @@ from repro.serving import (
     MD1Queue,
     MM1Queue,
     NO_BATCHING,
+    NetworkModel,
     PoissonArrivals,
+    Request,
+    Router,
     ServingSimulator,
 )
 
@@ -145,6 +149,101 @@ class TestServingProperties:
         assert mean_in_system == pytest.approx(report.mean_in_system, rel=1e-9)
         # Little's law against the *offered* rate holds only statistically
         assert mean_in_system == pytest.approx(rate * report.mean_latency_s, rel=0.05)
+
+
+# fault-free FIFO with a wait timer, on the global queue or on per-chip
+# queues with free stealing: every chip can serve every queued request.
+# "grid" traffic puts arrivals, services and timeouts on one 0.5 ms grid,
+# so completions, arrivals and maturity timers fall on the same instants.
+conserving_scenarios = st.fixed_dictionaries(
+    {
+        "num_requests": st.integers(min_value=1, max_value=300),
+        "traffic": st.sampled_from(["poisson", "grid"]),
+        "rate_rps": st.floats(min_value=100.0, max_value=5000.0),
+        "service_s": st.sampled_from([5e-4, 1e-3, 2e-3]),
+        "num_chips": st.integers(min_value=1, max_value=4),
+        "max_batch": st.integers(min_value=1, max_value=8),
+        "max_wait_s": st.sampled_from([5e-4, 1e-3, 2e-3]),
+        "topology": st.sampled_from(
+            ["global", "shortest_expected_delay", "join_shortest_queue"]
+        ),
+        "seed": st.integers(min_value=0, max_value=2**16),
+    }
+)
+
+
+def conserving_run(params):
+    count = params["num_requests"]
+    if params["traffic"] == "grid":
+        slots = np.sort(np.random.default_rng(params["seed"]).integers(0, count, count))
+        requests = [
+            Request(index=i, arrival_s=float(slot) * 5e-4, seq_len=128)
+            for i, slot in enumerate(slots.tolist())
+        ]
+    else:
+        requests = PoissonArrivals(
+            params["rate_rps"], seq_len=128, seed=params["seed"]
+        ).generate(count)
+    router = None
+    if params["topology"] != "global":
+        router = Router(params["topology"], NetworkModel(0.0, 0.0), stealing=True)
+    simulator = ServingSimulator(
+        ChipFleet(FixedServiceModel(params["service_s"]), num_chips=params["num_chips"]),
+        DynamicBatcher(max_batch_size=params["max_batch"], max_wait_s=params["max_wait_s"]),
+        router=router,
+    )
+    return simulator.run(requests)
+
+
+def idle_while_matured(report, max_wait_s: float) -> int:
+    """(idle gap, request) pairs where a chip idles while a matured request waits.
+
+    A chip's idle gaps run from each batch's completion to its next
+    dispatch, plus the time before its first batch and after its last; a
+    request waits matured over ``(arrival_s + max_wait_s, dispatch_s)``.
+    """
+    requests, batches = report.requests, report.batches
+    mature_s = requests.arrival_s + max_wait_s
+    late = requests.dispatch_s > mature_s
+    waited_from, waited_to = mature_s[late], requests.dispatch_s[late]
+    pairs = 0
+    for chip in range(report.num_chips):
+        on_chip = batches.chip == chip
+        # batches on one chip never overlap, so both columns sort alike
+        idle_from = np.concatenate(([-np.inf], np.sort(batches.completion_s[on_chip])))
+        idle_to = np.concatenate((np.sort(batches.dispatch_s[on_chip]), [np.inf]))
+        overlap = np.maximum(waited_from, idle_from[:, None]) < np.minimum(
+            waited_to, idle_to[:, None]
+        )
+        pairs += int(np.count_nonzero(overlap))
+    return pairs
+
+
+class TestWorkConservation:
+    @given(conserving_scenarios)
+    @example(
+        # at 31.5 ms two chips free as request 58's timer fires; its forced
+        # sweep first releases request 57 (mature since 31 ms), and must
+        # still force request 58, whose (arrival + max_wait) - arrival
+        # rounds below max_wait, rather than leave it beside an idle chip
+        {
+            "num_requests": 176,
+            "traffic": "grid",
+            "rate_rps": 1000.0,
+            "service_s": 1e-3,
+            "num_chips": 3,
+            "max_batch": 3,
+            "max_wait_s": 2e-3,
+            "topology": "shortest_expected_delay",
+            "seed": 62092,
+        }
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_no_chip_idles_while_a_matured_request_waits(self, params):
+        """A request past its wait timer never waits while some chip is idle."""
+        report = conserving_run(params)
+        assert report.num_requests == params["num_requests"]
+        assert idle_while_matured(report, params["max_wait_s"]) == 0
 
 
 class TestMD1CrossValidation:
