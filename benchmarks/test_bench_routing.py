@@ -28,6 +28,7 @@ from repro.serving import (
     NO_BATCHING,
     PoissonArrivals,
     Router,
+    ServiceModel,
     ServingSimulator,
     SLOClass,
     SLOPolicy,
@@ -40,7 +41,7 @@ NUM_REQUESTS = 30_000
 RATE_RPS = 10_000.0
 
 
-class PerTokenModel:
+class PerTokenModel(ServiceModel):
     """Length-sensitive pricing: ``batch x (base + seq_len x per_token)``."""
 
     def __init__(self, base_s: float, per_token_s: float) -> None:

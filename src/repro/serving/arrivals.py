@@ -33,6 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.utils.stats import spawn_seeds
 from repro.utils.validation import (
     require_finite,
     require_finite_array,
@@ -225,14 +226,9 @@ class PoissonArrivals:
         shards never share draws.
         """
         require_positive(num_shards, "num_shards")
-        root = (
-            self.seed
-            if isinstance(self.seed, np.random.SeedSequence)
-            else np.random.SeedSequence(self.seed)
-        )
         return [
             PoissonArrivals(self.rate_rps / num_shards, seq_len=self.seq_len, seed=child)
-            for child in root.spawn(num_shards)
+            for child in spawn_seeds(self.seed, num_shards)
         ]
 
 

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.utils.stats import spawn_seeds
 from repro.utils.validation import (
     require_finite,
     require_non_negative,
@@ -176,12 +177,7 @@ class FaultSession:
     def __init__(self, injector: "FaultInjector", num_chips: int) -> None:
         require_positive(num_chips, "num_chips")
         self.injector = injector
-        root = (
-            injector.seed
-            if isinstance(injector.seed, np.random.SeedSequence)
-            else np.random.SeedSequence(injector.seed)
-        )
-        children = root.spawn(num_chips + 1)
+        children = spawn_seeds(injector.seed, num_chips + 1)
         self._chip_rngs = [np.random.default_rng(seq) for seq in children[:num_chips]]
         self.jitter_rng = np.random.default_rng(children[num_chips])
 

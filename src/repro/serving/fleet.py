@@ -1,7 +1,9 @@
 """Chip fleets: the serving simulator's server pool and its service model.
 
 A fleet is ``num_chips`` accelerator chips sharing one dispatch queue.
-What a batch costs is delegated to a *service model*:
+What a batch costs is delegated to a *service model*, a subclass of
+:class:`ServiceModel`: the one declaration of everything the fleet, router,
+simulator and sharder ask of a model, with defaults for a plain chip.
 
 * :class:`StarServiceModel` — the real thing: a
   :class:`~repro.core.accelerator.STARAccelerator` (one
@@ -40,8 +42,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
+import numpy as np
+
+from repro.utils.stats import spawn_seeds
 from repro.utils.validation import require_non_negative, require_positive
 
 __all__ = [
@@ -65,28 +70,59 @@ TIER_ANALYTIC = 0
 TIER_EXECUTED = 1
 
 
-class ServiceModel(Protocol):
-    """Prices one dispatched batch on one (speed-1.0) chip."""
+class ServiceModel:
+    """Prices one dispatched batch on one (speed-1.0) chip.
+
+    Subclasses implement the two pricing methods and override the
+    capability attributes their chip has; the defaults are a chip that
+    idles at 0 W, never needs repair, cannot sleep deeper than idle
+    (``sleep_power_w = None``) and wakes for free.  A model that draws random numbers also
+    overrides :meth:`expected_latency_s` and :meth:`shards`.
+    """
+
+    idle_power_w: float = 0.0
+    reprogram_latency_s: float = 0.0
+    sleep_power_w: float | None = None
+    sleep_entry_latency_s: float = 0.0
+    wake_latency_s: float = 0.0
+    wake_energy_j: float = 0.0
+    #: Fidelity tier of the most recent :meth:`batch_latency_s` call.
+    last_tier: int = TIER_ANALYTIC
+    #: The model a wrapper re-prices, and the pricing cache a model reads.
+    base: "ServiceModel | None" = None
+    cache: "PricingCache | None" = None
 
     def batch_latency_s(self, batch_size: int, seq_len: int) -> float:
         """Service time of a ``batch_size`` batch padded to ``seq_len``."""
-        ...
+        raise NotImplementedError
 
     def batch_energy_j(self, batch_size: int, seq_len: int) -> float:
         """Active energy of serving that batch."""
-        ...
+        raise NotImplementedError
+
+    def expected_latency_s(self, batch_size: int, seq_len: int) -> float:
+        """The batch's service time without advancing any random stream."""
+        return self.batch_latency_s(batch_size, seq_len)
+
+    def tabulated(
+        self, batch_sizes: Sequence[int], seq_lens: Sequence[int]
+    ) -> "ServiceModel":
+        """This model with its pricing frozen over the shape grid (picklable)."""
+        return TabulatedServiceModel.tabulate(self, batch_sizes, seq_lens)
+
+    def shards(self, count: int) -> list["ServiceModel"]:
+        """One model per shard; a random model returns copies seeded by its seed's children."""
+        return [self] * count
 
 
-class WrappedCapabilities:
+class WrappedCapabilities(ServiceModel):
     """Capability pass-throughs of a service model wrapping ``self.base``.
 
     A wrapper re-prices batches but runs on the *same hardware* as the
     model it wraps, so its standby power, repair cost and power-state
-    capabilities are the base model's — these six properties forward them
-    (with the can't-sleep-deeper-than-idle and wakes-for-free defaults
-    for base models that declare no such capability).  Shared by
-    :class:`LinearServiceModel` and :class:`TieredServiceModel` so the
-    forwarding exists exactly once.
+    capabilities are the base model's — these six properties forward them.
+    Shared by :class:`LinearServiceModel` and :class:`TieredServiceModel`
+    so the forwarding exists exactly once.
     """
 
     base: ServiceModel
@@ -94,36 +130,36 @@ class WrappedCapabilities:
     @property
     def idle_power_w(self) -> float:
         """Standby power of the wrapped chip model."""
-        return getattr(self.base, "idle_power_w", 0.0)
+        return self.base.idle_power_w
 
     @property
     def reprogram_latency_s(self) -> float:
         """Repair cost of the wrapped chip model (same hardware, same rewrite)."""
-        return getattr(self.base, "reprogram_latency_s", 0.0)
+        return self.base.reprogram_latency_s
 
     @property
-    def sleep_power_w(self) -> float:
-        """Deep-sleep power of the wrapped chip (idle power if it cannot sleep)."""
-        return getattr(self.base, "sleep_power_w", self.idle_power_w)
+    def sleep_power_w(self) -> float | None:
+        """Deep-sleep power of the wrapped chip."""
+        return self.base.sleep_power_w
 
     @property
     def sleep_entry_latency_s(self) -> float:
         """Sleep-entry latency of the wrapped chip."""
-        return getattr(self.base, "sleep_entry_latency_s", 0.0)
+        return self.base.sleep_entry_latency_s
 
     @property
     def wake_latency_s(self) -> float:
         """Wake latency of the wrapped chip (same hardware, same re-bias)."""
-        return getattr(self.base, "wake_latency_s", 0.0)
+        return self.base.wake_latency_s
 
     @property
     def wake_energy_j(self) -> float:
         """Wake energy of the wrapped chip."""
-        return getattr(self.base, "wake_energy_j", 0.0)
+        return self.base.wake_energy_j
 
 
 @dataclass(frozen=True)
-class FixedServiceModel:
+class FixedServiceModel(ServiceModel):
     """Deterministic per-request service, serialized within a batch.
 
     A batch of ``b`` requests costs ``b * request_latency_s`` — no batching
@@ -168,7 +204,7 @@ class FixedServiceModel:
         return batch_size * self.request_energy_j
 
 
-class ExponentialServiceModel:
+class ExponentialServiceModel(ServiceModel):
     """Exponential per-request service — the Markovian theory stand-in.
 
     Each :meth:`batch_latency_s` call draws the batch's service time as a
@@ -188,38 +224,33 @@ class ExponentialServiceModel:
         mean_s: float,
         request_energy_j: float = 0.0,
         idle_power_w: float = 0.0,
-        seed: int | None = 0,
+        seed: int | np.random.SeedSequence | None = 0,
     ) -> None:
-        import numpy as np
-
         require_positive(mean_s, "mean_s")
         require_non_negative(request_energy_j, "request_energy_j")
         require_non_negative(idle_power_w, "idle_power_w")
         self.mean_s = float(mean_s)
         self.request_energy_j = float(request_energy_j)
         self.idle_power_w = float(idle_power_w)
-        # explicit capability defaults (a synthetic chip that never needs
-        # repair, cannot sleep deeper than idle, and wakes for free), so
-        # fleet accessors read real attributes instead of getattr fallbacks
-        self.reprogram_latency_s = 0.0
-        self.sleep_power_w = self.idle_power_w
-        self.sleep_entry_latency_s = 0.0
-        self.wake_latency_s = 0.0
-        self.wake_energy_j = 0.0
         self.seed = seed
         self._rng = np.random.default_rng(seed)
 
     def reset(self) -> None:
         """Rewind the draw stream (fresh runs replay the same services)."""
-        import numpy as np
-
         self._rng = np.random.default_rng(self.seed)
 
     def batch_latency_s(self, batch_size: int, seq_len: int) -> float:
         return float(self._rng.exponential(self.mean_s, size=batch_size).sum())
 
+    def expected_latency_s(self, batch_size: int, seq_len: int) -> float:
+        return batch_size * self.mean_s
+
     def batch_energy_j(self, batch_size: int, seq_len: int) -> float:
         return batch_size * self.request_energy_j
+
+    def shards(self, count: int) -> list["ExponentialServiceModel"]:
+        params = (self.mean_s, self.request_energy_j, self.idle_power_w)
+        return [ExponentialServiceModel(*params, seed=s) for s in spawn_seeds(self.seed, count)]
 
 
 class PricingCache:
@@ -279,7 +310,7 @@ class PricingCache:
 _SHARED_PRICING_CACHE = PricingCache()
 
 
-class StarServiceModel:
+class StarServiceModel(ServiceModel):
     """Batch pricing by a STAR accelerator's whole-model timing.
 
     ``accelerator`` defaults to a stock analytical-schedule
@@ -428,21 +459,32 @@ class LinearServiceModel(WrappedCapabilities):
     Wraps any base model and discards its batch amortisation — the
     pre-batching serving behaviour, kept as an explicit baseline so sweeps
     can show what batch-aware pricing buys at the same hardware.  Chip
-    capabilities (idle/sleep power, repair and wake costs) forward to the
-    wrapped model through :class:`WrappedCapabilities`.
+    capabilities forward to the wrapped model through
+    :class:`WrappedCapabilities`, and one base call prices a batch, so the
+    batch's fidelity tier is the base's too.
     """
 
     def __init__(self, base: ServiceModel) -> None:
         self.base = base
 
+    @property
+    def last_tier(self) -> int:
+        return self.base.last_tier
+
     def batch_latency_s(self, batch_size: int, seq_len: int) -> float:
         return batch_size * self.base.batch_latency_s(1, seq_len)
+
+    def expected_latency_s(self, batch_size: int, seq_len: int) -> float:
+        return batch_size * self.base.expected_latency_s(1, seq_len)
 
     def batch_energy_j(self, batch_size: int, seq_len: int) -> float:
         return batch_size * self.base.batch_energy_j(1, seq_len)
 
+    def shards(self, count: int) -> list["LinearServiceModel"]:
+        return [LinearServiceModel(base) for base in self.base.shards(count)]
 
-class TabulatedServiceModel:
+
+class TabulatedServiceModel(ServiceModel):
     """A service model frozen into a plain ``(batch, seq_len) -> cost`` table.
 
     Built by :meth:`tabulate` from any other service model: every shape the
@@ -515,13 +557,18 @@ class TabulatedServiceModel:
         }
         return cls(
             table,
-            idle_power_w=getattr(model, "idle_power_w", 0.0),
-            reprogram_latency_s=getattr(model, "reprogram_latency_s", 0.0),
-            sleep_power_w=getattr(model, "sleep_power_w", None),
-            sleep_entry_latency_s=getattr(model, "sleep_entry_latency_s", 0.0),
-            wake_latency_s=getattr(model, "wake_latency_s", 0.0),
-            wake_energy_j=getattr(model, "wake_energy_j", 0.0),
+            idle_power_w=model.idle_power_w,
+            reprogram_latency_s=model.reprogram_latency_s,
+            sleep_power_w=model.sleep_power_w,
+            sleep_entry_latency_s=model.sleep_entry_latency_s,
+            wake_latency_s=model.wake_latency_s,
+            wake_energy_j=model.wake_energy_j,
         )
+
+    def tabulated(
+        self, batch_sizes: Sequence[int], seq_lens: Sequence[int]
+    ) -> "TabulatedServiceModel":
+        return self
 
     def _entry(self, batch_size: int, seq_len: int) -> tuple[float, float]:
         try:
@@ -563,8 +610,9 @@ class TieredServiceModel(WrappedCapabilities):
     :class:`TabulatedServiceModel`.
 
     ``seed`` accepts an int or a ``numpy.random.SeedSequence`` —
-    :meth:`with_seed` re-seeds a copy, which is how the sharded simulator
-    gives every shard an independent sampling stream off one spawn tree.
+    :meth:`shards` re-seeds one copy per shard off one spawn tree, which is
+    how the sharded simulator gives every shard an independent sampling
+    stream.
     """
 
     def __init__(
@@ -576,8 +624,6 @@ class TieredServiceModel(WrappedCapabilities):
         templates: dict | None = None,
         template_cache=None,
     ) -> None:
-        import numpy as np
-
         if not 0.0 <= sample_fraction <= 1.0:
             raise ValueError(
                 f"sample_fraction must be within [0, 1], got {sample_fraction}"
@@ -590,7 +636,6 @@ class TieredServiceModel(WrappedCapabilities):
         self.templates = {} if templates is None else dict(templates)
         self._cache = template_cache
         self._rng = np.random.default_rng(seed)
-        #: Tier of the most recent batch_latency_s call.
         self.last_tier = TIER_ANALYTIC
         #: Dispatches priced per tier (profiling counters).
         self.analytic_dispatches = 0
@@ -602,26 +647,22 @@ class TieredServiceModel(WrappedCapabilities):
     # ------------------------------------------------------------------ #
     # seeding and shipping
     # ------------------------------------------------------------------ #
-    def with_seed(self, seed) -> "TieredServiceModel":
-        """A copy drawing its sampling stream from ``seed`` (fresh state).
-
-        Base model and template dict are shared (they are read-only on the
-        hot path); only the generator is new — the sharded simulator uses
-        this to hand every shard an independent ``SeedSequence`` child.
-        """
-        return TieredServiceModel(
-            self.base,
-            sample_fraction=self.sample_fraction,
-            jitter_sigma=self.jitter_sigma,
-            seed=seed,
-            templates=self.templates,
-            template_cache=self._cache,
-        )
+    def shards(self, count: int) -> list["TieredServiceModel"]:
+        """Copies over the base's shards, each seeded by a child of this seed."""
+        return [
+            TieredServiceModel(
+                base,
+                sample_fraction=self.sample_fraction,
+                jitter_sigma=self.jitter_sigma,
+                seed=child,
+                templates=self.templates,
+                template_cache=self._cache,
+            )
+            for base, child in zip(self.base.shards(count), spawn_seeds(self.seed, count))
+        ]
 
     def reset(self) -> None:
         """Rewind the sampling stream (fresh runs replay the same tiers)."""
-        import numpy as np
-
         self._rng = np.random.default_rng(self.seed)
 
     def build_templates(
@@ -629,7 +670,7 @@ class TieredServiceModel(WrappedCapabilities):
     ) -> "TieredServiceModel":
         """Cold-build every template of the shape grid into :attr:`templates`.
 
-        Requires a base model carrying an accelerator (i.e. not yet
+        Requires a :class:`StarServiceModel` base (i.e. not yet
         tabulated).  Returns ``self`` for chaining.
         """
         for batch in sorted({int(b) for b in batch_sizes}):
@@ -650,11 +691,8 @@ class TieredServiceModel(WrappedCapabilities):
         model would compute).
         """
         self.build_templates(batch_sizes, seq_lens)
-        base = self.base
-        if not isinstance(base, TabulatedServiceModel):
-            base = TabulatedServiceModel.tabulate(base, batch_sizes, seq_lens)
         return TieredServiceModel(
-            base,
+            self.base.tabulated(batch_sizes, seq_lens),
             sample_fraction=self.sample_fraction,
             jitter_sigma=self.jitter_sigma,
             seed=self.seed,
@@ -670,12 +708,11 @@ class TieredServiceModel(WrappedCapabilities):
             self.template_hits += 1
             return template
         self.template_misses += 1
-        accelerator = getattr(self.base, "accelerator", None)
-        if accelerator is None:
+        if not isinstance(self.base, StarServiceModel):
             raise KeyError(
                 f"no schedule template for shape (batch={batch_size}, "
-                f"seq_len={seq_len}) and the base model carries no "
-                f"accelerator to build one; prebuild with tabulated()/"
+                f"seq_len={seq_len}) and the base is no StarServiceModel "
+                f"to build one from; prebuild with tabulated()/"
                 f"build_templates() over a grid covering this shape"
             )
         from repro.core.schedule_cache import SHARED_TEMPLATE_CACHE
@@ -685,7 +722,7 @@ class TieredServiceModel(WrappedCapabilities):
         workload = BertWorkload(
             config=self.base.bert_config, seq_len=seq_len
         ).with_batch(batch_size)
-        template = cache.get_or_build(accelerator, workload)
+        template = cache.get_or_build(self.base.accelerator, workload)
         self.templates[(batch_size, seq_len)] = template
         return template
 
@@ -701,6 +738,9 @@ class TieredServiceModel(WrappedCapabilities):
         self.last_tier = TIER_ANALYTIC
         self.analytic_dispatches += 1
         return self.base.batch_latency_s(batch_size, seq_len)
+
+    def expected_latency_s(self, batch_size: int, seq_len: int) -> float:
+        return self.base.expected_latency_s(batch_size, seq_len)
 
     def batch_energy_j(self, batch_size: int, seq_len: int) -> float:
         # energy is schedule-independent (serialized-equivalent conversion
@@ -718,7 +758,8 @@ class ChipFleet:
     :class:`~repro.core.accelerator.ChipResources` tile counts.
     ``speedups`` additionally divides each chip's batch service time (and
     scales its energy down accordingly — a faster chip finishes the same
-    work sooner at the same power).
+    work sooner at the same power).  Every model must be a
+    :class:`ServiceModel`.
     """
 
     def __init__(
@@ -742,6 +783,9 @@ class ChipFleet:
         else:
             require_positive(num_chips, "num_chips")
             self.models = (service_model,) * num_chips
+        for model in self.models:
+            if not isinstance(model, ServiceModel):
+                raise TypeError(f"service model {model!r} is not a ServiceModel")
         self.num_chips = num_chips
         if speedups is None:
             speedups = (1.0,) * num_chips
@@ -762,6 +806,10 @@ class ChipFleet:
         """Service time of the batch on one specific chip."""
         return self.models[chip].batch_latency_s(batch_size, seq_len) / self.speedups[chip]
 
+    def expected_latency_s(self, chip: int, batch_size: int, seq_len: int) -> float:
+        """Service time of the batch on one chip, advancing no random stream."""
+        return self.models[chip].expected_latency_s(batch_size, seq_len) / self.speedups[chip]
+
     def batch_energy_j(self, chip: int, batch_size: int, seq_len: int) -> float:
         """Energy of the batch on one specific chip."""
         return self.models[chip].batch_energy_j(batch_size, seq_len) / self.speedups[chip]
@@ -773,21 +821,18 @@ class ChipFleet:
         :data:`TIER_ANALYTIC` for models without tiering, so the report's
         tier column stays all-zero (and silent) on untiered fleets.
         """
-        return getattr(self.models[chip], "last_tier", TIER_ANALYTIC)
+        return self.models[chip].last_tier
 
     def idle_power_w(self, chip: int) -> float:
-        """Standby power of one chip (0 for models that do not declare one)."""
-        return getattr(self.models[chip], "idle_power_w", 0.0)
+        """Standby power of one chip."""
+        return self.models[chip].idle_power_w
 
     def reprogram_latency_s(self, chip: int) -> float:
         """Full tile-bank rewrite time of one chip — its repair cost.
 
-        Scaled by the chip's speed factor like any other work it performs;
-        0 for service models that do not declare a reprogramming cost.
+        Scaled by the chip's speed factor like any other work it performs.
         """
-        return (
-            getattr(self.models[chip], "reprogram_latency_s", 0.0) / self.speedups[chip]
-        )
+        return self.models[chip].reprogram_latency_s / self.speedups[chip]
 
     def sleep_power_w(self, chip: int) -> float:
         """Deep-sleep power of one parked chip.
@@ -796,12 +841,12 @@ class ChipFleet:
         declare a power state — a chip that cannot sleep saves nothing by
         being parked, which keeps autoscaling energy accounting honest.
         """
-        power = getattr(self.models[chip], "sleep_power_w", None)
+        power = self.models[chip].sleep_power_w
         return self.idle_power_w(chip) if power is None else power
 
     def sleep_entry_latency_s(self, chip: int) -> float:
         """Drain-and-gate time before a parked chip reaches sleep power."""
-        return getattr(self.models[chip], "sleep_entry_latency_s", 0.0)
+        return self.models[chip].sleep_entry_latency_s
 
     def wake_latency_s(self, chip: int) -> float:
         """Sleep-to-serving latency of one chip.
@@ -810,11 +855,36 @@ class ChipFleet:
         supply ramp and re-bias settle, not compute, so a faster chip does
         not wake faster.
         """
-        return getattr(self.models[chip], "wake_latency_s", 0.0)
+        return self.models[chip].wake_latency_s
 
     def wake_energy_j(self, chip: int) -> float:
         """Energy of one sleep-to-serving transition of one chip."""
-        return getattr(self.models[chip], "wake_energy_j", 0.0)
+        return self.models[chip].wake_energy_j
+
+    def pricing_counters(self) -> tuple[int, int, int, int, int, int]:
+        """Pricing/template cache and per-tier dispatch counters of the fleet.
+
+        Each distinct :class:`PricingCache` and :class:`TieredServiceModel`
+        counts once, however many chips or wrappers share it; ``run()``
+        records the delta, so per-run numbers stay right with shared caches.
+        """
+        caches: dict[int, PricingCache] = {}
+        tiered: dict[int, TieredServiceModel] = {}
+        for model in self.models:
+            while model is not None:
+                if model.cache is not None:
+                    caches[id(model.cache)] = model.cache
+                if isinstance(model, TieredServiceModel):
+                    tiered[id(model)] = model
+                model = model.base
+        return (
+            sum(c.hits for c in caches.values()),
+            sum(c.misses for c in caches.values()),
+            sum(m.template_hits for m in tiered.values()),
+            sum(m.template_misses for m in tiered.values()),
+            sum(m.analytic_dispatches for m in tiered.values()),
+            sum(m.executed_dispatches for m in tiered.values()),
+        )
 
     def tabulated(
         self, batch_sizes: Sequence[int], seq_lens: Sequence[int]
@@ -822,31 +892,18 @@ class ChipFleet:
         """This fleet with every chip's pricing frozen into plain tables.
 
         Pre-warms the workload's whole shape grid once in the calling
-        process and returns a fleet of :class:`TabulatedServiceModel`
-        chips — compactly picklable, so the sharded simulator can compute
-        timings in the parent and ship them to every worker.  Chips
+        process through each model's :meth:`ServiceModel.tabulated` and
+        returns a compactly picklable fleet, so the sharded simulator can
+        compute timings in the parent and ship them to every worker.  Chips
         sharing one model object share one table (a homogeneous fleet
         prices the grid exactly once); speedups are preserved (the fleet
         applies them outside the model).
         """
         tables: dict[int, ServiceModel] = {}
-        models: list[ServiceModel] = []
         for model in self.models:
-            if isinstance(model, TabulatedServiceModel):
-                models.append(model)
-                continue
-            cached = tables.get(id(model))
-            if cached is None:
-                if isinstance(model, TieredServiceModel):
-                    # tiered models must NOT go through tabulate() — that
-                    # would advance (and freeze) the sampling stream; the
-                    # tiered wrapper tabulates its base and prebuilds the
-                    # template grid instead
-                    cached = model.tabulated(batch_sizes, seq_lens)
-                else:
-                    cached = TabulatedServiceModel.tabulate(
-                        model, batch_sizes, seq_lens
-                    )
-                tables[id(model)] = cached
-            models.append(cached)
-        return ChipFleet(service_models=tuple(models), speedups=self.speedups)
+            if id(model) not in tables:
+                tables[id(model)] = model.tabulated(batch_sizes, seq_lens)
+        return ChipFleet(
+            service_models=tuple(tables[id(model)] for model in self.models),
+            speedups=self.speedups,
+        )

@@ -13,8 +13,8 @@ instead; the simulator's one event loop then runs them:
 * **Routing policies** (:data:`ROUTING_POLICIES`) — ``round_robin``
   (static interleave), ``join_shortest_queue`` (fewest outstanding
   requests: backlog plus in service), and ``shortest_expected_delay``,
-  which uses the chip's batch-aware pricing as a cost oracle over (queue
-  backlog + in-flight + the candidate request's ``seq_len``): the
+  which uses the chip's batch-aware expected pricing as a cost oracle over
+  (queue backlog + in-flight + the candidate request's ``seq_len``): the
   candidate is priced at the batcher's full batch size on each chip, so
   the per-request amortized cost of a long sequence is far lower on a
   big-tile chip and long requests prefer it even when its queue is deeper.
@@ -127,25 +127,6 @@ class Router:
         return Router(self.policy, self.network.for_chips(chips), self.stealing)
 
 
-def _oracle_latency_s(fleet: ChipFleet, chip: int, batch: int, seq_len: int) -> float:
-    """Stateless batch pricing for the shortest-expected-delay oracle.
-
-    The oracle must never advance a model's random stream: tiered models
-    are priced through their analytic base, and the Markovian exponential
-    model through its mean.  Star/tabulated/fixed pricing is already
-    deterministic and cache-backed, so repeated oracle queries are cheap.
-    """
-    model = fleet.models[chip]
-    if hasattr(model, "sample_fraction"):  # TieredServiceModel
-        model = model.base
-    mean_s = getattr(model, "mean_s", None)
-    if mean_s is not None:  # ExponentialServiceModel: use the mean, not a draw
-        latency = batch * mean_s
-    else:
-        latency = model.batch_latency_s(batch, seq_len)
-    return latency / fleet.speedups[chip]
-
-
 def front_end(
     router: Router,
     fleet: ChipFleet,
@@ -201,7 +182,7 @@ def front_end(
         costs = cost_rows.get(request.seq_len)
         if costs is None:
             costs = cost_rows[request.seq_len] = [
-                _oracle_latency_s(fleet, chip, batch_size, request.seq_len) / batch_size
+                fleet.expected_latency_s(chip, batch_size, request.seq_len) / batch_size
                 for chip in range(num_chips)
             ]
         best = -1

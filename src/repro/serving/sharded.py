@@ -32,12 +32,12 @@ Two ways to feed the shards:
   parallelized too and no request ever crosses a process boundary.
 
 Determinism: every random stream — per-shard arrivals, per-shard fault
-processes, retry jitter, per-shard fidelity-sampling streams
-(:class:`~repro.serving.fleet.TieredServiceModel`) — derives from one
-``SeedSequence.spawn`` tree
-rooted at the user's seed, so the same seed and shard count reproduce the
-same merged report whether shards run serially in-process
-(``parallel=False``) or across worker processes, on any worker count.
+processes, retry jitter, and the draws of every service model that draws
+random numbers, wrapped or not (:meth:`~repro.serving.fleet.ServiceModel.shards`)
+— derives from one ``SeedSequence.spawn`` tree rooted at the user's seed,
+so the same seed and shard count reproduce the same merged report whether
+shards run serially in-process (``parallel=False``) or across worker
+processes, on any worker count.
 
 What crosses the process boundary stays small: shard tasks carry the
 sub-fleet's service models (pre-warm with
@@ -61,11 +61,12 @@ from repro.serving.arrivals import PoissonArrivals, Request, requests_from_array
 from repro.serving.autoscale import Autoscaler
 from repro.serving.batcher import NO_BATCHING, DynamicBatcher
 from repro.serving.faults import AdmissionController, FaultInjector, RetryPolicy
-from repro.serving.fleet import ChipFleet, ServiceModel, TieredServiceModel
+from repro.serving.fleet import ChipFleet, ServiceModel
 from repro.serving.profiling import PROFILER, RunProfile
 from repro.serving.report import ServingReport
 from repro.serving.routing import Router
 from repro.serving.simulator import ServingSimulator
+from repro.utils.stats import spawn_seeds
 from repro.utils.validation import require_positive
 
 __all__ = ["SPLIT_POLICIES", "ShardedServingSimulator"]
@@ -217,44 +218,25 @@ class ShardedServingSimulator:
     def _shard_faults(self) -> list[FaultInjector | None]:
         if self.faults is None:
             return [None] * self.num_shards
-        root = (
-            self.faults.seed
-            if isinstance(self.faults.seed, np.random.SeedSequence)
-            else np.random.SeedSequence(self.faults.seed)
-        )
         return [
-            replace(self.faults, seed=child) for child in root.spawn(self.num_shards)
+            replace(self.faults, seed=child)
+            for child in spawn_seeds(self.faults.seed, self.num_shards)
         ]
 
     def _shard_models(self) -> list[tuple[ServiceModel, ...]]:
-        """Per-shard model tuples, with tiered models reseeded per shard.
+        """Per-shard model tuples, one ``shards`` call per distinct model.
 
-        A :class:`~repro.serving.fleet.TieredServiceModel` advances a
-        sampling stream as it prices, so shards must not share one
-        instance: every ``(model, shard)`` pair gets a fresh copy seeded
-        by an independent ``SeedSequence`` child off the model's own seed.
         The copies are built here — before execution forks — so serial
         (``parallel=False``) and worker-pool runs consume identical
         generator states and stay bit-identical.
         """
-        slices = self._chip_slices()
-        tiered: dict[int, list[TieredServiceModel]] = {}
+        copies: dict[int, list[ServiceModel]] = {}
         for model in self.fleet.models:
-            if isinstance(model, TieredServiceModel) and id(model) not in tiered:
-                root = (
-                    model.seed
-                    if isinstance(model.seed, np.random.SeedSequence)
-                    else np.random.SeedSequence(model.seed)
-                )
-                tiered[id(model)] = [
-                    model.with_seed(child) for child in root.spawn(self.num_shards)
-                ]
+            if id(model) not in copies:
+                copies[id(model)] = model.shards(self.num_shards)
         return [
-            tuple(
-                tiered[id(model)][shard] if id(model) in tiered else model
-                for model in self.fleet.models[chips]
-            )
-            for shard, chips in enumerate(slices)
+            tuple(copies[id(model)][shard] for model in self.fleet.models[chips])
+            for shard, chips in enumerate(self._chip_slices())
         ]
 
     def _tasks(self) -> list[_ShardTask]:

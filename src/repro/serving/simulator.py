@@ -208,32 +208,6 @@ def _routing_stats(
     )
 
 
-def _fleet_cache_counters(fleet: ChipFleet) -> tuple[int, int, int, int, int, int]:
-    """Current pricing/template cache counters summed over the fleet.
-
-    Distinct cache objects and tiered models are counted once even when
-    chips share them; ``run()`` snapshots before/after and records the
-    delta, so per-run numbers stay correct with module-global caches.
-    """
-    pricing: dict[int, object] = {}
-    tiered: dict[int, object] = {}
-    for model in fleet.models:
-        for m in (model, getattr(model, "base", None)):
-            cache = getattr(m, "cache", None)
-            if cache is not None and hasattr(cache, "hits"):
-                pricing.setdefault(id(cache), cache)
-        if hasattr(model, "template_hits"):
-            tiered.setdefault(id(model), model)
-    return (
-        sum(c.hits for c in pricing.values()),
-        sum(c.misses for c in pricing.values()),
-        sum(m.template_hits for m in tiered.values()),
-        sum(m.template_misses for m in tiered.values()),
-        sum(m.analytic_dispatches for m in tiered.values()),
-        sum(m.executed_dispatches for m in tiered.values()),
-    )
-
-
 def _per_chip_busy(batches: BatchTable, num_chips: int) -> tuple[float, ...]:
     return tuple(
         np.bincount(batches.chip, weights=batches.service_s, minlength=num_chips)
@@ -320,13 +294,13 @@ class ServingSimulator:
         clients: ClosedLoopClients | None = None,
         num_requests: int = 0,
     ) -> ServingReport:
-        counters = _fleet_cache_counters(self.fleet)
+        counters = self.fleet.pricing_counters()
         start = _time.perf_counter()
         report, loop, dispatch_calls = self._simulate(ordered, clients, num_requests)
         wall_s = _time.perf_counter() - start
         deltas = [
             after - before
-            for after, before in zip(_fleet_cache_counters(self.fleet), counters)
+            for after, before in zip(self.fleet.pricing_counters(), counters)
         ]
         routing = report.routing
         self.last_profile = RunProfile(

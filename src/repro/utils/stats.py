@@ -1,4 +1,4 @@
-"""Small statistics helpers shared by the analysis and benchmark code."""
+"""Small statistics and random-stream helpers shared across the package."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ __all__ = [
     "geometric_mean",
     "relative_error",
     "kl_divergence",
+    "spawn_seeds",
 ]
 
 
@@ -206,3 +207,13 @@ def kl_divergence(p: np.ndarray, q: np.ndarray, epsilon: float = 1e-12) -> float
     p = p / p.sum()
     q = q / q.sum()
     return float(np.sum(p * np.log(p / q)))
+
+
+def spawn_seeds(seed: int | np.random.SeedSequence, count: int) -> list[np.random.SeedSequence]:
+    """``count`` independent children of an int or ``SeedSequence`` seed.
+
+    An int roots a new tree; a ``SeedSequence`` spawns its next children.
+    """
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return seed.spawn(count)

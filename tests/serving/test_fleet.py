@@ -84,6 +84,19 @@ class TestHeterogeneousFleets:
         # num_chips inferred from the model sequence
         assert ChipFleet(service_models=[base, base]).num_chips == 2
 
+    def test_non_service_model_rejected(self):
+        class Priced:  # prices batches but declares no chip
+            def batch_latency_s(self, batch_size, seq_len):
+                return 1e-3
+
+            def batch_energy_j(self, batch_size, seq_len):
+                return 0.0
+
+        with pytest.raises(TypeError, match="Priced"):
+            ChipFleet(Priced(), num_chips=2)
+        with pytest.raises(TypeError, match="is not a ServiceModel"):
+            ChipFleet(service_models=[FixedServiceModel(1e-3), object()])
+
 
 class TestIdlePower:
     def test_idle_energy_charged_over_unoccupied_time(self):

@@ -11,30 +11,37 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.schedule_cache import ScheduleTemplate
 from repro.serving import (
     AdmissionController,
     ChipFleet,
     DynamicBatcher,
+    ExponentialServiceModel,
     FaultInjector,
     FixedServiceModel,
+    LinearServiceModel,
     NetworkModel,
     NO_BATCHING,
     PoissonArrivals,
+    Request,
     RetryPolicy,
     Router,
     RoutingStats,
     ROUTING_POLICIES,
+    ServiceModel,
     ServingReport,
     ServingSimulator,
     ShardedServingSimulator,
     SLOClass,
     SLOPolicy,
     StealRecord,
+    TieredServiceModel,
 )
 from repro.serving.autoscale import Autoscaler
+from repro.serving.routing import front_end
 
 
-class PerTokenModel:
+class PerTokenModel(ServiceModel):
     """Minimal length-sensitive pricing: ``batch x (base + seq_len x rate)``."""
 
     def __init__(self, base_s: float, per_token_s: float) -> None:
@@ -189,6 +196,65 @@ class TestRoutingPolicies:
             report = routed(policy=policy).run(requests)
             assert report.num_requests == 157
             assert sorted(report.requests.index.tolist()) == list(range(157))
+
+
+def _streams(model) -> list[tuple]:
+    """Generator state and tier counters of every model in a wrapper chain."""
+    state = []
+    while model is not None:
+        fields = vars(model)
+        rng = fields.get("_rng")
+        state.append(
+            (
+                type(model).__name__,
+                None if rng is None else rng.bit_generator.state,
+                fields.get("last_tier"),
+                fields.get("analytic_dispatches"),
+                fields.get("executed_dispatches"),
+            )
+        )
+        model = fields.get("base")
+    return state
+
+
+def _tiered(base) -> TieredServiceModel:
+    templates = {
+        (batch, seq_len): ScheduleTemplate(
+            batch, seq_len, 2, 4 * batch, 1e-3 * batch, 0.0, (1e-8, 3e-8, 1e-8)
+        )
+        for batch in (1, 2, 4)
+        for seq_len in (64, 128)
+    }
+    return TieredServiceModel(base, sample_fraction=0.5, seed=3, templates=templates)
+
+
+class TestOracleStreams:
+    """The SED cost oracle prices a chip without drawing from its model.
+
+    A draw there would shift every later dispatch's service time, so the
+    same trace would serve differently with and without the router.
+    """
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ExponentialServiceModel(1e-3, seed=1),
+            lambda: _tiered(ExponentialServiceModel(1e-3, seed=1)),
+            lambda: LinearServiceModel(ExponentialServiceModel(1e-3, seed=1)),
+            lambda: LinearServiceModel(_tiered(ExponentialServiceModel(1e-3, seed=1))),
+            lambda: _tiered(LinearServiceModel(ExponentialServiceModel(1e-3, seed=1))),
+        ],
+        ids=["exponential", "tiered", "linear", "linear-tiered", "tiered-linear"],
+    )
+    def test_cost_row_never_advances_a_stream(self, build):
+        model = build()
+        model.batch_latency_s(2, 128)  # a priced dispatch sets the tier state
+        fleet = ChipFleet(model, num_chips=2, speedups=(1.0, 2.0))
+        route = front_end(Router(), fleet, 4, [[], []], [0, 0])
+        before = _streams(model)
+        chosen = [route(Request(0, 0.0, seq_len), (0, 1)) for seq_len in (64, 128)]
+        assert _streams(model) == before
+        assert chosen == [1, 1]  # the twice-as-fast chip
 
 
 class TestNetworkStage:

@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 from repro.serving import (
     ChipFleet,
     DynamicBatcher,
+    ExponentialServiceModel,
     FaultInjector,
     FixedServiceModel,
+    LinearServiceModel,
     PoissonArrivals,
     Profiler,
     RetryPolicy,
@@ -142,6 +144,21 @@ class TestDeterminism:
         arrivals = PoissonArrivals(3000.0, seq_len=[64, 128], seed=7)
         serial = sharded(parallel=False).run_poisson(arrivals, 1000)
         parallel = sharded(parallel=True).run_poisson(arrivals, 1000)
+        assert serial.requests == parallel.requests
+        assert serial.batches == parallel.batches
+
+    @pytest.mark.parametrize("wrap", [None, LinearServiceModel], ids=["bare", "linear"])
+    def test_serial_matches_parallel_over_random_service(self, wrap):
+        # every shard must draw service times from its own stream: a shared
+        # model continues shard 0's draws serially but restarts them in a
+        # forked worker
+        reports = []
+        for parallel in (False, True):
+            model = ExponentialServiceModel(1e-3, seed=5)
+            fleet = ChipFleet(model if wrap is None else wrap(model), num_chips=2)
+            simulator = ShardedServingSimulator(fleet, num_shards=2, parallel=parallel)
+            reports.append(simulator.run_poisson(PoissonArrivals(1200.0, seed=2), 4000))
+        serial, parallel = reports
         assert serial.requests == parallel.requests
         assert serial.batches == parallel.batches
 

@@ -29,6 +29,7 @@ from repro.serving import (
     NO_BATCHING,
     PoissonArrivals,
     ScaleEvent,
+    ServiceModel,
     ServingSimulator,
     ShardedServingSimulator,
     SLOClass,
@@ -184,7 +185,7 @@ class TestPowerStatePlumbing:
         assert tabulated.wake_latency_s == 4e-3
         # a model without the power-state attributes falls back to idle
         # (a custom user model cannot sleep deeper than it idles)
-        class _BareModel:
+        class _BareModel(ServiceModel):
             idle_power_w = 0.7
 
             def batch_latency_s(self, batch_size, seq_len):

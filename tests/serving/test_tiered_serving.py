@@ -20,6 +20,7 @@ from repro.serving import (
     DynamicBatcher,
     FaultInjector,
     FixedServiceModel,
+    LinearServiceModel,
     PoissonArrivals,
     ServingReport,
     ServingSimulator,
@@ -215,6 +216,19 @@ class TestTierReporting:
         assert merged.num_batches_in_tier(TIER_ANALYTIC) == b.num_batches
         # request tiers gather through the merged batch indices correctly
         assert merged.num_requests_in_tier(TIER_EXECUTED) == a.num_requests
+
+    def test_linear_wrapped_tiered_fleet_reports_its_tiers(self):
+        # the wrapper prices each batch with one tiered call: the report's
+        # tier column and the profile's tier counters must see through it
+        fleet = ChipFleet(LinearServiceModel(_tiered(1.0, seed=1)), num_chips=2)
+        requests = PoissonArrivals(800.0, seq_len=128, seed=1).generate(300)
+        simulator = ServingSimulator(
+            fleet, DynamicBatcher(max_batch_size=4, max_wait_s=1e-3)
+        )
+        report = simulator.run(requests)
+        assert (report.batches.tier == TIER_EXECUTED).all()
+        assert simulator.last_profile.executed_batches == report.num_batches
+        assert simulator.last_profile.analytic_batches == 0
 
     def test_profile_counts_tiers_templates_and_pricing(self):
         fleet = ChipFleet(_tiered(0.5, seed=1), num_chips=2)
