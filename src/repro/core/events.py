@@ -212,10 +212,6 @@ class ServerPool:
         """
         self.online[server] = online
 
-    def num_online(self) -> int:
-        """Servers currently dispatchable (online, busy or not)."""
-        return sum(self.online)
-
     def service_time(self, server: int, nominal_s: float) -> float:
         """``nominal_s`` scaled by the server's speed factor."""
         return nominal_s / self.speedups[server]

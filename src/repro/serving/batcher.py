@@ -70,11 +70,6 @@ class DynamicBatcher:
         """The deadline-aware variant: drain by earliest absolute deadline."""
         return cls(max_batch_size=max_batch_size, max_wait_s=max_wait_s, order="edf")
 
-    @property
-    def deadline_ordered(self) -> bool:
-        """Whether this policy needs the deadline-aware dispatch path."""
-        return self.order == "edf"
-
     def ready(self, queue_len: int, oldest_wait_s: float) -> bool:
         """Should a batch be released to an idle chip right now?"""
         if queue_len <= 0:
@@ -97,20 +92,6 @@ class DynamicBatcher:
         if self.order == "edf":
             return request.absolute_deadline_s
         return float(arrival_order)
-
-    def capped(self, max_batch_size: int) -> "DynamicBatcher":
-        """This policy with its batch cap lowered to ``max_batch_size``.
-
-        Used by degraded serving modes (a fleet running with failed chips
-        dispatches smaller batches so one further failure loses fewer
-        in-flight requests); a cap at or above the current one is a no-op.
-        """
-        require_positive(max_batch_size, "max_batch_size")
-        if max_batch_size >= self.max_batch_size:
-            return self
-        return DynamicBatcher(
-            max_batch_size=max_batch_size, max_wait_s=self.max_wait_s, order=self.order
-        )
 
 
 #: Pure FIFO single-request service — the M/D/1 cross-validation regime.

@@ -480,6 +480,16 @@ class LinearServiceModel(WrappedCapabilities):
     def batch_energy_j(self, batch_size: int, seq_len: int) -> float:
         return batch_size * self.base.batch_energy_j(1, seq_len)
 
+    def tabulated(
+        self, batch_sizes: Sequence[int], seq_lens: Sequence[int]
+    ) -> "LinearServiceModel":
+        """This wrapper over its base tabulated for single requests only.
+
+        The base prices nothing but batches of one, so only those shapes
+        are frozen, and a tiered base keeps sampling its tiers.
+        """
+        return LinearServiceModel(self.base.tabulated([1], seq_lens))
+
     def shards(self, count: int) -> list["LinearServiceModel"]:
         return [LinearServiceModel(base) for base in self.base.shards(count)]
 

@@ -7,33 +7,38 @@ utilization, batching efficacy and energy per query — plus the raw
 per-request and per-batch records the property tests and Little's-law
 cross-checks consume.
 
-Storage is *columnar*: per-request and per-batch data live in parallel
-numpy arrays (:class:`RequestTable`, :class:`BatchTable`), not tuples of
-Python record objects, so million-request reports summarize in
-vectorized time, pickle compactly across process boundaries, and merge
-cheaply.  The record dataclasses (:class:`RequestRecord`,
-:class:`BatchRecord`) survive as lazy views — iterating or indexing a
-table materializes them on demand — so every existing consumer keeps
-working unchanged.
+Storage is *columnar*: per-request, per-batch and per-steal data live in
+parallel numpy arrays (:class:`RequestTable`, :class:`BatchTable`,
+:class:`StealTable`), not tuples of Python record objects, so
+million-request reports summarize in vectorized time, pickle compactly
+across process boundaries, and merge cheaply.  Each table is declared by
+its record dataclass (:class:`RequestRecord`, :class:`BatchRecord`,
+:class:`StealRecord`): the record's fields are the table's columns, in
+order, with their int or float dtype.  Indexing a table with an int
+gives one record, a slice gives a table of the same type, and iterating
+gives every record.
 
 :meth:`ServingReport.merge` folds the per-shard reports of a sharded run
 into one fleet-wide report: latency samples pooled exactly (full sample
 concatenation, so merged percentiles equal percentiles of the pooled
 samples), energy/drop/retry/failure ledgers summed, per-chip utilization
-concatenated with shard-local chip ids offset into one fleet-wide
-numbering.
+concatenated with shard-local chip and batch ids shifted into one
+fleet-wide numbering.
 
 Fault-injected runs (:mod:`repro.serving.faults`) extend the report with
 an availability ledger: chip failures and their downtime, retries, shed
 and abandoned requests, goodput against offered traffic, and the wasted
-energy of batches lost mid-service.  All fault fields default to empty,
-so reports of runs without faults keep the pre-fault format.
+energy of batches lost mid-service.  ``faults_enabled`` is stored, since
+a run given only a retry or admission policy records nothing else that
+tells it from a healthy run; every other section prints when the run's
+own data calls for it (SLO tags, executed-tier batches, autoscaler sleep
+powers, routing stats).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -118,134 +123,102 @@ class BatchRecord:
         return self.completion_s - self.dispatch_s
 
 
-def _column(values, dtype) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
-    return np.atleast_1d(arr)
+#: Column dtype of each record field type.
+_DTYPES = {"int": np.int64, "float": np.float64}
 
 
-class RequestTable:
-    """Columnar store of completed-request records.
+class _Table:
+    """Columnar store of one record dataclass: one numpy array per field.
 
-    One numpy array per :class:`RequestRecord` field, all the same length.
-    Iterating or indexing materializes :class:`RequestRecord` views for
-    compatibility with record-at-a-time consumers; bulk consumers use the
-    column arrays directly.
+    A subclass names its :attr:`record`, whose fields are the only
+    declaration of the table's columns: their names, their order and
+    their dtype (``int`` fields are int64 columns, ``float`` fields
+    float64).  Tables are built by column name, every column the same
+    length.  An int index materializes one record, a slice is the table
+    of those rows, and iterating materializes every record; bulk
+    consumers read the column arrays directly.
     """
 
-    __slots__ = (
-        "index",
-        "arrival_s",
-        "dispatch_s",
-        "completion_s",
-        "chip",
-        "batch_index",
-        "batch_size",
-        "seq_len",
-        "attempts",
-        "slo_class",
-        "deadline_s",
-    )
+    record: type
+    _dtypes: dict[str, type]
 
-    def __init__(
-        self,
-        index,
-        arrival_s,
-        dispatch_s,
-        completion_s,
-        chip,
-        batch_index,
-        batch_size,
-        seq_len,
-        attempts,
-        slo_class=None,
-        deadline_s=None,
-    ) -> None:
-        self.index = _column(index, np.int64)
-        self.arrival_s = _column(arrival_s, np.float64)
-        self.dispatch_s = _column(dispatch_s, np.float64)
-        self.completion_s = _column(completion_s, np.float64)
-        self.chip = _column(chip, np.int64)
-        self.batch_index = _column(batch_index, np.int64)
-        self.batch_size = _column(batch_size, np.int64)
-        self.seq_len = _column(seq_len, np.int64)
-        self.attempts = _column(attempts, np.int64)
-        # SLO columns default to the untagged state so pre-SLO callers
-        # (and pickles) keep constructing 9-column tables unchanged.
-        if slo_class is None:
-            self.slo_class = np.zeros(self.index.size, dtype=np.int64)
-        else:
-            self.slo_class = _column(slo_class, np.int64)
-        if deadline_s is None:
-            self.deadline_s = np.full(self.index.size, np.inf, dtype=np.float64)
-        else:
-            self.deadline_s = _column(deadline_s, np.float64)
-        length = self.index.size
-        for name in self.__slots__:
-            if getattr(self, name).size != length:
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._dtypes = {f.name: _DTYPES[f.type] for f in fields(cls.record)}
+
+    def __init__(self, **columns) -> None:
+        kind = type(self).__name__
+        for name in columns:
+            if name not in self._dtypes:
+                raise ValueError(f"{kind} has no column {name!r}")
+        length = None
+        for name, dtype in self._dtypes.items():
+            if name not in columns:
+                raise ValueError(f"{kind} is missing column {name!r}")
+            column = np.atleast_1d(np.asarray(columns[name], dtype=dtype))
+            if length is None:
+                length = column.size
+            elif column.size != length:
                 raise ValueError(
-                    f"request column {name!r} has {getattr(self, name).size} "
-                    f"entries for {length} requests"
+                    f"{kind} column {name!r} has {column.size} entries for "
+                    f"{length} rows"
                 )
+            setattr(self, name, column)
+
+    def _columns(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in self._dtypes}
 
     @classmethod
-    def empty(cls) -> "RequestTable":
-        return cls(*[[] for _ in cls.__slots__])
+    def empty(cls) -> "_Table":
+        return cls(**{name: [] for name in cls._dtypes})
 
     @classmethod
-    def from_records(cls, records: Iterable[RequestRecord]) -> "RequestTable":
-        records = list(records)
+    def concatenate(cls, tables: Sequence["_Table"]) -> "_Table":
         return cls(
-            [r.index for r in records],
-            [r.arrival_s for r in records],
-            [r.dispatch_s for r in records],
-            [r.completion_s for r in records],
-            [r.chip for r in records],
-            [r.batch_index for r in records],
-            [r.batch_size for r in records],
-            [r.seq_len for r in records],
-            [r.attempts for r in records],
-            [r.slo_class for r in records],
-            [r.deadline_s for r in records],
+            **{
+                name: np.concatenate([getattr(t, name) for t in tables])
+                for name in cls._dtypes
+            }
         )
 
-    @classmethod
-    def concatenate(cls, tables: Sequence["RequestTable"]) -> "RequestTable":
-        return cls(
-            *[
-                np.concatenate([getattr(t, name) for t in tables])
-                for name in cls.__slots__
-            ]
-        )
+    def shifted(self, **offsets: int) -> "_Table":
+        """This table with ``offsets[name]`` added to each named column.
+
+        Every other column is the original array, not a copy, so shifting
+        the id columns of a large table allocates only those columns.
+        """
+        columns = self._columns()
+        for name, offset in offsets.items():
+            columns[name] = columns[name] + offset
+        return type(self)(**columns)
 
     def __len__(self) -> int:
-        return self.index.size
+        first = next(iter(self._dtypes))  # every column has the same length
+        return getattr(self, first).size
 
-    def __getitem__(self, i: int) -> RequestRecord:
-        return RequestRecord(
-            index=int(self.index[i]),
-            arrival_s=float(self.arrival_s[i]),
-            dispatch_s=float(self.dispatch_s[i]),
-            completion_s=float(self.completion_s[i]),
-            chip=int(self.chip[i]),
-            batch_index=int(self.batch_index[i]),
-            batch_size=int(self.batch_size[i]),
-            seq_len=int(self.seq_len[i]),
-            attempts=int(self.attempts[i]),
-            slo_class=int(self.slo_class[i]),
-            deadline_s=float(self.deadline_s[i]),
-        )
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return type(self)(
+                **{name: column[i] for name, column in self._columns().items()}
+            )
+        return self.record(*(column[i].item() for column in self._columns().values()))
 
-    def __iter__(self) -> Iterator[RequestRecord]:
-        for i in range(len(self)):
-            yield self[i]
+    def __iter__(self) -> Iterator:
+        return map(self.record, *(column.tolist() for column in self._columns().values()))
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RequestTable):
+        if type(other) is not type(self):
             return NotImplemented
         return all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in self.__slots__
+            np.array_equal(column, getattr(other, name))
+            for name, column in self._columns().items()
         )
+
+
+class RequestTable(_Table):
+    """Columnar store of completed requests (:class:`RequestRecord` columns)."""
+
+    record = RequestRecord
 
     @property
     def latency_s(self) -> np.ndarray:
@@ -267,98 +240,10 @@ class RequestTable:
         return self.latency_s <= self.deadline_s
 
 
-class BatchTable:
-    """Columnar store of dispatched-batch records (see :class:`RequestTable`)."""
+class BatchTable(_Table):
+    """Columnar store of dispatched batches (:class:`BatchRecord` columns)."""
 
-    __slots__ = (
-        "index",
-        "chip",
-        "dispatch_s",
-        "completion_s",
-        "size",
-        "seq_len",
-        "energy_j",
-        "tier",
-    )
-
-    def __init__(
-        self, index, chip, dispatch_s, completion_s, size, seq_len, energy_j,
-        tier=None,
-    ) -> None:
-        self.index = _column(index, np.int64)
-        self.chip = _column(chip, np.int64)
-        self.dispatch_s = _column(dispatch_s, np.float64)
-        self.completion_s = _column(completion_s, np.float64)
-        self.size = _column(size, np.int64)
-        self.seq_len = _column(seq_len, np.int64)
-        self.energy_j = _column(energy_j, np.float64)
-        # the tier column defaults to all-analytic so pre-tiering callers
-        # (and pickles) keep constructing 7-column tables unchanged
-        if tier is None:
-            self.tier = np.zeros(self.index.size, dtype=np.int64)
-        else:
-            self.tier = _column(tier, np.int64)
-        length = self.index.size
-        for name in self.__slots__:
-            if getattr(self, name).size != length:
-                raise ValueError(
-                    f"batch column {name!r} has {getattr(self, name).size} "
-                    f"entries for {length} batches"
-                )
-
-    @classmethod
-    def empty(cls) -> "BatchTable":
-        return cls(*[[] for _ in cls.__slots__])
-
-    @classmethod
-    def from_records(cls, records: Iterable[BatchRecord]) -> "BatchTable":
-        records = list(records)
-        return cls(
-            [b.index for b in records],
-            [b.chip for b in records],
-            [b.dispatch_s for b in records],
-            [b.completion_s for b in records],
-            [b.size for b in records],
-            [b.seq_len for b in records],
-            [b.energy_j for b in records],
-            [b.tier for b in records],
-        )
-
-    @classmethod
-    def concatenate(cls, tables: Sequence["BatchTable"]) -> "BatchTable":
-        return cls(
-            *[
-                np.concatenate([getattr(t, name) for t in tables])
-                for name in cls.__slots__
-            ]
-        )
-
-    def __len__(self) -> int:
-        return self.index.size
-
-    def __getitem__(self, i: int) -> BatchRecord:
-        return BatchRecord(
-            index=int(self.index[i]),
-            chip=int(self.chip[i]),
-            dispatch_s=float(self.dispatch_s[i]),
-            completion_s=float(self.completion_s[i]),
-            size=int(self.size[i]),
-            seq_len=int(self.seq_len[i]),
-            energy_j=float(self.energy_j[i]),
-            tier=int(self.tier[i]),
-        )
-
-    def __iter__(self) -> Iterator[BatchRecord]:
-        for i in range(len(self)):
-            yield self[i]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BatchTable):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in self.__slots__
-        )
+    record = BatchRecord
 
     @property
     def service_s(self) -> np.ndarray:
@@ -485,65 +370,10 @@ class StealRecord:
             raise ValueError(f"steal from queue {self.queue} to its own chip")
 
 
-class StealTable:
-    """Columnar store of a routed run's steals (see :class:`RequestTable`).
+class StealTable(_Table):
+    """Columnar store of a routed run's steals (:class:`StealRecord` columns)."""
 
-    Iterating or indexing materializes :class:`StealRecord` views; a slice
-    is the table of the sliced rows.
-    """
-
-    __slots__ = ("batch_index", "queue", "chip", "decided_s")
-
-    def __init__(self, batch_index, queue, chip, decided_s) -> None:
-        self.batch_index = _column(batch_index, np.int64)
-        self.queue = _column(queue, np.int64)
-        self.chip = _column(chip, np.int64)
-        self.decided_s = _column(decided_s, np.float64)
-        length = self.batch_index.size
-        for name in self.__slots__:
-            if getattr(self, name).size != length:
-                raise ValueError(
-                    f"steal column {name!r} has {getattr(self, name).size} "
-                    f"entries for {length} steals"
-                )
-
-    @classmethod
-    def empty(cls) -> "StealTable":
-        return cls(*[[] for _ in cls.__slots__])
-
-    @classmethod
-    def concatenate(cls, tables: Sequence["StealTable"]) -> "StealTable":
-        return cls(
-            *[
-                np.concatenate([getattr(t, name) for t in tables])
-                for name in cls.__slots__
-            ]
-        )
-
-    def __len__(self) -> int:
-        return self.batch_index.size
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return StealTable(*[getattr(self, name)[i] for name in self.__slots__])
-        return StealRecord(
-            batch_index=int(self.batch_index[i]),
-            queue=int(self.queue[i]),
-            chip=int(self.chip[i]),
-            decided_s=float(self.decided_s[i]),
-        )
-
-    def __iter__(self) -> Iterator[StealRecord]:
-        for i in range(len(self)):
-            yield self[i]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StealTable):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in self.__slots__
-        )
+    record = StealRecord
 
 
 @dataclass(frozen=True)
@@ -605,11 +435,8 @@ class RoutingStats:
             )
         steals = StealTable.concatenate(
             [
-                StealTable(
-                    stats.steals.batch_index + batch_offset,
-                    stats.steals.queue + chip_offset,
-                    stats.steals.chip + chip_offset,
-                    stats.steals.decided_s,
+                stats.steals.shifted(
+                    batch_index=batch_offset, queue=chip_offset, chip=chip_offset
                 )
                 for stats, chip_offset, batch_offset in parts
             ]
@@ -630,25 +457,9 @@ class RoutingStats:
         )
 
 
-def _as_request_table(requests) -> RequestTable:
-    if isinstance(requests, RequestTable):
-        return requests
-    return RequestTable.from_records(requests)
-
-
-def _as_batch_table(batches) -> BatchTable:
-    if isinstance(batches, BatchTable):
-        return batches
-    return BatchTable.from_records(batches)
-
-
 @dataclass(frozen=True, eq=False)
 class ServingReport:
     """Result of one serving simulation run.
-
-    ``requests`` and ``batches`` accept either columnar tables or
-    iterables of record objects (converted on construction); they are
-    always stored as :class:`RequestTable` / :class:`BatchTable`.
 
     ``chip_idle_power_w`` is each chip's standby power; the report charges
     it over the chip's un-occupied share of the makespan, so
@@ -674,12 +485,7 @@ class ServingReport:
     scale_events: tuple[ScaleEvent, ...] = ()
     chip_sleep_s: tuple[float, ...] = ()
     chip_sleep_power_w: tuple[float, ...] = ()
-    autoscale_enabled: bool = False
     routing: RoutingStats | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "requests", _as_request_table(self.requests))
-        object.__setattr__(self, "batches", _as_batch_table(self.batches))
 
     # ------------------------------------------------------------------ #
     # merging (sharded runs)
@@ -717,34 +523,11 @@ class ServingReport:
         chip_offset = 0
         batch_offset = 0
         for report in reports:
-            requests = report.requests
-            batches = report.batches
             request_tables.append(
-                RequestTable(
-                    requests.index,
-                    requests.arrival_s,
-                    requests.dispatch_s,
-                    requests.completion_s,
-                    requests.chip + chip_offset,
-                    requests.batch_index + batch_offset,
-                    requests.batch_size,
-                    requests.seq_len,
-                    requests.attempts,
-                    requests.slo_class,
-                    requests.deadline_s,
-                )
+                report.requests.shifted(chip=chip_offset, batch_index=batch_offset)
             )
             batch_tables.append(
-                BatchTable(
-                    batches.index + batch_offset,
-                    batches.chip + chip_offset,
-                    batches.dispatch_s,
-                    batches.completion_s,
-                    batches.size,
-                    batches.seq_len,
-                    batches.energy_j,
-                    batches.tier,
-                )
+                report.batches.shifted(index=batch_offset, chip=chip_offset)
             )
             failures.extend(
                 replace(f, chip=f.chip + chip_offset) for f in report.failures
@@ -755,7 +538,7 @@ class ServingReport:
             if report.routing is not None:
                 routing_parts.append((report.routing, chip_offset, batch_offset))
             chip_offset += report.num_chips
-            batch_offset += len(batches)
+            batch_offset += len(report.batches)
         return cls(
             num_chips=chip_offset,
             requests=RequestTable.concatenate(request_tables),
@@ -781,7 +564,6 @@ class ServingReport:
             chip_sleep_power_w=tuple(
                 power for report in reports for power in report.chip_sleep_power_w
             ),
-            autoscale_enabled=any(r.autoscale_enabled for r in reports),
             routing=RoutingStats.merge(routing_parts) if routing_parts else None,
         )
 
@@ -1154,6 +936,11 @@ class ServingReport:
     # ------------------------------------------------------------------ #
     # autoscaling (power-state transitions)
     # ------------------------------------------------------------------ #
+    @property
+    def autoscale_enabled(self) -> bool:
+        """Whether an autoscaler ran: only then are chip sleep powers recorded."""
+        return bool(self.chip_sleep_power_w)
+
     @property
     def num_scale_events(self) -> int:
         """Autoscaler sleep/wake decisions over the run."""

@@ -139,29 +139,31 @@ def _assemble_tables(
     count = len(flat)
     batch_of_request = np.repeat(np.arange(len(members), dtype=np.int64), size)
     requests = RequestTable(
-        np.fromiter((r.index for r in flat), dtype=np.int64, count=count),
-        np.fromiter((r.arrival_s for r in flat), dtype=np.float64, count=count),
-        dispatch_s[batch_of_request],
-        completion_s[batch_of_request],
-        chip[batch_of_request],
-        batch_of_request,
-        size[batch_of_request],
-        seq_len[batch_of_request],
-        np.fromiter((attempts.get(r.index, 0) for r in flat), dtype=np.int64, count=count)
+        index=np.fromiter((r.index for r in flat), dtype=np.int64, count=count),
+        arrival_s=np.fromiter((r.arrival_s for r in flat), dtype=np.float64, count=count),
+        dispatch_s=dispatch_s[batch_of_request],
+        completion_s=completion_s[batch_of_request],
+        chip=chip[batch_of_request],
+        batch_index=batch_of_request,
+        batch_size=size[batch_of_request],
+        seq_len=seq_len[batch_of_request],
+        attempts=np.fromiter(
+            (attempts.get(r.index, 0) for r in flat), dtype=np.int64, count=count
+        )
         if attempts
         else np.zeros(count, dtype=np.int64),
-        np.fromiter((r.slo_class for r in flat), dtype=np.int64, count=count),
-        np.fromiter((r.deadline_s for r in flat), dtype=np.float64, count=count),
+        slo_class=np.fromiter((r.slo_class for r in flat), dtype=np.int64, count=count),
+        deadline_s=np.fromiter((r.deadline_s for r in flat), dtype=np.float64, count=count),
     )
     batches = BatchTable(
-        np.arange(len(members), dtype=np.int64),
-        chip,
-        dispatch_s,
-        completion_s,
-        size,
-        seq_len,
-        np.asarray(energy_j, dtype=np.float64),
-        np.asarray(tier, dtype=np.int64),
+        index=np.arange(len(members), dtype=np.int64),
+        chip=chip,
+        dispatch_s=dispatch_s,
+        completion_s=completion_s,
+        size=size,
+        seq_len=seq_len,
+        energy_j=energy_j,
+        tier=tier,
     )
     return requests, batches
 
@@ -181,10 +183,10 @@ def _routing_stats(
     queue_of_request = queue[requests.batch_index]
     stolen = np.flatnonzero(queue != batches.chip)
     steals = StealTable(
-        stolen,
-        queue[stolen],
-        batches.chip[stolen],
-        [completed[row][9] for row in stolen.tolist()],
+        batch_index=stolen,
+        queue=queue[stolen],
+        chip=batches.chip[stolen],
+        decided_s=[completed[row][9] for row in stolen.tolist()],
     )
     steal_network_s = 0.0
     for _ in range(len(steals)):
@@ -814,7 +816,6 @@ class ServingSimulator:
             scale_events=tuple(scale_events),
             chip_sleep_s=chip_sleep_s,
             chip_sleep_power_w=chip_sleep_power_w,
-            autoscale_enabled=autoscaler is not None,
             routing=_routing_stats(
                 router, completed, requests, batches, arrivals, route_network_s, queue_peaks
             )

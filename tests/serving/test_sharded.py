@@ -110,6 +110,7 @@ class TestSplitters:
         assert report.num_requests == 3
         assert report.faults_enabled and report.deadline_s == 0.5
         assert len(report.chip_sleep_s) == len(report.chip_sleep_power_w) == 4
+        assert report.autoscale_enabled  # derived from the merged sleep powers
         assert report.routing.num_queues == 4
         assert report.routing.num_routed == 3
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.schedule_cache import ScheduleTemplate, ScheduleTemplateCache
+from repro.nn.bert import BertConfig
 from repro.serving import (
     ChipFleet,
     DynamicBatcher,
@@ -24,7 +25,9 @@ from repro.serving import (
     PoissonArrivals,
     ServingReport,
     ServingSimulator,
+    ShardedServingSimulator,
     StarServiceModel,
+    TabulatedServiceModel,
     TIER_ANALYTIC,
     TIER_EXECUTED,
     TieredServiceModel,
@@ -159,6 +162,52 @@ class TestTabulatedTiering:
         assert cached.models[1] is model  # shared instance stays shared
         model.batch_latency_s(2, 128)
         assert model.last_tier == TIER_EXECUTED
+
+    def test_prewarm_keeps_a_linear_wrapped_tiered_fleet_sampling(self):
+        # the linear wrapper tabulates its base for single requests, so a
+        # prewarmed tiered base keeps drawing executed-tier latencies
+        # instead of being frozen into one analytic table
+        def run(parallel: bool) -> ServingReport:
+            star = StarServiceModel(bert_config=BertConfig(num_layers=2))
+            tiered = TieredServiceModel(
+                star, sample_fraction=1.0, jitter_sigma=0.3, seed=0
+            )
+            simulator = ShardedServingSimulator(
+                ChipFleet(LinearServiceModel(tiered), num_chips=2),
+                DynamicBatcher(max_batch_size=4, max_wait_s=1e-3),
+                num_shards=2,
+                parallel=parallel,
+            ).prewarm(range(1, 5), [128])
+            return simulator.run_poisson(PoissonArrivals(300.0, seq_len=128, seed=1), 400)
+
+        report = run(parallel=True)
+        assert report.num_batches_in_tier(TIER_EXECUTED) == report.num_batches > 0
+        serial = run(parallel=False)
+        assert serial.requests == report.requests
+        assert serial.batches == report.batches
+
+        # over an analytic base the single-request table prices every shape,
+        # and reports every capability, exactly as tabulating the wrapper did
+        star = StarServiceModel(bert_config=BertConfig(num_layers=2))
+        batches, lens = range(1, 9), [64, 128, 512]
+        shipped = LinearServiceModel(star).tabulated(batches, lens)
+        frozen = TabulatedServiceModel.tabulate(LinearServiceModel(star), batches, lens)
+        for batch in batches:
+            for seq_len in lens:
+                for price in ("batch_latency_s", "batch_energy_j", "expected_latency_s"):
+                    assert getattr(shipped, price)(batch, seq_len) == getattr(
+                        frozen, price
+                    )(batch, seq_len)
+        for name in (
+            "idle_power_w",
+            "reprogram_latency_s",
+            "sleep_power_w",
+            "sleep_entry_latency_s",
+            "wake_latency_s",
+            "wake_energy_j",
+            "last_tier",
+        ):
+            assert getattr(shipped, name) == getattr(frozen, name)
 
     def test_template_cache_hits_and_bounds(self):
         cache = ScheduleTemplateCache(maxsize=2)
