@@ -29,6 +29,22 @@ def best_of(fn, repeats: int) -> float:
     return best
 
 
+def best_of_alternating(fns, repeats: int) -> list[float]:
+    """Minimum wall time of each of ``fns`` over ``repeats`` interleaved rounds.
+
+    Every round times each function once, in order, so a change of host
+    speed during the measurement hits all of them alike instead of only the
+    one whose block it overlaps.
+    """
+    best = [float("inf")] * len(fns)
+    for _ in range(repeats):
+        for index, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return best
+
+
 @pytest.fixture
 def paper_values() -> dict[str, float]:
     """The headline numbers the paper reports, for side-by-side comparison."""

@@ -12,19 +12,23 @@ These benchmarks record the batched GEMM's throughput on the flagship
 at least **10x** (CI floor; the flagship number is reported in
 ``extra_info``) faster than the seed-style row loop, which is re-simulated
 on a row sample and extrapolated linearly — rows are independent, so the
-per-row cost is uniform.
+per-row cost is uniform.  A second gate bounds what seeded read noise adds
+on top of the ideal kernel.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from repro.core.config import MatMulEngineConfig
 from repro.core.matmul_engine import MatMulEngine
+from repro.rram.noise import NoiseConfig
 
-from conftest import best_of, record
+from conftest import best_of, best_of_alternating, record
 
 
 def _seed_matvec(tile, vector: np.ndarray) -> np.ndarray:
@@ -161,4 +165,48 @@ def test_bench_operand_reuse_avoids_reprogramming(benchmark):
         benchmark,
         programming_pulses_per_reuse=0,
         resident_tiles=operand.num_tiles,
+    )
+
+
+@pytest.mark.smoke
+def test_bench_noisy_gemm_overhead(benchmark):
+    """Read noise (sigma 0.01) costs at most 15x the ideal GEMM on one operand.
+
+    A 2048x32x32 GEMM on one 32x32 differential tile.  Read noise draws one
+    deviate per column and cycle and contracts against fixed matrices, so
+    its cost stays within a small factor of the ideal integer kernel's;
+    drawing and contracting one perturbed conductance matrix per cell, per
+    cycle and per vector cost 65-175x.  The two sides are timed in
+    alternation (best of 5 each), so one host-speed phase hits both.
+    """
+    config = MatMulEngineConfig(crossbar_rows=32, crossbar_cols=32)
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(2048, 32))
+    b = rng.normal(size=(32, 32))
+    ideal = MatMulEngine(config)
+    noisy = MatMulEngine(replace(config, noise=NoiseConfig(read_noise_sigma=0.01, seed=3)))
+    ideal_operand = ideal.program_operand(b)
+    noisy_operand = noisy.program_operand(b)
+    ideal.matmul(a, ideal_operand)  # warm the allocator and caches
+    noisy.matmul(a, noisy_operand)
+
+    ideal_s, noisy_s = benchmark.pedantic(
+        best_of_alternating,
+        args=(
+            [lambda: ideal.matmul(a, ideal_operand), lambda: noisy.matmul(a, noisy_operand)],
+            5,
+        ),
+        rounds=1,
+        iterations=1,
+    )
+    overhead = noisy_s / ideal_s
+    record(
+        benchmark,
+        ideal_gemm_s=round(ideal_s, 5),
+        noisy_gemm_s=round(noisy_s, 5),
+        noisy_over_ideal_x=round(overhead, 1),
+    )
+    assert overhead <= 15.0, (
+        f"noisy GEMM takes {overhead:.1f}x the ideal one "
+        f"({noisy_s * 1e3:.1f} ms vs {ideal_s * 1e3:.1f} ms); the bound is 15x"
     )

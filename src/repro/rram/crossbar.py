@@ -32,6 +32,7 @@ read noise, IR drop and ADC saturation included.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -40,7 +41,11 @@ import numpy as np
 from repro.rram.converters import ADC, DAC, SampleAndHold
 from repro.rram.device import RRAMDevice, RRAMDeviceConfig
 from repro.rram.noise import IDEAL_NOISE, NoiseConfig, NoiseModel
-from repro.utils.validation import as_1d_float_array, as_2d_float_array
+from repro.utils.validation import (
+    as_1d_float_array,
+    as_2d_float_array,
+    require_non_negative,
+)
 
 __all__ = ["CrossbarConfig", "CrossbarAccessStats", "AnalogCrossbar"]
 
@@ -51,6 +56,13 @@ __all__ = ["CrossbarConfig", "CrossbarAccessStats", "AnalogCrossbar"]
 # per-vector order, so chunking never changes the results.
 _CHUNK_DOUBLES = 1 << 23
 
+# Read noise scales each cell's conductance by ``1 + eps`` with
+# ``eps ~ N(0, sigma^2)``, clipped at zero.  Without the clip a column
+# current is Gaussian given the inputs, so one deviate per column reproduces
+# its law exactly.  The clip fires with probability ``Phi(-1/sigma)`` per
+# cell read; while that stays at or below this bound (sigma up to ~0.142)
+# the per-column form is used, above it the per-cell one.
+_CLIP_PROBABILITY_BOUND = 1e-12
 
 class _Workspace(threading.local):
     """Reusable per-thread scratch arrays for the batched exact kernel.
@@ -132,10 +144,7 @@ class CrossbarConfig:
             raise ValueError(f"input_bits must be in [1, 32], got {self.input_bits}")
         if self.adc_share < 1:
             raise ValueError(f"adc_share must be >= 1, got {self.adc_share}")
-        if self.wire_resistance_ohm < 0:
-            raise ValueError(
-                f"wire_resistance_ohm must be >= 0, got {self.wire_resistance_ohm}"
-            )
+        require_non_negative(self.wire_resistance_ohm, "wire_resistance_ohm")
 
     @property
     def physical_cols(self) -> int:
@@ -238,7 +247,8 @@ class AnalogCrossbar:
         g_max = self.device.config.g_max_s
         rows = np.arange(self.config.rows)[:, None]
         cols = np.arange(self.config.cols)[None, :]
-        # wordline drivers sit at column 0, bitline sense amplifiers at row 0
+        # wordline drivers sit at column 0, bitline sense amplifiers below
+        # the last row (R - 1)
         distance = cols + (self.config.rows - 1 - rows)
         return 1.0 / (1.0 + g_max * r_wire * distance)
 
@@ -367,9 +377,13 @@ class AnalogCrossbar:
           bitline current is an integer combination of DAC codes and cell
           levels — computed as an exact integer-valued BLAS matmul, which
           floating-point evaluation order cannot perturb;
-        * otherwise a (batched) ``einsum`` contraction over the perturbed
-          conductances is used, whose per-element reduction order does not
-          depend on the batch size.
+        * otherwise ``einsum`` contractions are used, whose per-element
+          reduction order does not depend on the batch size.  Under read
+          noise with ``sigma`` up to ~0.142 they run against fixed matrices
+          (the conductances and their squares) and draw one deviate per
+          column and cycle, which gives each column current its exact law;
+          above that each vector contracts its own per-cell perturbed
+          conductances (see :meth:`_accumulate_general`).
 
         Large noisy blocks are processed in chunks so the pre-drawn noise
         stays within a fixed memory budget; chunking preserves the stream
@@ -417,9 +431,19 @@ class AnalogCrossbar:
             )
         return self._matvec_block(block, quantize_output)
 
+    def _per_column_noise(self) -> bool:
+        """Whether read noise is drawn once per column rather than per cell."""
+        sigma = self.noise.config.read_noise_sigma
+        if sigma <= 0.0:
+            return False
+        clip_probability = 0.5 * math.erfc(1.0 / (sigma * math.sqrt(2.0)))  # Phi(-1/sigma)
+        return clip_probability <= _CLIP_PROBABILITY_BOUND
+
     def _deviates_per_cycle(self) -> int:
         """Read-noise deviates one vector consumes per bit-serial cycle."""
         cfg = self.config
+        if self._per_column_noise():
+            return 2 * cfg.cols
         cells = cfg.rows * cfg.cols
         return cells * (2 if cfg.differential else 1) + cfg.cols
 
@@ -524,12 +548,26 @@ class AnalogCrossbar:
         """Shift-and-add accumulation through the full analog signal chain.
 
         Used whenever read noise, IR drop or off-grid (programming-noisy)
-        conductances make the exact integer kernel inapplicable.  The
-        per-cycle contraction uses ``einsum``, whose per-element reduction
-        order is independent of the batch size, and read-noise deviates are
+        conductances make the exact integer kernel inapplicable.  Every
+        contraction uses ``einsum``, whose per-element reduction order is
+        independent of the batch size, and read-noise deviates are
         pre-drawn in exactly the order the per-vector loop would draw them
         — keeping this path, too, bit-identical to looped :meth:`matvec`
         calls.
+
+        Read noise takes one of two forms.  Per column, while the clip of
+        ``G * (1 + eps)`` at zero has a chance ``Phi(-1/sigma) <= 1e-12``
+        per cell read (``sigma`` up to ~0.142): with independent ``eps_rc ~
+        N(0, sigma^2)`` a column current ``sum_r V_r * G_rc * (1 + eps_rc)``
+        is exactly ``sum_r V_r * G_rc + sqrt(sum_r V_r^2 * G_rc^2) * Z_c``
+        with ``Z_c ~ N(0, sigma^2)``, and the two columns of a differential
+        pair add their variances.  Both sums are contractions against fixed
+        matrices (IR drop is a fixed per-cell scale of ``G``), and each
+        cycle draws ``cols`` conductance deviates, then ``cols`` current
+        deviates, per vector.  This is exact in law, not draw for draw, up
+        to the neglected clip.  Above that ``sigma`` every cell is perturbed
+        and clipped on its own: one deviate per cell (positive, then
+        negative columns), then ``cols`` current deviates, per cycle.
         """
         cfg = self.config
         batch = input_codes.shape[0]
@@ -537,30 +575,38 @@ class AnalogCrossbar:
         g_min = self.device.config.g_min_s
         dac_levels = self.dac.num_levels
 
-        noise_pos = noise_neg = noise_cur = None
-        g_pos_eff = g_neg_eff = None
+        # effective (IR-dropped) conductances: every read but the per-cell
+        # noisy one contracts against these fixed matrices
+        g_pos_eff = self._conductance_pos
+        g_neg_eff = self._conductance_neg
+        if self._ir_drop_factors is not None:
+            g_pos_eff = g_pos_eff * self._ir_drop_factors
+            if cfg.differential:
+                g_neg_eff = g_neg_eff * self._ir_drop_factors
+
+        noise_pos = noise_neg = noise_col = noise_cur = None
         if self.noise.config.read_noise_sigma > 0.0:
             # Pre-draw every deviate of the block in the per-vector loop's
-            # consumption order: for each vector, for each cycle — positive
-            # conductances, then negative (differential), then currents.
-            cells = cfg.rows * cfg.cols
+            # consumption order: for each vector, for each cycle — the
+            # conductance deviates (per column, or per cell: positive, then
+            # negative for differential arrays), then the current deviates.
             per_cycle = self._deviates_per_cycle()
             flat = self.noise.draw_read_deviates(batch * cfg.input_cycles * per_cycle)
             flat = flat.reshape(batch, cfg.input_cycles, per_cycle)
-            noise_pos = flat[:, :, :cells].reshape(batch, cfg.input_cycles, cfg.rows, cfg.cols)
-            if cfg.differential:
-                noise_neg = flat[:, :, cells : 2 * cells].reshape(
-                    batch, cfg.input_cycles, cfg.rows, cfg.cols
-                )
             noise_cur = flat[:, :, per_cycle - cfg.cols :]
-        else:
-            # deterministic read path: hoist the effective conductances
-            g_pos_eff = self._conductance_pos
-            g_neg_eff = self._conductance_neg
-            if self._ir_drop_factors is not None:
-                g_pos_eff = g_pos_eff * self._ir_drop_factors
+            if self._per_column_noise():
+                noise_col = flat[:, :, : cfg.cols]
+                g_mean = g_pos_eff
+                g_var = g_pos_eff * g_pos_eff
                 if cfg.differential:
-                    g_neg_eff = g_neg_eff * self._ir_drop_factors
+                    g_mean = g_pos_eff - g_neg_eff
+                    g_var = g_var + g_neg_eff * g_neg_eff
+            else:
+                cells = cfg.rows * cfg.cols
+                shape = (batch, cfg.input_cycles, cfg.rows, cfg.cols)
+                noise_pos = flat[:, :, :cells].reshape(shape)
+                if cfg.differential:
+                    noise_neg = flat[:, :, cells : 2 * cells].reshape(shape)
 
         accumulated = np.zeros((batch, cfg.cols), dtype=np.float64)
         remaining = input_codes.copy()
@@ -582,6 +628,9 @@ class AnalogCrossbar:
                     if self._ir_drop_factors is not None:
                         g_neg = g_neg * self._ir_drop_factors
                     currents = currents - np.einsum("br,brc->bc", voltages, g_neg)
+            elif noise_col is not None:
+                spread = np.sqrt(np.einsum("br,rc->bc", voltages * voltages, g_var))
+                currents = np.einsum("br,rc->bc", voltages, g_mean) + spread * noise_col[:, cycle]
             else:
                 currents = np.einsum("br,rc->bc", voltages, g_pos_eff)
                 if cfg.differential:

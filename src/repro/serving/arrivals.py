@@ -85,6 +85,28 @@ class Request:
         return self.arrival_s + self.deadline_s
 
 
+_new_request = Request.__new__
+_set_field = object.__setattr__
+
+
+def _trusted_request(
+    index: int, arrival_s: float, seq_len: int, slo_class: int, deadline_s: float
+) -> Request:
+    """A :class:`Request` from fields its caller has already validated.
+
+    Assigns each field through ``object.__setattr__`` — exactly what the
+    frozen dataclass's own ``__init__`` does, minus the per-instance checks
+    of ``__post_init__``.
+    """
+    request = _new_request(Request)
+    _set_field(request, "index", index)
+    _set_field(request, "arrival_s", arrival_s)
+    _set_field(request, "seq_len", seq_len)
+    _set_field(request, "slo_class", slo_class)
+    _set_field(request, "deadline_s", deadline_s)
+    return request
+
+
 def requests_from_arrays(
     times: np.ndarray,
     lens: np.ndarray,
@@ -96,9 +118,8 @@ def requests_from_arrays(
 
     The arrays are validated in one vectorized pass (finite, non-negative
     times; positive lengths) and the :class:`Request` objects are then
-    assembled through ``object.__setattr__`` — exactly what the frozen
-    dataclass's own ``__init__`` does, minus the per-instance validation
-    the array pass already performed.  Output is bit-identical to calling
+    assembled without the per-instance validation the array pass already
+    performed.  Output is bit-identical to calling
     ``Request(i, float(times[i]), int(lens[i]))`` in a loop.
 
     ``indices`` overrides the default ``0 .. n-1`` request indices, which
@@ -142,21 +163,12 @@ def requests_from_arrays(
     deadline_list: Iterable[float] = (
         (math.inf,) * times.size if deadlines is None else deadlines.tolist()
     )
-    new = Request.__new__
-    set_field = object.__setattr__
-    out: list[Request] = []
-    append = out.append
-    for i, t, length, slo, deadline in zip(
-        index_list, times.tolist(), lens.tolist(), classes, deadline_list
-    ):
-        request = new(Request)
-        set_field(request, "index", i)
-        set_field(request, "arrival_s", t)
-        set_field(request, "seq_len", length)
-        set_field(request, "slo_class", slo)
-        set_field(request, "deadline_s", deadline)
-        append(request)
-    return out
+    return [
+        _trusted_request(i, t, length, slo, deadline)
+        for i, t, length, slo, deadline in zip(
+            index_list, times.tolist(), lens.tolist(), classes, deadline_list
+        )
+    ]
 
 
 def _draw_seq_lens(
@@ -660,6 +672,8 @@ class ClientSession:
         self._rng = np.random.default_rng(clients.seed)
         self._think: list[float] = []
         self._lens: list[int] = []
+        self._classes: list[int] = clients.slo_classes.tolist()
+        self._deadlines: list[float] = clients.deadlines_s.tolist()
         fixed = isinstance(clients.seq_len, (int, np.integer))
         self._fixed_len = int(clients.seq_len) if fixed else None
         if self._fixed_len is not None:
@@ -688,10 +702,18 @@ class ClientSession:
             ).tolist()
         return self._lens.pop()
 
-    def slo_class_of(self, client: int) -> int:
-        """The service class of one client's requests."""
-        return int(self.clients.slo_classes[client])
+    def request(self, index: int, arrival_s: float, client: int) -> Request:
+        """The next request of ``client``, issued at ``arrival_s``.
 
-    def deadline_of(self, client: int) -> float:
-        """The relative completion deadline of one client's requests."""
-        return float(self.clients.deadlines_s[client])
+        Every field is valid by construction — the length comes from a
+        validated draw, the class and deadline from the per-client arrays
+        :class:`ClosedLoopClients` checked, the arrival from the simulator's
+        clock — so the request skips :class:`Request`'s own validation.
+        """
+        return _trusted_request(
+            index,
+            arrival_s,
+            self.next_seq_len(),
+            self._classes[client],
+            self._deadlines[client],
+        )

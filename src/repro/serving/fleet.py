@@ -240,6 +240,8 @@ class ExponentialServiceModel(ServiceModel):
         self._rng = np.random.default_rng(self.seed)
 
     def batch_latency_s(self, batch_size: int, seq_len: int) -> float:
+        if batch_size == 1:  # same value and stream as a one-element draw
+            return float(self._rng.exponential(self.mean_s))
         return float(self._rng.exponential(self.mean_s, size=batch_size).sum())
 
     def expected_latency_s(self, batch_size: int, seq_len: int) -> float:

@@ -592,13 +592,7 @@ class ServingSimulator:
                     if issued >= num_requests:
                         continue  # traffic quota reached: the client retires
                     client = data[1]
-                    request = Request(
-                        index=issued,
-                        arrival_s=time,
-                        seq_len=client_session.next_seq_len(),
-                        slo_class=client_session.slo_class_of(client),
-                        deadline_s=client_session.deadline_of(client),
-                    )
+                    request = client_session.request(issued, time, client)
                     client_of[issued] = client
                     issued += 1
                 if max_queue is not None and backlog >= max_queue:

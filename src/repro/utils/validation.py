@@ -53,8 +53,8 @@ def require_finite_array(values: np.ndarray, name: str) -> np.ndarray:
 
 
 def require_non_negative(value: float, name: str) -> float:
-    """Raise ``ValueError`` unless ``value >= 0``."""
-    if value < 0:
+    """Raise ``ValueError`` unless ``value >= 0`` (NaN fails too)."""
+    if not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
     return value
 

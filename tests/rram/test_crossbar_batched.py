@@ -211,3 +211,133 @@ class TestBatchSemantics:
         a.matvec_batch(np.random.default_rng(2).uniform(size=(3, 16)))
         assert shared.vmm_ops == 3
         assert a.stats is shared and b.stats is shared
+
+
+class TestPerCellReadNoise:
+    """Above the clip bound every cell draws its own deviate; still bit-identical."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(78)
+        self.pos_weights = rng.uniform(0.1, 1.0, size=(16, 8))
+        self.signed_weights = rng.normal(size=(16, 8))
+        self.block = rng.uniform(0.0, 1.0, size=(9, 16))
+
+    @pytest.mark.parametrize("differential", [False, True])
+    @pytest.mark.parametrize("wire_resistance_ohm", [0.0, 5.0])
+    def test_matches_loop(self, differential, wire_resistance_ohm):
+        noise = NoiseConfig(read_noise_sigma=0.2, seed=21)
+        weights = self.signed_weights if differential else self.pos_weights
+        assert_batch_matches_loop(
+            lambda: build(
+                differential=differential,
+                noise=noise,
+                wire_resistance_ohm=wire_resistance_ohm,
+            ),
+            weights,
+            self.block,
+        )
+
+    def test_chunking_preserves_stream_order(self, monkeypatch):
+        import repro.rram.crossbar as crossbar_mod
+
+        noise = NoiseConfig(read_noise_sigma=0.2, seed=22)
+        whole_xb = build(differential=True, noise=noise)
+        whole_xb.program(self.signed_weights)
+        whole = whole_xb.matvec_batch(self.block)
+
+        per_vector = whole_xb.config.input_cycles * whole_xb._deviates_per_cycle()
+        monkeypatch.setattr(crossbar_mod, "_CHUNK_DOUBLES", 2 * per_vector)
+        chunked_xb = build(differential=True, noise=noise)
+        chunked_xb.program(self.signed_weights)
+        np.testing.assert_array_equal(whole, chunked_xb.matvec_batch(self.block))
+
+
+class TestPerColumnReadNoise:
+    """One deviate per column gives every column current the per-cell law.
+
+    The per-cell path is the reference: it perturbs and clips every cell on
+    its own, which is exact at any ``sigma``.  Forcing it (by lowering the
+    clip-probability bound below any probability) and drawing the same input
+    vector many times, each column's output mean and variance must agree
+    between the two paths within a z-score of 5.
+    """
+
+    DRAWS = 10_000
+    SIGMA = 0.03
+    Z_BOUND = 5.0
+
+    def _draws(self, weights, differential, wire_resistance_ohm, vector, seed):
+        crossbar = build(
+            input_bits=4,
+            differential=differential,
+            wire_resistance_ohm=wire_resistance_ohm,
+            noise=NoiseConfig(read_noise_sigma=self.SIGMA, seed=seed),
+        )
+        crossbar.program(weights)
+        return crossbar.matvec_batch(np.tile(vector, (self.DRAWS, 1)), quantize_output=False)
+
+    @staticmethod
+    def _moments(samples):
+        mean = samples.mean(axis=0)
+        var = samples.var(axis=0, ddof=1)
+        fourth = ((samples - mean) ** 4).mean(axis=0)
+        n = samples.shape[0]
+        return mean, var, var / n, (fourth - var**2) / n
+
+    @pytest.mark.parametrize("differential", [False, True], ids=["single", "differential"])
+    @pytest.mark.parametrize("wire_resistance_ohm", [0.0, 5.0], ids=["no_ir", "ir_drop"])
+    def test_column_moments_match_per_cell_path(
+        self, monkeypatch, differential, wire_resistance_ohm
+    ):
+        import repro.rram.crossbar as crossbar_mod
+
+        rng = np.random.default_rng(31)
+        weights = (
+            rng.normal(size=(16, 8)) if differential else rng.uniform(0.1, 1.0, size=(16, 8))
+        )
+        vector = rng.uniform(0.0, 1.0, size=16)
+        args = (weights, differential, wire_resistance_ohm, vector)
+
+        per_column = self._draws(*args, seed=41)
+        monkeypatch.setattr(crossbar_mod, "_CLIP_PROBABILITY_BOUND", -1.0)
+        per_cell = self._draws(*args, seed=42)
+
+        mean_c, var_c, se2_mean_c, se2_var_c = self._moments(per_column)
+        mean_r, var_r, se2_mean_r, se2_var_r = self._moments(per_cell)
+        # the noise must be visible, or the comparison has no power
+        assert np.all(var_r > 0)
+        z_mean = (mean_c - mean_r) / np.sqrt(se2_mean_c + se2_mean_r)
+        z_var = (var_c - var_r) / np.sqrt(se2_var_c + se2_var_r)
+        assert np.max(np.abs(z_mean)) <= self.Z_BOUND, z_mean
+        assert np.max(np.abs(z_var)) <= self.Z_BOUND, z_var
+
+    @pytest.mark.parametrize("differential", [False, True], ids=["single", "differential"])
+    @pytest.mark.parametrize(
+        "sigma, per_column",
+        [(0.03, True), (0.14, True), (0.143, False), (0.2, False)],
+    )
+    def test_path_choice_and_stream_consumption(self, differential, sigma, per_column):
+        """``sigma`` alone picks the path; it fixes how far the stream advances.
+
+        The clip probability ``Phi(-1/sigma)`` crosses 1e-12 at ``sigma``
+        ~0.142.  Below, a vector consumes ``2 * cols`` deviates per cycle;
+        above, one per cell (both columns of a differential pair) plus
+        ``cols``.
+        """
+        rows, cols, vectors = 16, 8, 5
+        noise = NoiseConfig(read_noise_sigma=sigma, seed=17)
+        crossbar = build(rows=rows, cols=cols, differential=differential, noise=noise)
+        weights = np.random.default_rng(5).uniform(0.1, 1.0, size=(rows, cols))
+        crossbar.program(weights)
+        crossbar.matvec_batch(np.random.default_rng(6).uniform(size=(vectors, rows)))
+
+        if per_column:
+            per_cycle = 2 * cols
+        else:
+            per_cycle = rows * cols * (2 if differential else 1) + cols
+        assert crossbar._deviates_per_cycle() == per_cycle
+        reference = np.random.default_rng(17)
+        reference.normal(0.0, sigma, size=vectors * crossbar.config.input_cycles * per_cycle)
+        np.testing.assert_array_equal(
+            crossbar.noise.draw_read_deviates(4), reference.normal(0.0, sigma, size=4)
+        )

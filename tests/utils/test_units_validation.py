@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.rram.crossbar import CrossbarConfig
+from repro.rram.noise import NoiseConfig
+from repro.serving.batcher import DynamicBatcher
+from repro.serving.routing import NetworkModel
 from repro.utils.units import GIGA, NS, PJ, format_si, to_giga_ops_per_watt
 from repro.utils.validation import (
     as_1d_float_array,
@@ -52,8 +58,28 @@ class TestValidation:
 
     def test_require_non_negative(self):
         assert require_non_negative(0.0, "x") == 0.0
+        assert require_non_negative(math.inf, "x") == math.inf
         with pytest.raises(ValueError):
             require_non_negative(-1e-9, "x")
+        with pytest.raises(ValueError, match="x must be non-negative, got nan"):
+            require_non_negative(math.nan, "x")
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: NoiseConfig(read_noise_sigma=math.nan), "read_noise_sigma"),
+            (lambda: CrossbarConfig(wire_resistance_ohm=math.nan), "wire_resistance_ohm"),
+            (lambda: DynamicBatcher(max_wait_s=math.nan), "max_wait_s"),
+            (lambda: NetworkModel(link_latency_s=math.nan), "link_latency_s"),
+        ],
+        ids=["NoiseConfig", "CrossbarConfig", "DynamicBatcher", "NetworkModel"],
+    )
+    def test_constructor_rejects_nan(self, build, name):
+        # every comparison against NaN is false, so a `value < 0` check
+        # let these through: a silently noise-free crossbar, NaN outputs,
+        # requests lost by the batcher and a NaN latency percentile
+        with pytest.raises(ValueError, match=f"{name} must be non-negative, got nan"):
+            build()
 
     def test_require_in_range(self):
         assert require_in_range(0.5, 0.0, 1.0, "x") == 0.5
