@@ -19,13 +19,15 @@ from conftest import record
 
 def test_bench_cam_sub_row_processing(benchmark):
     """Find-max + subtract over a 128-element attention-score row."""
-    cam_sub = CamSubCrossbar(SoftmaxEngineConfig(fmt=MRPC_FORMAT))
-    scores = AttentionScoreGenerator(CNEWS_PROFILE, seed=0).rows(1, 128)[0]
+    fmt = MRPC_FORMAT
+    cam_sub = CamSubCrossbar(SoftmaxEngineConfig(fmt=fmt))
+    scores = AttentionScoreGenerator(CNEWS_PROFILE, seed=0).rows(1, 128)
 
-    result = benchmark(cam_sub.process, scores)
+    result = benchmark(cam_sub.process_batch, scores)
 
-    quantised = cam_sub.quantize_scores(scores)
-    assert result.max_value == quantised.max()
+    clipped = np.clip(scores, fmt.signed_min_value, fmt.signed_max_value)
+    quantised = np.rint(clipped / fmt.resolution) * fmt.resolution
+    assert result.max_values[0] == quantised.max()
     np.testing.assert_allclose(result.differences, quantised.max() - quantised, atol=1e-12)
     record(
         benchmark,
@@ -42,10 +44,10 @@ def test_bench_fig1_toy_example(benchmark):
     from repro.utils.fixed_point import FixedPointFormat
 
     cam_sub = CamSubCrossbar(SoftmaxEngineConfig(fmt=FixedPointFormat(3, 1), cam_sub_rows=16, exp_rows=16))
-    scores = np.array([1.5, 3.0, -2.0, 0.5])
+    scores = np.array([[1.5, 3.0, -2.0, 0.5]])
 
-    result = benchmark(cam_sub.process, scores)
+    result = benchmark(cam_sub.process_batch, scores)
 
-    assert result.max_value == 3.0
-    np.testing.assert_allclose(result.differences, [1.5, 0.0, 5.0, 2.5])
-    record(benchmark, max_value=result.max_value, max_row=result.max_row)
+    assert result.max_values[0] == 3.0
+    np.testing.assert_allclose(result.differences[0], [1.5, 0.0, 5.0, 2.5])
+    record(benchmark, max_value=float(result.max_values[0]), max_row=int(result.max_rows[0]))

@@ -23,11 +23,11 @@ def test_bench_exponential_row(benchmark):
     config = SoftmaxEngineConfig(fmt=CNEWS_FORMAT)
     unit = ExponentialUnit(config)
     rng = np.random.default_rng(0)
-    codes = rng.integers(0, 40, size=128)
+    codes = rng.integers(0, 40, size=(1, 128))
 
-    result = benchmark(unit.process, codes)
+    result = benchmark(unit.process_batch, codes)
 
-    assert result.denominator == np.sum(result.exponentials)
+    assert result.denominators[0] == np.sum(result.exponentials)
     record(
         benchmark,
         lut_rows=config.exp_rows,

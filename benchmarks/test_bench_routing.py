@@ -80,10 +80,6 @@ def skewed_requests():
     )
 
 
-def goodput_rps(report) -> float:
-    return (report.num_requests - report.num_deadline_misses()) / report.makespan_s
-
-
 @pytest.mark.smoke
 def test_bench_routing_beats_global_fifo(benchmark):
     """30k skewed requests: SED+stealing vs the global queue, sub-second."""
@@ -100,7 +96,7 @@ def test_bench_routing_beats_global_fifo(benchmark):
 
     fifo_report = ServingSimulator(mixed_fleet(), batcher).run(requests)
 
-    sed_goodput, fifo_goodput = goodput_rps(report), goodput_rps(fifo_report)
+    sed_goodput, fifo_goodput = report.goodput_rps, fifo_report.goodput_rps
     record(
         benchmark,
         wall_s=round(wall, 3),

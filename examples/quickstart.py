@@ -30,19 +30,23 @@ def main() -> None:
     scores = generator.rows(1, 128)[0]
     print(f"\nInput scores: {scores.size} values in [{scores.min():.2f}, {scores.max():.2f}]")
 
-    # 3. run the crossbar-level simulation and inspect the intermediates
-    trace = engine.softmax_row_trace(scores)
-    print(f"x_max found by the CAM search          : {trace.max_value:+.2f} (row {np.argmax(trace.quantized_scores == trace.max_value)})")
-    print(f"denominator from the VMM crossbar      : {trace.denominator:.4f}")
-    print(f"largest probability                    : {trace.probabilities.max():.4f}")
+    # 3. run the crossbar-level simulation stage by stage on a one-row block
+    #    (engine.softmax_batch chains exactly these three calls)
+    cam = engine.cam_sub.process_batch(scores[None, :])
+    exp = engine.exponential.process_batch(cam.difference_codes)
+    probabilities = engine.divider.divide_batch(exp.exponentials, exp.denominators)[0]
+    print(f"x_max found by the CAM search          : {cam.max_values[0]:+.2f} "
+          f"(input {np.argmin(cam.difference_codes[0])}, CAM row {cam.max_rows[0]})")
+    print(f"denominator from the VMM crossbar      : {exp.denominators[0]:.4f}")
+    print(f"largest probability                    : {probabilities.max():.4f}")
 
     # 4. compare with the exact softmax
     exact = exact_softmax(scores)
-    error = np.abs(trace.probabilities - exact)
+    error = np.abs(probabilities - exact)
     print("\nFidelity vs exact floating-point softmax")
     print(f"  max  |error| : {error.max():.5f}")
     print(f"  mean |error| : {error.mean():.6f}")
-    print(f"  top-1 match  : {np.argmax(trace.probabilities) == np.argmax(exact)}")
+    print(f"  top-1 match  : {np.argmax(probabilities) == np.argmax(exact)}")
 
     # 5. the hardware cost figures behind Table I
     print("\nEngine cost model (Table I inputs)")

@@ -391,16 +391,6 @@ class FaultSweepRow:
     shed_report: ServingReport
     queue_report: ServingReport
 
-    @property
-    def shed_goodput_rps(self) -> float:
-        """Deadline-meeting completion rate under graceful degradation."""
-        return self.shed_report.goodput_rps
-
-    @property
-    def queue_goodput_rps(self) -> float:
-        """Completion rate of the unprotected-queue arm."""
-        return self.queue_report.goodput_rps
-
 
 class FaultServingAnalyzer:
     """Graceful-degradation sweep of a fault-injected STAR fleet (E11).
@@ -1238,15 +1228,6 @@ class RoutingPolicyRow:
     report: ServingReport
 
     @property
-    def goodput_rps(self) -> float:
-        """Deadline-meeting completions per second of makespan."""
-        report = self.report
-        span = report.makespan_s
-        if span <= 0:
-            return 0.0
-        return (report.num_requests - report.num_deadline_misses()) / span
-
-    @property
     def stolen_batches(self) -> int:
         return self.report.routing.stolen_batches if self.report.routing else 0
 
@@ -1406,8 +1387,8 @@ class RoutingServingAnalyzer:
         for row in rows:
             report = row.report
             multiple = (
-                row.goodput_rps / baseline.goodput_rps
-                if baseline.goodput_rps > 0
+                report.goodput_rps / baseline.report.goodput_rps
+                if baseline.report.goodput_rps > 0
                 else float("inf")
             )
             peak = (
@@ -1416,7 +1397,7 @@ class RoutingServingAnalyzer:
                 else report.queue_peak
             )
             lines.append(
-                f"{row.label:<22} {row.goodput_rps:>8.1f} {multiple:>7.2f} "
+                f"{row.label:<22} {report.goodput_rps:>8.1f} {multiple:>7.2f} "
                 f"{report.deadline_attainment():>7.3f} "
                 f"{report.p50_latency_s * 1e3:>9.2f} "
                 f"{report.p99_latency_s * 1e3:>9.2f} "

@@ -15,7 +15,7 @@ from repro.core.batch_cost import (
     DEFAULT_BATCH_COST,
     ExecutedGEMMSchedule,
 )
-from repro.core.cam_sub import CamSubBatchResult, CamSubCrossbar, CamSubResult
+from repro.core.cam_sub import CamSubBatchResult, CamSubCrossbar
 from repro.core.config import (
     MatMulEngineConfig,
     PipelineConfig,
@@ -25,7 +25,7 @@ from repro.core.config import (
 from repro.core.counter import CounterBank
 from repro.core.divider import DividerUnit
 from repro.core.events import EventLoop, ServerPool
-from repro.core.exponent import ExponentBatchResult, ExponentialUnit, ExponentResult
+from repro.core.exponent import ExponentBatchResult, ExponentialUnit
 from repro.core.matmul_engine import GEMMShape, MatMulEngine, ProgrammedOperand
 from repro.core.pipeline import AttentionPipeline, PipelineSchedule, StageTiming
 from repro.core.scheduler import (
@@ -36,7 +36,7 @@ from repro.core.scheduler import (
     RowRecord,
     StageJitter,
 )
-from repro.core.softmax_engine import RRAMSoftmaxEngine, SoftmaxRowTrace
+from repro.core.softmax_engine import RRAMSoftmaxEngine
 
 __all__ = [
     "STARConfig",
@@ -45,15 +45,12 @@ __all__ = [
     "PipelineConfig",
     "AccessStats",
     "CamSubCrossbar",
-    "CamSubResult",
     "CamSubBatchResult",
     "ExponentialUnit",
-    "ExponentResult",
     "ExponentBatchResult",
     "CounterBank",
     "DividerUnit",
     "RRAMSoftmaxEngine",
-    "SoftmaxRowTrace",
     "MatMulEngine",
     "GEMMShape",
     "ProgrammedOperand",

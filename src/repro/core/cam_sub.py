@@ -12,17 +12,12 @@ One RRAM crossbar is used in a time-multiplexed manner for two jobs:
    the input's match vector as wordline voltages and a negative voltage on
    the ``x_max`` row; the source-line output is then ``x_i - x_max``.
 
-Two functional paths are provided:
-
-* :meth:`CamSubCrossbar.process` — the cycle-accurate row path.  It
-  materializes the matchline vectors of every search (including the optional
-  CAM search-error injection, wired from
-  :attr:`~repro.core.config.SoftmaxEngineConfig.cam_search_error_rate`).
-* :meth:`CamSubCrossbar.process_batch` — the vectorized batch backend.  It
-  processes a whole ``(num_rows, seq_len)`` score block with zero
-  Python-level per-row loops via :meth:`repro.rram.cam.CAMCrossbar.
-  search_max_codes`; with error-free searches it is bit-identical to the row
-  path.
+:meth:`CamSubCrossbar.process_batch` runs both phases over a whole
+``(num_rows, seq_len)`` score block with no Python per-row loop: the per-row
+maxima come from one batched :meth:`repro.rram.cam.CAMCrossbar.
+search_max_codes` call, which also samples the CAM search errors configured
+by :attr:`~repro.core.config.SoftmaxEngineConfig.cam_search_error_rate`, and
+the SUB phase is one broadcast subtraction in the integer code domain.
 
 Latency / energy / area of the 512 x 18 crossbar, its matchline sense
 amplifiers and the OR-merge logic are accounted per access and can be
@@ -32,7 +27,6 @@ derived for any amount of work from an
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -44,45 +38,19 @@ from repro.core.access_stats import AccessStats
 from repro.core.config import SoftmaxEngineConfig
 from repro.rram.cam import CAMConfig, CAMCrossbar
 from repro.utils.fixed_point import FixedPointFormat
-from repro.utils.validation import as_1d_float_array
 
-__all__ = ["CamSubResult", "CamSubBatchResult", "CamSubCrossbar"]
-
-
-@dataclass(frozen=True)
-class CamSubResult:
-    """Output of one CAM/SUB pass over a score vector.
-
-    Attributes
-    ----------
-    quantized_scores:
-        The inputs on the engine's fixed-point grid (computed once here and
-        reused by callers, e.g. the engine's row trace).
-    max_value:
-        The quantised ``x_max``.
-    max_row:
-        CAM row index holding ``x_max`` (rows are in descending value order).
-    differences:
-        Non-negative magnitudes ``x_max - x_i`` on the quantisation grid.
-    difference_codes:
-        The same magnitudes as integer codes (units of one LSB).
-    """
-
-    quantized_scores: np.ndarray
-    max_value: float
-    max_row: int
-    differences: np.ndarray
-    difference_codes: np.ndarray
+__all__ = ["CamSubBatchResult", "CamSubCrossbar"]
 
 
 class CamSubBatchResult:
     """Output of one CAM/SUB pass over a ``(num_rows, seq_len)`` score block.
 
-    Per-row counterparts of :class:`CamSubResult`: ``max_values`` /
-    ``max_rows`` have shape ``(num_rows,)``, everything else keeps the block
-    shape.  ``quantized_scores`` and ``differences`` are dequantised lazily
-    from the integer codes (and cached) — the softmax hot path only consumes
-    ``difference_codes``, so the float views cost nothing unless read.
+    ``max_values`` (the quantised ``x_max``) and ``max_rows`` (the CAM row
+    holding it; levels are stored in descending order) have shape
+    ``(num_rows,)``.  ``difference_codes`` holds the non-negative magnitudes
+    ``x_max - x_i`` in units of one LSB; ``differences`` is the same on the
+    quantisation grid, dequantised lazily (and cached) — the softmax hot
+    path only consumes the codes.
     """
 
     def __init__(
@@ -95,15 +63,6 @@ class CamSubBatchResult:
         self.max_rows = fmt.num_levels - 1 - max_codes
         self.max_values = (max_codes - fmt.num_levels // 2) * fmt.resolution
         self.difference_codes = difference_codes
-
-    @cached_property
-    def quantized_scores(self) -> np.ndarray:
-        """The inputs on the engine's fixed-point grid.
-
-        Recovered exactly from ``x_max - (x_max - x_i)``: all quantities are
-        exact multiples of the resolution, so no rounding is involved.
-        """
-        return self.max_values[:, None] - self.differences
 
     @cached_property
     def differences(self) -> np.ndarray:
@@ -135,86 +94,16 @@ class CamSubCrossbar:
     # ------------------------------------------------------------------ #
     # functional behaviour
     # ------------------------------------------------------------------ #
-    def quantize_scores(self, scores: np.ndarray) -> np.ndarray:
-        """Clip and round raw scores onto the engine's fixed-point grid.
-
-        Scores are clipped to the offset-binary signed range of the CAM code
-        space (e.g. [-32, +31.75] for the 8-bit CNEWS format), matching
-        :class:`repro.nn.softmax_models.FixedPointSoftmax`.
-        """
-        fmt = self.config.fmt
-        arr = np.asarray(scores, dtype=np.float64)
-        clipped = np.clip(arr, fmt.signed_min_value, fmt.signed_max_value)
-        return np.rint(clipped / fmt.resolution) * fmt.resolution
-
-    def _search_codes(self, quantized_scores: np.ndarray) -> np.ndarray:
-        """Offset-binary search codes of quantised scores (any shape).
-
-        The CAM stores score *levels*; scores can be negative, so they are
-        offset into the unsigned code space ``[0, num_levels)`` by biasing
-        with half the range — the standard offset-binary trick that lets one
-        unsigned CAM cover a signed range.
-        """
-        fmt = self.config.fmt
-        bias_levels = fmt.num_levels // 2
-        codes = np.rint(quantized_scores / fmt.resolution).astype(np.int64) + bias_levels
-        return np.clip(codes, 0, fmt.num_levels - 1)
-
-    def _score_to_row(self, quantized_scores: np.ndarray) -> np.ndarray:
-        """Map quantised scores to CAM row indices (descending storage order)."""
-        # row r stores code (num_levels - 1 - r)
-        return self.config.fmt.num_levels - 1 - self._search_codes(quantized_scores)
-
-    def process(self, scores: np.ndarray) -> CamSubResult:
-        """Run the CAM phase and the SUB phase over one score vector.
-
-        This is the cycle-accurate path: every search's matchline vector is
-        materialized (so the configured search-error rate can flip match
-        decisions) and the OR-merge picks the first hit.
-        """
-        vector = as_1d_float_array(scores, "scores")
-        if vector.size < 1:
-            raise ValueError("score vector must not be empty")
-        fmt = self.config.fmt
-        bias_levels = fmt.num_levels // 2
-        quantized = self.quantize_scores(vector)
-
-        # --- CAM phase: search each input, merge match vectors with ORs ----
-        matches = self.cam.search_many(self._search_codes(quantized))  # (n, rows)
-        merged = np.any(matches, axis=0)
-        hit_rows = np.flatnonzero(merged)
-        if hit_rows.size == 0:
-            if self.cam.config.search_error_rate > 0.0:
-                # every true match flipped off with no false positive — an
-                # all-zero merged vector makes the controller re-search, so
-                # the row resolves to the true maximum
-                max_row = int(self._score_to_row(quantized).min())
-            else:
-                raise RuntimeError("CAM search produced no match for any input")
-        else:
-            max_row = int(hit_rows[0])  # descending order: first hit is the max
-        max_code = int(self.cam.stored_codes[max_row])
-        max_value = (max_code - bias_levels) * fmt.resolution
-
-        # --- SUB phase: x_max - x_i, non-negative magnitudes ---------------
-        differences = np.clip(max_value - quantized, 0.0, None)
-        difference_codes = np.rint(differences / fmt.resolution).astype(np.int64)
-        return CamSubResult(
-            quantized_scores=quantized,
-            max_value=max_value,
-            max_row=max_row,
-            differences=differences,
-            difference_codes=difference_codes,
-        )
-
     def process_batch(self, scores: np.ndarray) -> CamSubBatchResult:
         """Run the CAM and SUB phases over a ``(num_rows, seq_len)`` block.
 
-        Fully vectorized: the per-row maxima come from one batched
+        Scores are clipped to the offset-binary signed range of the CAM code
+        space (e.g. [-32, +31.75] for the 8-bit CNEWS format) and rounded
+        onto the fixed-point grid, matching
+        :class:`repro.nn.softmax_models.FixedPointSoftmax`; ±inf saturate and
+        NaN raises ``ValueError``.  The per-row maxima come from one batched
         :meth:`~repro.rram.cam.CAMCrossbar.search_max_codes` call and the SUB
-        phase is a single broadcast subtraction.  Bit-identical to running
-        :meth:`process` row by row (search errors must be disabled — the CAM
-        raises otherwise).
+        phase is a single broadcast subtraction.
         """
         block = np.asarray(scores, dtype=np.float64)
         if block.ndim != 2:
@@ -222,14 +111,23 @@ class CamSubCrossbar:
         num_rows, seq_len = block.shape
         if num_rows and seq_len < 1:
             raise ValueError("score rows must not be empty")
+        if block.size and np.isnan(block.min()):
+            row, col = np.argwhere(np.isnan(block))[0]
+            raise ValueError(
+                f"scores must not contain NaN (first at row {row}, column {col}); "
+                "NaN has no fixed-point code"
+            )
         fmt = self.config.fmt
         bias_levels = fmt.num_levels // 2
         resolution = fmt.resolution
 
         # one pass each: scale, clip, round, offset into the code space (the
         # clip/round work in-place on the scaled copy).  resolution is a
-        # power of two, so every step below is exact and the codes are
-        # bit-identical to quantize_scores followed by _search_codes.
+        # power of two, so every step below is exact.  The CAM stores score
+        # levels; scores can be negative, so they are offset into the
+        # unsigned code space [0, num_levels) by biasing with half the range
+        # — the offset-binary trick that lets one unsigned CAM cover a
+        # signed range.
         scaled = block * (1.0 / resolution)
         np.clip(
             scaled,
@@ -246,12 +144,16 @@ class CamSubCrossbar:
         # search collapses to one max per row
         max_codes = self.cam.search_max_codes(search_codes, assume_hits=True)
 
-        # the SUB phase stays in the integer code domain: x_max >= x_i, so
-        # the magnitudes need no clipping and dequantise exactly (the
-        # subtraction reuses the code buffer — it is not needed afterwards)
+        # the SUB phase stays in the integer code domain, so the magnitudes
+        # dequantise exactly (the subtraction reuses the code buffer — it is
+        # not needed afterwards)
         difference_codes = np.subtract(
             max_codes[:, None].astype(np.int32), search_codes, out=search_codes
         )
+        if self.cam.config.search_error_rate > 0.0:
+            # a search error can miss the true maximum, leaving some x_i above
+            # the chosen x_max; the SUB phase outputs magnitudes, so clip at 0
+            np.maximum(difference_codes, 0, out=difference_codes)
         return CamSubBatchResult(
             fmt=fmt,
             max_codes=max_codes,

@@ -53,11 +53,12 @@ class SoftmaxEngineConfig:
         Width of the final normalisation divider.
     cam_search_error_rate:
         Probability that one CAM/SUB matchline search flips its decision
-        (sense-margin failures under device noise).  When non-zero the
-        engine simulates matchline vectors row by row; the vectorized batch
-        backend requires 0.  The exponential unit's CAM is kept ideal on the
-        functional path regardless — a flip there is equivalent to an analog
-        LUT/VMM perturbation, which :attr:`noise` already models.
+        (sense-margin failures under device noise).  The batched max search
+        samples the merged matchlines from per-level match counts, exact in
+        law (:meth:`repro.rram.cam.CAMCrossbar.search_max_codes`).  The
+        exponential unit's CAM is kept ideal on the functional path
+        regardless — a flip there is equivalent to an analog LUT/VMM
+        perturbation, which :attr:`noise` already models.
     cam_seed:
         Seed of the CAM error-injection random stream.
     noise:

@@ -6,13 +6,13 @@ the whole row has been processed the counter values form a histogram —
 "how many inputs landed on each representable level" — and the VMM crossbar
 turns that histogram into the softmax denominator in a single analog pass.
 
-The bank is a plain digital structure; its cost comes from
-:class:`~repro.circuits.components.Counter`.
+The bank is a plain digital structure and is modelled for cost only (its
+cost comes from :class:`~repro.circuits.components.Counter`): the
+exponential unit computes the saturating histograms a block leaves in it
+directly (:meth:`repro.core.exponent.ExponentialUnit.process_batch`).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.circuits.components import Counter
 from repro.circuits.technology import DEFAULT_TECHNOLOGY, TechnologyNode
@@ -36,51 +36,11 @@ class CounterBank:
         self.num_counters = num_counters
         self.bits = bits
         self._cost = Counter.cost(bits, tech)
-        self._values = np.zeros(num_counters, dtype=np.int64)
-        self.increment_count = 0
-
-    # ------------------------------------------------------------------ #
-    # functional behaviour
-    # ------------------------------------------------------------------ #
-    @property
-    def values(self) -> np.ndarray:
-        """Current counter values."""
-        return self._values.copy()
 
     @property
     def max_count(self) -> int:
         """Saturation value of one counter."""
         return (1 << self.bits) - 1
-
-    def reset(self) -> None:
-        """Clear every counter (start of a new softmax row)."""
-        self._values.fill(0)
-
-    def increment(self, index: int) -> None:
-        """Increment the counter at ``index`` (saturating)."""
-        if not 0 <= index < self.num_counters:
-            raise ValueError(f"counter index {index} outside [0, {self.num_counters - 1}]")
-        if self._values[index] < self.max_count:
-            self._values[index] += 1
-        self.increment_count += 1
-
-    def accumulate_histogram(self, indices: np.ndarray) -> np.ndarray:
-        """Increment one counter per entry of ``indices`` and return the values.
-
-        Entries equal to ``-1`` are CAM misses (out-of-range differences whose
-        exponential is zero) and are skipped, exactly as a missing matchline
-        pulse would leave every counter untouched.
-        """
-        idx = np.asarray(indices, dtype=np.int64).ravel()
-        valid = idx[idx >= 0]
-        if np.any(valid >= self.num_counters):
-            raise ValueError(
-                f"counter indices must lie in [0, {self.num_counters - 1}] or be -1"
-            )
-        counts = np.bincount(valid, minlength=self.num_counters)
-        self._values = np.minimum(self._values + counts, self.max_count)
-        self.increment_count += int(valid.size)
-        return self.values
 
     # ------------------------------------------------------------------ #
     # costs

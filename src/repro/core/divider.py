@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.circuits.components import Divider
 from repro.circuits.technology import DEFAULT_TECHNOLOGY, TechnologyNode
-from repro.utils.validation import as_1d_float_array
 
 __all__ = ["DividerUnit"]
 
@@ -36,27 +35,10 @@ class DividerUnit:
         self.bits = bits
         self.quotient_frac_bits = quotient_frac_bits
         self._cost = Divider.cost(bits, tech)
-        self.divide_count = 0
 
     # ------------------------------------------------------------------ #
     # functional behaviour
     # ------------------------------------------------------------------ #
-    def divide(self, numerators: np.ndarray, denominator: float) -> np.ndarray:
-        """Quotients ``numerators / denominator``.
-
-        With ``quotient_frac_bits == 0`` the quotient keeps full precision;
-        otherwise it is truncated to that many fractional bits, modelling a
-        narrow hardware quotient.  A zero (or non-positive) denominator
-        saturates to a uniform distribution, mirroring what the hardware's
-        saturation logic would emit.
-        """
-        values = as_1d_float_array(numerators, "numerators")
-        self.divide_count += values.size
-        if denominator <= 0.0:
-            return np.full_like(values, 1.0 / values.size)
-        quotients = values / denominator
-        return self._truncate(quotients)
-
     def divide_batch(
         self,
         numerators: np.ndarray,
@@ -65,13 +47,15 @@ class DividerUnit:
     ) -> np.ndarray:
         """Row-wise quotients of a ``(num_rows, n)`` block.
 
-        Vectorized counterpart of :meth:`divide`: each row of ``numerators``
-        is divided by its entry of ``denominators``; rows with a zero (or
-        non-positive) denominator saturate to the uniform distribution.
-        Bit-identical to calling :meth:`divide` row by row.  ``out`` (which
-        may alias ``numerators``) receives the quotients when every
-        denominator is positive and no truncation is configured; callers own
-        the aliasing trade-off.
+        Each row of ``numerators`` is divided by its entry of
+        ``denominators``.  With ``quotient_frac_bits == 0`` the quotient
+        keeps full precision; otherwise it is truncated to that many
+        fractional bits, modelling a narrow hardware quotient.  Rows with a
+        zero (or non-positive) denominator saturate to the uniform
+        distribution, mirroring what the hardware's saturation logic would
+        emit.  ``out`` (which may alias ``numerators``) receives the
+        quotients when every denominator is positive and no truncation is
+        configured; callers own the aliasing trade-off.
         """
         block = np.asarray(numerators, dtype=np.float64)
         if block.ndim != 2:
@@ -85,7 +69,6 @@ class DividerUnit:
             )
         if block.shape[0] > 0 and block.shape[1] < 1:
             raise ValueError("numerator rows must not be empty")
-        self.divide_count += block.size
         if block.size == 0:
             return block.copy()
         positive = denoms > 0.0
@@ -95,7 +78,7 @@ class DividerUnit:
             return self._truncate(block / denoms[:, None])
         safe = np.where(positive, denoms, 1.0)
         quotients = self._truncate(block / safe[:, None])
-        # the saturated uniform output is not truncated, exactly as divide()
+        # the saturated uniform output is not truncated
         return np.where(positive[:, None], quotients, 1.0 / block.shape[1])
 
     def _truncate(self, quotients: np.ndarray) -> np.ndarray:

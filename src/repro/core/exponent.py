@@ -17,23 +17,19 @@ With ideal devices the unit's numerics are exactly those of
 :class:`repro.nn.softmax_models.FixedPointSoftmax`; the noise configuration
 lets the E9 ablation perturb the LUT readout and the analog summation.
 
-Both :meth:`ExponentialUnit.process` (one row) and
-:meth:`ExponentialUnit.process_batch` (a whole code block) are functionally
-*pure* with ideal noise: the histogram is computed per call instead of
-accumulating in shared :class:`~repro.core.counter.CounterBank` registers,
-so concurrent calls on one unit cannot corrupt each other's numerics.  Two
-caveats: the debug tally ``cam.search_count`` is still bumped without
-synchronisation (concurrent callers may undercount it — the authoritative
-access accounting is the engine-level
-:class:`~repro.core.access_stats.AccessStats`), and with non-ideal noise
-the random stream is inherently stateful, so Monte-Carlo sweeps should use
-one unit per worker.  The counter bank and crossbar objects remain the
-cost/area models.
+:meth:`ExponentialUnit.process_batch` runs a whole ``(num_rows, n)`` code
+block and is functionally *pure* with ideal noise: the histograms are
+computed per call instead of accumulating in shared counter registers, so
+concurrent calls on one unit cannot corrupt each other's numerics.  With
+non-ideal noise the random stream is inherently stateful, so Monte-Carlo
+sweeps should use one unit per worker.  The
+:class:`~repro.core.counter.CounterBank` and crossbar objects are the
+cost/area models; the engine-level
+:class:`~repro.core.access_stats.AccessStats` is the access accounting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -47,30 +43,7 @@ from repro.rram.converters import ADC, DAC
 from repro.rram.lut import LUTConfig, LUTCrossbar, exponential_lut_entries
 from repro.rram.noise import NoiseModel
 
-__all__ = ["ExponentResult", "ExponentBatchResult", "ExponentialUnit"]
-
-
-@dataclass(frozen=True)
-class ExponentResult:
-    """Output of the exponential unit for one row of differences.
-
-    Attributes
-    ----------
-    exponentials:
-        ``e^{x_i - x_max}`` per element, quantised to the LUT grid (zero for
-        CAM misses).
-    denominator:
-        ``sum_j e^{x_j - x_max}`` as produced by the VMM crossbar.
-    histogram:
-        Final counter values (matches per representable level).
-    misses:
-        Number of inputs whose difference exceeded the stored range.
-    """
-
-    exponentials: np.ndarray
-    denominator: float
-    histogram: np.ndarray
-    misses: int
+__all__ = ["ExponentBatchResult", "ExponentialUnit"]
 
 
 class ExponentBatchResult:
@@ -176,13 +149,11 @@ class ExponentialUnit:
         """Levels with a non-zero LUT entry (the ones that own a counter)."""
         return self._active_levels
 
-    def _validated_codes(self, difference_codes: np.ndarray, ndim: int) -> np.ndarray:
+    def _validated_codes(self, difference_codes: np.ndarray) -> np.ndarray:
         codes = np.asarray(difference_codes)
         if not np.issubdtype(codes.dtype, np.integer):
             codes = codes.astype(np.int64)
-        if ndim == 1:
-            codes = codes.ravel()
-        elif codes.ndim != 2:
+        if codes.ndim != 2:
             raise ValueError(
                 f"difference_codes must be a 2D (num_rows, n) block, got shape {codes.shape}"
             )
@@ -210,48 +181,23 @@ class ExponentialUnit:
         Pure computation of what the counter bank holds after the block:
         matches on levels whose LUT entry is zero are never counted (they
         would multiply a zero in the summation), and each counter saturates
-        at its width.  The searches themselves are accounted by the caller.
+        at its width.
         """
-        counts = self.cam.search_histograms(
-            codes, self.counters.num_counters, count=False
-        )
+        counts = self.cam.search_histograms(codes, self.counters.num_counters)
         return np.minimum(counts, self.counters.max_count)
-
-    def process(self, difference_codes: np.ndarray) -> ExponentResult:
-        """Exponentials and denominator for one row of difference codes."""
-        codes = self._validated_codes(difference_codes, ndim=1)
-        if codes.size < 1:
-            raise ValueError("difference_codes must not be empty")
-
-        # analog LUT readout noise (zero in the ideal configuration)
-        exponentials = self.noise.perturb_current(self._lookup(codes))
-
-        self.cam.search_count += codes.size
-        histogram = self._histograms(codes[None, :])[0]
-
-        denominator = float(histogram @ self._lut_values[: self.counters.num_counters])
-        denominator = float(self.noise.perturb_current(np.asarray([denominator]))[0])
-
-        return ExponentResult(
-            exponentials=exponentials,
-            denominator=denominator,
-            histogram=histogram,
-            misses=int(np.count_nonzero(codes >= self._stored_levels)),
-        )
 
     def process_batch(self, difference_codes: np.ndarray) -> ExponentBatchResult:
         """Exponentials and denominators for a ``(num_rows, n)`` code block.
 
         Fully vectorized — per-row histograms come from one offset
         ``np.bincount`` (:meth:`repro.rram.cam.CAMCrossbar.search_histograms`)
-        and denominators from one multiply-sum.  Bit-identical to calling
-        :meth:`process` row by row under ideal noise: every intermediate is
-        an exact multiple of the LUT resolution, so summation order cannot
-        change the result.  Under non-ideal noise the perturbations are
-        drawn for the whole block at once (statistically equivalent, not
-        draw-for-draw identical).
+        and denominators from one multiply-sum.  Under ideal noise every
+        intermediate is an exact multiple of the LUT resolution, so each
+        denominator is exactly ``min(histogram, max_count) @ LUT`` whatever
+        the summation order.  Under non-ideal noise the perturbations are
+        drawn for the whole block at once.
         """
-        codes = self._validated_codes(difference_codes, ndim=2)
+        codes = self._validated_codes(difference_codes)
         num_rows, seq_len = codes.shape
         if num_rows and seq_len < 1:
             raise ValueError("difference_codes rows must not be empty")
@@ -267,7 +213,6 @@ class ExponentialUnit:
             )
 
         raw = self._lookup(codes)
-        self.cam.search_count += codes.size
         # stats without per-element bookkeeping: a non-zero readout is
         # exactly an element that bumps a counter (code < active_levels)
         if int(codes.max()) < self._stored_levels:

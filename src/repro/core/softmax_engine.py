@@ -12,20 +12,14 @@ This is the paper's central contribution.  The engine processes softmax rows
 3. the **divider** normalises each exponential by the denominator
    (:mod:`repro.core.divider`).
 
-Two simulation backends share these stages:
-
-* the **batched backend** (:meth:`RRAMSoftmaxEngine.softmax_batch`) runs a
-  whole ``(num_rows, seq_len)`` score block in pure vectorized NumPy with no
-  Python-level per-row loop — this is what :meth:`RRAMSoftmaxEngine.softmax`
-  uses and what makes BERT-scale runs (millions of rows) tractable;
-* the **row backend** (:meth:`RRAMSoftmaxEngine.softmax_row_trace`)
-  materializes every matchline vector of one row, exposes all intermediates,
-  and is the only path that can inject CAM search errors
-  (``config.cam_search_error_rate``); :meth:`softmax` falls back to it
-  automatically when search errors are enabled.
-
-With ideal devices both backends are bit-identical to each other and to the
-functional :class:`repro.nn.softmax_models.FixedPointSoftmax` model.
+:meth:`RRAMSoftmaxEngine.softmax_batch` runs a whole ``(num_rows, seq_len)``
+score block through the three stages in pure vectorized NumPy with no
+Python-level per-row loop — this is what makes BERT-scale runs (millions of
+rows) tractable — and :meth:`~RRAMSoftmaxEngine.softmax` and
+:meth:`~RRAMSoftmaxEngine.softmax_row` are views of it.  CAM/SUB search
+errors (``config.cam_search_error_rate``) are sampled inside the batched max
+search.  With ideal devices the engine is bit-identical to the functional
+:class:`repro.nn.softmax_models.FixedPointSoftmax` model.
 
 Cost accounting no longer rides the data path: every functional call
 accumulates an :class:`~repro.core.access_stats.AccessStats` value
@@ -35,8 +29,6 @@ Table I ledger are derived analytically from stats via
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,19 +41,7 @@ from repro.core.exponent import ExponentialUnit
 from repro.utils.fixed_point import FixedPointFormat
 from repro.utils.validation import as_1d_float_array
 
-__all__ = ["SoftmaxRowTrace", "RRAMSoftmaxEngine"]
-
-
-@dataclass(frozen=True)
-class SoftmaxRowTrace:
-    """Intermediate values of one row for debugging and tests."""
-
-    quantized_scores: np.ndarray
-    max_value: float
-    differences: np.ndarray
-    exponentials: np.ndarray
-    denominator: float
-    probabilities: np.ndarray
+__all__ = ["RRAMSoftmaxEngine"]
 
 
 class RRAMSoftmaxEngine:
@@ -86,46 +66,17 @@ class RRAMSoftmaxEngine:
     # functional behaviour
     # ------------------------------------------------------------------ #
     def softmax_row(self, scores: np.ndarray) -> np.ndarray:
-        """Softmax of a single score vector (cycle-accurate row backend)."""
-        return self.softmax_row_trace(scores).probabilities
-
-    def softmax_row_trace(self, scores: np.ndarray) -> SoftmaxRowTrace:
-        """Softmax of a single score vector, returning every intermediate."""
-        vector = as_1d_float_array(scores, "scores")
-        cam_result = self.cam_sub.process(vector)
-        exp_result = self.exponential.process(cam_result.difference_codes)
-        probabilities = self.divider.divide(exp_result.exponentials, exp_result.denominator)
-        self.rows_processed += 1
-        self.access_stats += AccessStats.for_block(
-            1,
-            vector.size,
-            lut_reads=vector.size - exp_result.misses,
-            counter_increments=int(
-                np.count_nonzero(
-                    cam_result.difference_codes < self.exponential.active_levels
-                )
-            ),
-            cam_misses=exp_result.misses,
-        )
-        return SoftmaxRowTrace(
-            # quantisation already happened inside the CAM/SUB pass; reuse it
-            quantized_scores=cam_result.quantized_scores,
-            max_value=cam_result.max_value,
-            differences=cam_result.differences,
-            exponentials=exp_result.exponentials,
-            denominator=exp_result.denominator,
-            probabilities=probabilities,
-        )
+        """Softmax of a single score vector (a one-row :meth:`softmax_batch`)."""
+        return self.softmax_batch(as_1d_float_array(scores, "scores")[None, :])[0]
 
     def softmax_batch(self, scores: np.ndarray) -> np.ndarray:
         """Softmax of every row of a ``(num_rows, seq_len)`` score block.
 
-        The vectorized batch backend: one CAM/SUB pass, one exponential-unit
-        pass and one divider pass over the whole block, with zero Python
-        per-row loops.  Bit-identical to the row backend (and to
-        :class:`~repro.nn.softmax_models.FixedPointSoftmax`) under ideal
-        devices; requires ``cam_search_error_rate == 0`` — matchline flips
-        can only be simulated by the row backend.
+        One CAM/SUB pass, one exponential-unit pass and one divider pass
+        over the whole block, with zero Python per-row loops.  Bit-identical
+        to :class:`~repro.nn.softmax_models.FixedPointSoftmax` under ideal
+        devices.  NaN scores raise ``ValueError``; ±inf saturate to the
+        format's range.
         """
         block = np.asarray(scores, dtype=np.float64)
         if block.ndim != 2:
@@ -160,20 +111,11 @@ class RRAMSoftmaxEngine:
     def softmax(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         """Softmax along ``axis`` of an arbitrary-rank array.
 
-        Flattens every other axis into a batch and dispatches to the
-        vectorized :meth:`softmax_batch` backend; only when CAM search
-        errors are configured does it fall back to the row-by-row
-        cycle-accurate path (error injection needs real matchline vectors).
+        Flattens every other axis into a batch for :meth:`softmax_batch`.
         """
         arr = np.asarray(x, dtype=np.float64)
         moved = np.moveaxis(arr, axis, -1)
-        flat = moved.reshape(-1, moved.shape[-1])
-        if self.config.cam_search_error_rate > 0.0:
-            out = np.empty_like(flat)
-            for i in range(flat.shape[0]):
-                out[i] = self.softmax_row(flat[i])
-        else:
-            out = self.softmax_batch(flat)
+        out = self.softmax_batch(moved.reshape(-1, moved.shape[-1]))
         return np.moveaxis(out.reshape(moved.shape), -1, axis)
 
     def __call__(self, x: np.ndarray, axis: int = -1) -> np.ndarray:

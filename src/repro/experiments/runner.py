@@ -54,11 +54,11 @@ def report_e1_latency_breakdown() -> str:
 def report_e2_cam_sub() -> str:
     """E2 — Fig. 1 CAM/SUB crossbar behaviour and costs."""
     cam_sub = CamSubCrossbar(SoftmaxEngineConfig(fmt=CNEWS_FORMAT))
-    scores = AttentionScoreGenerator(CNEWS_PROFILE, seed=0).rows(1, 128)[0]
-    result = cam_sub.process(scores)
+    scores = AttentionScoreGenerator(CNEWS_PROFILE, seed=0).rows(1, 128)
+    result = cam_sub.process_batch(scores)
     lines = [_header("E2  CAM/SUB crossbar (Fig. 1)")]
     lines.append(f"inputs                  : 128 scores in [{scores.min():.2f}, {scores.max():.2f}]")
-    lines.append(f"x_max found             : {result.max_value:+.2f} at CAM row {result.max_row}")
+    lines.append(f"x_max found             : {result.max_values[0]:+.2f} at CAM row {result.max_rows[0]}")
     lines.append(f"differences             : all >= 0, max {result.differences.max():.2f}")
     lines.append(f"row latency / energy    : {cam_sub.row_latency_s(128) * 1e6:.2f} us / "
                  f"{cam_sub.row_energy_j(128) * 1e9:.2f} nJ")

@@ -103,10 +103,6 @@ class BertEncoderModel:
         hidden = self.embedding(token_ids)
         return self.encoder(hidden, mask=mask)
 
-    def encode_hidden(self, hidden: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        """Encode pre-embedded hidden states (skips the embedding lookup)."""
-        return self.encoder(hidden, mask=mask)
-
     def attention_scores(self) -> list[np.ndarray]:
         """Attention scores captured during the most recent forward pass."""
         return self.encoder.collect_attention_scores()

@@ -68,8 +68,14 @@ class FixedPointSoftmax:
             raise ValueError(f"quotient_bits must be >= 0, got {self.quotient_bits}")
 
     def __call__(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
-        """Fixed-point softmax along ``axis``."""
+        """Fixed-point softmax along ``axis`` (NaN raises; ±inf saturate)."""
         x = np.asarray(x, dtype=np.float64)
+        if x.size and np.isnan(x.min()):
+            index = tuple(int(i) for i in np.argwhere(np.isnan(x))[0])
+            raise ValueError(
+                f"scores must not contain NaN (first at index {index}); "
+                "NaN has no fixed-point code"
+            )
         moved = np.moveaxis(x, axis, -1)
 
         # 1. quantise the scores; clip to the offset-binary signed range the

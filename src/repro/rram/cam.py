@@ -16,6 +16,13 @@ STAR uses CAM crossbars in two places:
 
 Both store *every representable fixed-point level* rather than arbitrary
 data, which is why exact-match search is sufficient.
+
+Searches run over whole ``(num_rows, n)`` query blocks without
+materializing match vectors: :meth:`CAMCrossbar.search_max_codes` returns
+each row's best OR-merged hit and :meth:`CAMCrossbar.search_histograms` the
+per-row match counts.  Search errors (``search_error_rate``) are sampled in
+the max search from per-level match counts, exact in law to flipping every
+match decision.
 """
 
 from __future__ import annotations
@@ -94,10 +101,8 @@ class CAMCrossbar:
         self.sense_amp = SenseAmplifier()
         self._rng = np.random.default_rng(self.config.seed)
         self._stored_codes: np.ndarray | None = None
-        self._stored_bits: np.ndarray | None = None
         self._stored_mask: np.ndarray | None = None
         self._contiguous_count: int | None = None
-        self.search_count = 0
 
     # ------------------------------------------------------------------ #
     # programming
@@ -133,10 +138,7 @@ class CAMCrossbar:
         if np.any(arr < 0) or np.any(arr >= cfg.capacity):
             raise ValueError(f"codewords must lie in [0, {cfg.capacity - 1}]")
         self._stored_codes = arr.copy()
-        # expand to a bits matrix once so searches are cheap
-        bit_positions = np.arange(cfg.bits, dtype=np.int64)
-        self._stored_bits = ((arr[:, None] >> bit_positions[None, :]) & 1).astype(np.int8)
-        # membership table for the batched (analytic) search path
+        # membership table for the batched search
         self._stored_mask = np.zeros(cfg.capacity, dtype=bool)
         self._stored_mask[arr] = True
         # both STAR CAMs store the contiguous code set {0..k-1}, which lets
@@ -145,52 +147,11 @@ class CAMCrossbar:
         self._contiguous_count = count if bool(self._stored_mask[:count].all()) else None
 
     # ------------------------------------------------------------------ #
-    # search
+    # batched search
     # ------------------------------------------------------------------ #
-    def search(self, query: int) -> np.ndarray:
-        """Search one query codeword; returns the 0/1 match vector per row."""
-        if not self.is_programmed:
-            raise RuntimeError("CAM must be programmed before searching")
-        cfg = self.config
-        if not 0 <= query < cfg.capacity:
-            raise ValueError(f"query {query} outside [0, {cfg.capacity - 1}]")
-        matches = (self._stored_codes == query).astype(np.int64)
-        matches = self._inject_errors(matches)
-        self.search_count += 1
-        return matches
-
-    def search_many(self, queries: np.ndarray) -> np.ndarray:
-        """Search a batch of queries; returns a ``len(queries) x rows`` matrix.
-
-        All wordlines are searched in parallel for each query, as in Fig. 1
-        of the paper; queries themselves are applied sequentially.
-        """
-        if not self.is_programmed:
-            raise RuntimeError("CAM must be programmed before searching")
-        arr = np.asarray(queries, dtype=np.int64).ravel()
-        cfg = self.config
-        if np.any(arr < 0) or np.any(arr >= cfg.capacity):
-            raise ValueError(f"queries must lie in [0, {cfg.capacity - 1}]")
-        matches = (arr[:, None] == self._stored_codes[None, :]).astype(np.int64)
-        matches = self._inject_errors(matches)
-        self.search_count += arr.size
-        return matches
-
-    # ------------------------------------------------------------------ #
-    # batched (analytic) search
-    # ------------------------------------------------------------------ #
-    def _require_error_free(self, name: str) -> None:
-        """The analytic batched search cannot model matchline flips."""
-        if self.config.search_error_rate > 0.0:
-            raise RuntimeError(
-                f"{name} requires search_error_rate == 0; searches with error "
-                "injection must simulate matchline vectors via search/search_many"
-            )
-
     def _batched_queries(self, queries: np.ndarray, name: str) -> np.ndarray:
         if not self.is_programmed:
             raise RuntimeError("CAM must be programmed before searching")
-        self._require_error_free(name)
         block = np.asarray(queries, dtype=np.int64)
         if block.ndim != 2:
             raise ValueError(f"{name} expects a 2D (num_rows, n) query block")
@@ -211,50 +172,81 @@ class CAMCrossbar:
         stored codeword (true for the CAM/SUB crossbar, which stores every
         representable level), so validation and miss masking are skipped and
         the search collapses to one ``np.max`` over the block.
+
+        A non-zero ``search_error_rate`` flips match decisions; the merged
+        lines are then sampled per stored level (:meth:`_sampled_max_codes`).
         """
         if assume_hits:
-            self._require_error_free("search_max_codes")
             block = np.asarray(queries)
-            self.search_count += block.size
-            return block.max(axis=-1)
-        block = self._batched_queries(queries, "search_max_codes")
-        if block.size == 0:
-            return np.full(block.shape[0], -1, dtype=np.int64)
-        self.search_count += block.size
-        contiguous = self._contiguous_count
-        if contiguous is not None:
-            # stored set is {0..contiguous-1}: a query matches iff below it
-            return np.where(block < contiguous, block, np.int64(-1)).max(axis=-1)
-        safe = np.minimum(block, self.config.capacity - 1)
-        hit = self._stored_mask[safe] & (block < self.config.capacity)
-        return np.where(hit, block, -1).max(axis=-1)
+            best = block.max(axis=-1)
+        else:
+            block = self._batched_queries(queries, "search_max_codes")
+            if block.size == 0:
+                return np.full(block.shape[0], -1, dtype=np.int64)
+            contiguous = self._contiguous_count
+            if contiguous is not None:
+                # stored set is {0..contiguous-1}: a query matches iff below it
+                best = np.where(block < contiguous, block, np.int64(-1)).max(axis=-1)
+            else:
+                safe = np.minimum(block, self.config.capacity - 1)
+                hit = self._stored_mask[safe] & (block < self.config.capacity)
+                best = np.where(hit, block, -1).max(axis=-1)
+        if self.config.search_error_rate > 0.0:
+            return self._sampled_max_codes(block, best)
+        return best
 
-    def search_histograms(
-        self, queries: np.ndarray, num_codes: int, *, count: bool = True
-    ) -> np.ndarray:
+    def _sampled_max_codes(self, block: np.ndarray, best: np.ndarray) -> np.ndarray:
+        """Max search with every (query, stored level) decision flipped at rate p.
+
+        After OR-merging a row's ``n`` match vectors, stored level ``c`` stays
+        dark only if each of the ``k_c`` queries holding ``c`` flipped off and
+        none of the other ``n - k_c`` flipped on: probability
+        ``p^k_c (1 - p)^(n - k_c)``, independently across levels.  One
+        uniform per (row, stored level) decides each merged line and the
+        highest lit level wins; when every line stays dark the controller
+        re-searches and gets the true maximum ``best``.  Exact in law to
+        flipping all ``n x levels`` decisions, with ``levels`` draws per row.
+        """
+        p = self.config.search_error_rate
+        n = block.shape[-1]
+        num_codes = int(self._stored_codes.max()) + 1
+        k = np.arange(n + 1)
+        dark = (p**k * (1.0 - p) ** (n - k))[self._code_counts(block, num_codes)]
+        lit = self._rng.random(dark.shape) >= dark
+        if self._contiguous_count is None:
+            lit &= self._stored_mask[:num_codes]
+        top = np.where(lit, np.arange(num_codes), -1).max(axis=-1)
+        return np.where(top >= 0, top, best)
+
+    def search_histograms(self, queries: np.ndarray, num_codes: int) -> np.ndarray:
         """Per-row histogram of matched codes below ``num_codes``.
 
         For each row of a ``(num_rows, n)`` query block, counts how many
         queries matched each stored code in ``[0, num_codes)`` — exactly the
         counter-bank state after the row's searches — using one offset
-        ``np.bincount`` over the whole block.  Pass ``count=False`` when the
-        histogram is a derived view of searches already accounted elsewhere.
+        ``np.bincount`` over the whole block.  Requires error-free searches.
         """
         if num_codes < 1:
             raise ValueError(f"num_codes must be >= 1, got {num_codes}")
-        block = self._batched_queries(queries, "search_histograms")
+        if self.config.search_error_rate > 0.0:
+            raise RuntimeError(
+                "search_histograms requires search_error_rate == 0; only "
+                "search_max_codes samples matchline flips"
+            )
+        return self._code_counts(self._batched_queries(queries, "search_histograms"), num_codes)
+
+    def _code_counts(self, block: np.ndarray, num_codes: int) -> np.ndarray:
+        """Matches per row and stored code below ``num_codes`` (no validation)."""
         num_rows = block.shape[0]
         if block.size == 0:
             return np.zeros((num_rows, num_codes), dtype=np.int64)
-        if count:
-            self.search_count += block.size
         contiguous = self._contiguous_count
         if contiguous is not None:
             # stored set is {0..contiguous-1}: fold everything not counted
             # (misses and codes beyond num_codes) into one sentinel bucket and
             # histogram the whole block with a single offset bincount
             cutoff = min(num_codes, contiguous)
-            idx = np.minimum(block, cutoff)
+            idx = np.minimum(block, cutoff, dtype=np.int64)
             idx += np.arange(num_rows, dtype=np.int64)[:, None] * (cutoff + 1)
             counts = np.bincount(idx.ravel(), minlength=num_rows * (cutoff + 1))
             counts = counts.reshape(num_rows, cutoff + 1)[:, :cutoff]
@@ -274,19 +266,6 @@ class CAMCrossbar:
         return np.bincount(flat, minlength=num_rows * num_codes).reshape(
             num_rows, num_codes
         )
-
-    def match_index(self, query: int) -> int:
-        """Row index storing ``query``; -1 when no row matches."""
-        matches = self.search(query)
-        hits = np.flatnonzero(matches)
-        return int(hits[0]) if hits.size else -1
-
-    def _inject_errors(self, matches: np.ndarray) -> np.ndarray:
-        rate = self.config.search_error_rate
-        if rate <= 0.0:
-            return matches
-        flips = self._rng.random(size=matches.shape) < rate
-        return np.where(flips, 1 - matches, matches)
 
     # ------------------------------------------------------------------ #
     # per-access costs

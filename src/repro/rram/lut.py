@@ -93,7 +93,6 @@ class LUTCrossbar:
         self.config = config or LUTConfig()
         self.sense_amp = SenseAmplifier()
         self._values: np.ndarray | None = None
-        self.read_count = 0
 
     # ------------------------------------------------------------------ #
     # programming
@@ -127,44 +126,6 @@ class LUTCrossbar:
             )
         quantised = np.rint(arr / cfg.resolution) * cfg.resolution
         self._values = quantised
-
-    # ------------------------------------------------------------------ #
-    # readout
-    # ------------------------------------------------------------------ #
-    def read_row(self, row: int) -> float:
-        """Read the value stored at ``row`` (wordline-selected digital read)."""
-        if not self.is_programmed:
-            raise RuntimeError("LUT must be programmed before reading")
-        if not 0 <= row < self._values.size:
-            raise ValueError(f"row {row} outside [0, {self._values.size - 1}]")
-        self.read_count += 1
-        return float(self._values[row])
-
-    def read_onehot(self, match_vector: np.ndarray) -> float:
-        """Read the row selected by a one-hot match vector from the CAM.
-
-        Raises if the vector selects no row or more than one row, which in
-        hardware would correspond to a failed CAM search.
-        """
-        if not self.is_programmed:
-            raise RuntimeError("LUT must be programmed before reading")
-        vector = np.asarray(match_vector, dtype=np.int64).ravel()
-        hits = np.flatnonzero(vector)
-        if hits.size != 1:
-            raise ValueError(
-                f"match vector must select exactly one row, selected {hits.size}"
-            )
-        return self.read_row(int(hits[0]))
-
-    def read_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`read_row` for a batch of row indices."""
-        if not self.is_programmed:
-            raise RuntimeError("LUT must be programmed before reading")
-        idx = np.asarray(rows, dtype=np.int64).ravel()
-        if np.any(idx < 0) or np.any(idx >= self._values.size):
-            raise ValueError(f"row indices must lie in [0, {self._values.size - 1}]")
-        self.read_count += idx.size
-        return self._values[idx].copy()
 
     # ------------------------------------------------------------------ #
     # per-access costs

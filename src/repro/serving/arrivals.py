@@ -547,17 +547,6 @@ class DayCurveArrivals:
         """Width of one curve bin."""
         return self.period_s / self.num_bins
 
-    def rate_at(self, time_s: float) -> float:
-        """Instantaneous offered rate at ``time_s`` (periodic)."""
-        require_non_negative(time_s, "time_s")
-        bin_index = int((time_s % self.period_s) / self.bin_s)
-        return self.mean_rate_rps * float(self.curve[min(bin_index, self.num_bins - 1)])
-
-    @property
-    def peak_rate_rps(self) -> float:
-        """Offered rate of the busiest bin — what peak provisioning sizes for."""
-        return self.mean_rate_rps * float(self.curve.max())
-
     def generate(self, num_requests: int, index_offset: int = 0) -> list[Request]:
         """The first ``num_requests`` arrivals of the diurnal stream."""
         require_positive(num_requests, "num_requests")

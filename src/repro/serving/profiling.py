@@ -52,11 +52,6 @@ class RunProfile:
     peak_queue_depth: int = 0
 
     @property
-    def events_per_s(self) -> float:
-        """Popped events per wall-clock second (the loop's raw speed)."""
-        return self.events_popped / self.wall_s if self.wall_s > 0 else float("inf")
-
-    @property
     def requests_per_s(self) -> float:
         """Completed requests per wall-clock second of simulation."""
         return self.num_requests / self.wall_s if self.wall_s > 0 else float("inf")

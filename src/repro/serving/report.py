@@ -308,11 +308,6 @@ class FailureRecord:
     lost_requests: int = 0
     wasted_energy_j: float = 0.0
 
-    @property
-    def down_s(self) -> float:
-        """Downtime of this failure–repair cycle."""
-        return self.repaired_s - self.fail_s
-
 
 #: Directions an autoscaler can move a chip.
 SCALE_ACTIONS = ("sleep", "wake")
@@ -798,18 +793,20 @@ class ServingReport:
 
     @property
     def num_good(self) -> int:
-        """Completed requests that also met their deadline.
+        """Completions that met their own SLO deadline and the retry deadline.
 
-        Without a deadline every completion is good — goodput equals
-        throughput, as in a run without faults.
+        Untagged requests carry an infinite SLO deadline, and the retry
+        deadline applies only when one is set — so a run with neither counts
+        every completion and goodput equals throughput.
         """
-        if self.deadline_s is None:
-            return self.num_requests
-        return int(np.count_nonzero(self.requests.latency_s <= self.deadline_s))
+        good = self.requests.met_deadline
+        if self.deadline_s is not None:
+            good = good & (self.requests.latency_s <= self.deadline_s)
+        return int(np.count_nonzero(good))
 
     @property
     def goodput_rps(self) -> float:
-        """Deadline-meeting completions per second of makespan."""
+        """Good completions (:attr:`num_good`) per second of makespan."""
         span = self.makespan_s
         return self.num_good / span if span > 0 else float("inf")
 
@@ -998,13 +995,6 @@ class ServingReport:
             if f.chip == chip:
                 down += max(0.0, min(f.repaired_s, end) - max(f.fail_s, start))
         return down
-
-    def chip_availability(self, chip: int) -> float:
-        """Healthy fraction of one chip over the observation window."""
-        span = self.makespan_s
-        if span <= 0:
-            return 1.0
-        return 1.0 - self.chip_downtime_s(chip) / span
 
     @property
     def fleet_availability(self) -> float:

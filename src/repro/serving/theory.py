@@ -158,20 +158,3 @@ class MachineRepairQueue:
         """Mean queueing delay before service starts."""
         return self.mean_latency_s - self.service_s
 
-    @property
-    def mean_at_server(self) -> float:
-        """Mean clients queued or in service (Little: ``X * R``)."""
-        return self.throughput_rps * self.mean_latency_s
-
-    @property
-    def bottleneck_throughput_rps(self) -> float:
-        """Asymptotic bound ``min(N / (Z + s), 1 / s)`` — the capacity ceiling.
-
-        Small populations are think-limited (each client cycles every
-        ``Z + s`` at best), large ones server-limited; the exact ``X``
-        approaches whichever bound binds.
-        """
-        return min(
-            self.num_clients / (self.think_s + self.service_s),
-            1.0 / self.service_s,
-        )

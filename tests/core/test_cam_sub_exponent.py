@@ -15,58 +15,62 @@ from repro.rram.noise import NoiseConfig
 from repro.utils.fixed_point import CNEWS_FORMAT, COLA_FORMAT, MRPC_FORMAT, FixedPointFormat
 
 
+def _quantized(fmt, scores: np.ndarray) -> np.ndarray:
+    """Scores clipped to the format's signed range and rounded onto its grid."""
+    clipped = np.clip(scores, fmt.signed_min_value, fmt.signed_max_value)
+    return np.rint(clipped / fmt.resolution) * fmt.resolution
+
+
 class TestCamSub:
     def test_finds_maximum_of_quantised_scores(self, rng):
         cam_sub = CamSubCrossbar(SoftmaxEngineConfig(fmt=CNEWS_FORMAT))
-        scores = rng.uniform(-30, 30, size=32)
-        result = cam_sub.process(scores)
-        expected_max = cam_sub.quantize_scores(scores).max()
-        assert result.max_value == pytest.approx(expected_max)
+        scores = rng.uniform(-30, 30, size=(1, 32))
+        result = cam_sub.process_batch(scores)
+        assert result.max_values[0] == _quantized(CNEWS_FORMAT, scores).max()
 
     def test_differences_are_non_negative_and_exact(self, rng):
         cam_sub = CamSubCrossbar(SoftmaxEngineConfig(fmt=CNEWS_FORMAT))
-        scores = rng.uniform(-30, 30, size=64)
-        result = cam_sub.process(scores)
-        quantised = cam_sub.quantize_scores(scores)
+        scores = rng.uniform(-30, 30, size=(1, 64))
+        result = cam_sub.process_batch(scores)
+        quantised = _quantized(CNEWS_FORMAT, scores)
         np.testing.assert_allclose(result.differences, quantised.max() - quantised, atol=1e-12)
         assert np.all(result.differences >= 0)
 
     def test_difference_codes_match_differences(self, rng):
         fmt = MRPC_FORMAT
         cam_sub = CamSubCrossbar(SoftmaxEngineConfig(fmt=fmt))
-        result = cam_sub.process(rng.uniform(-30, 30, size=16))
+        result = cam_sub.process_batch(rng.uniform(-30, 30, size=(1, 16)))
         np.testing.assert_allclose(result.difference_codes * fmt.resolution, result.differences)
 
     def test_fig1_toy_example_max_at_expected_row(self):
         # four inputs, the max must be found regardless of position
         cam_sub = CamSubCrossbar(SoftmaxEngineConfig(fmt=FixedPointFormat(3, 1)))
-        scores = np.array([1.5, 3.0, -2.0, 0.5])
-        result = cam_sub.process(scores)
-        assert result.max_value == pytest.approx(3.0)
-        np.testing.assert_allclose(result.differences, [1.5, 0.0, 5.0, 2.5])
+        scores = np.array([[1.5, 3.0, -2.0, 0.5]])
+        result = cam_sub.process_batch(scores)
+        assert result.max_values[0] == pytest.approx(3.0)
+        np.testing.assert_allclose(result.differences[0], [1.5, 0.0, 5.0, 2.5])
 
     def test_negative_scores_only(self):
         cam_sub = CamSubCrossbar(SoftmaxEngineConfig(fmt=CNEWS_FORMAT))
-        result = cam_sub.process(np.array([-5.0, -10.0, -1.25]))
-        assert result.max_value == pytest.approx(-1.25)
+        result = cam_sub.process_batch(np.array([[-5.0, -10.0, -1.25]]))
+        assert result.max_values[0] == pytest.approx(-1.25)
 
     def test_clipping_beyond_format_range(self):
         fmt = COLA_FORMAT  # offset-binary signed range [-16, +15.75]
         cam_sub = CamSubCrossbar(SoftmaxEngineConfig(fmt=fmt))
-        result = cam_sub.process(np.array([100.0, 0.0]))
-        assert result.max_value == pytest.approx(fmt.signed_max_value)
+        result = cam_sub.process_batch(np.array([[100.0, 0.0]]))
+        assert result.max_values[0] == pytest.approx(fmt.signed_max_value)
 
     def test_max_row_is_first_merged_hit(self):
         cam_sub = CamSubCrossbar(SoftmaxEngineConfig(fmt=FixedPointFormat(3, 1)))
-        result = cam_sub.process(np.array([0.0, 2.0]))
+        result = cam_sub.process_batch(np.array([[0.0, 2.0], [0.0, 5.0]]))
         # stored descending: row index of larger value is smaller
-        other = cam_sub.process(np.array([0.0, 5.0]))
-        assert other.max_row < result.max_row
+        assert result.max_rows[1] < result.max_rows[0]
 
     def test_empty_input_rejected(self):
         cam_sub = CamSubCrossbar()
         with pytest.raises(ValueError):
-            cam_sub.process(np.array([]))
+            cam_sub.process_batch(np.empty((1, 0)))
 
     def test_costs_scale_with_sequence_length(self):
         cam_sub = CamSubCrossbar()
@@ -82,56 +86,58 @@ class TestExponentialUnit:
     def test_exponentials_match_lut_rule(self):
         config = SoftmaxEngineConfig(fmt=CNEWS_FORMAT)
         unit = ExponentialUnit(config)
-        codes = np.array([0, 1, 4, 8])
-        result = unit.process(codes)
+        codes = np.array([[0, 1, 4, 8]])
+        result = unit.process_batch(codes)
         expected = exponential_lut_entries(-codes * CNEWS_FORMAT.resolution, config.lut_frac_bits)
         np.testing.assert_allclose(result.exponentials, expected)
 
     def test_out_of_range_codes_give_zero(self):
         config = SoftmaxEngineConfig(fmt=MRPC_FORMAT, exp_rows=256)
         unit = ExponentialUnit(config)
-        result = unit.process(np.array([0, 300, 400]))
-        assert result.exponentials[0] == pytest.approx(1.0)
-        assert result.exponentials[1] == 0.0
-        assert result.misses == 2
+        result = unit.process_batch(np.array([[0, 300, 400]]))
+        assert result.exponentials[0, 0] == pytest.approx(1.0)
+        assert result.exponentials[0, 1] == 0.0
+        assert result.misses[0] == 2
 
     def test_denominator_equals_sum_of_exponentials(self, rng):
         unit = ExponentialUnit(SoftmaxEngineConfig(fmt=CNEWS_FORMAT))
-        codes = rng.integers(0, 40, size=64)
-        result = unit.process(codes)
-        assert result.denominator == pytest.approx(result.exponentials.sum())
+        codes = rng.integers(0, 40, size=(1, 64))
+        result = unit.process_batch(codes)
+        assert result.denominators[0] == pytest.approx(result.exponentials.sum())
 
     def test_histogram_counts_match_occurrences(self):
         unit = ExponentialUnit(SoftmaxEngineConfig(fmt=CNEWS_FORMAT))
-        codes = np.array([0, 0, 1, 3, 3, 3])
-        result = unit.process(codes)
-        assert result.histogram[0] == 2
-        assert result.histogram[1] == 1
-        assert result.histogram[3] == 3
+        codes = np.array([[0, 0, 1, 3, 3, 3]])
+        histogram = unit.process_batch(codes).histograms[0]
+        assert histogram[0] == 2
+        assert histogram[1] == 1
+        assert histogram[3] == 3
 
     def test_lut_zero_levels_do_not_need_counters(self):
         unit = ExponentialUnit(SoftmaxEngineConfig(fmt=CNEWS_FORMAT))
         # e^{-d} rounds to zero well before 256 levels at m = 4
         assert unit.counters.num_counters < 64
         # a code in the zero region contributes nothing to the denominator
-        result = unit.process(np.array([0, 100]))
-        assert result.denominator == pytest.approx(1.0)
+        result = unit.process_batch(np.array([[0, 100]]))
+        assert result.denominators[0] == pytest.approx(1.0)
 
     def test_noise_perturbs_outputs(self, rng):
-        codes = rng.integers(0, 14, size=32)
-        ideal = ExponentialUnit(SoftmaxEngineConfig(fmt=CNEWS_FORMAT)).process(codes)
+        codes = rng.integers(0, 14, size=(1, 32))
+        ideal = ExponentialUnit(SoftmaxEngineConfig(fmt=CNEWS_FORMAT)).process_batch(codes)
         noisy_cfg = SoftmaxEngineConfig(
             fmt=CNEWS_FORMAT, noise=NoiseConfig(read_noise_sigma=0.05, seed=1)
         )
-        noisy = ExponentialUnit(noisy_cfg).process(codes)
+        noisy = ExponentialUnit(noisy_cfg).process_batch(codes)
         assert not np.allclose(ideal.exponentials, noisy.exponentials)
 
     def test_invalid_codes(self):
         unit = ExponentialUnit()
         with pytest.raises(ValueError):
-            unit.process(np.array([-1]))
+            unit.process_batch(np.array([[-1]]))
         with pytest.raises(ValueError):
-            unit.process(np.array([], dtype=np.int64))
+            unit.process_batch(np.empty((1, 0), dtype=np.int64))
+        with pytest.raises(ValueError):
+            unit.process_batch(np.array([0, 1]))  # 1-D
 
     def test_costs(self):
         unit = ExponentialUnit()
@@ -143,31 +149,15 @@ class TestExponentialUnit:
 
 
 class TestCounterBank:
-    def test_increment_and_reset(self):
-        bank = CounterBank(num_counters=8, bits=4)
-        bank.increment(3)
-        bank.increment(3)
-        assert bank.values[3] == 2
-        bank.reset()
-        assert bank.values.sum() == 0
+    def test_saturation_value(self):
+        assert CounterBank(num_counters=2, bits=2).max_count == 3
+        assert CounterBank(num_counters=2, bits=10).max_count == 1023
 
-    def test_saturation(self):
-        bank = CounterBank(num_counters=2, bits=2)
-        for _ in range(10):
-            bank.increment(0)
-        assert bank.values[0] == bank.max_count == 3
-
-    def test_accumulate_histogram_skips_misses(self):
-        bank = CounterBank(num_counters=4, bits=8)
-        histogram = bank.accumulate_histogram(np.array([0, 1, 1, -1, 3]))
-        assert histogram.tolist() == [1, 2, 0, 1]
-
-    def test_invalid_indices(self):
-        bank = CounterBank(num_counters=4, bits=8)
+    def test_invalid_configuration(self):
         with pytest.raises(ValueError):
-            bank.increment(4)
+            CounterBank(num_counters=0, bits=8)
         with pytest.raises(ValueError):
-            bank.accumulate_histogram(np.array([5]))
+            CounterBank(num_counters=4, bits=0)
 
     def test_costs(self):
         small = CounterBank(4, 8)
@@ -180,23 +170,23 @@ class TestCounterBank:
 class TestDividerUnit:
     def test_divide_matches_numpy(self, rng):
         divider = DividerUnit(bits=16)
-        numerators = rng.uniform(0, 1, size=16)
-        np.testing.assert_allclose(divider.divide(numerators, 4.0), numerators / 4.0)
+        numerators = rng.uniform(0, 1, size=(1, 16))
+        np.testing.assert_allclose(
+            divider.divide_batch(numerators, np.array([4.0])), numerators / 4.0
+        )
 
     def test_zero_denominator_gives_uniform(self):
         divider = DividerUnit()
-        out = divider.divide(np.array([1.0, 2.0, 3.0, 4.0]), 0.0)
+        out = divider.divide_batch(np.array([[1.0, 2.0, 3.0, 4.0]]), np.array([0.0]))
         np.testing.assert_allclose(out, 0.25)
 
     def test_quotient_truncation(self):
         divider = DividerUnit(quotient_frac_bits=2)
-        out = divider.divide(np.array([1.0]), 3.0)
-        assert out[0] == pytest.approx(0.25)  # floor(0.333 * 4) / 4
+        out = divider.divide_batch(np.array([[1.0]]), np.array([3.0]))
+        assert out[0, 0] == pytest.approx(0.25)  # floor(0.333 * 4) / 4
 
-    def test_costs_and_counters(self):
+    def test_costs(self):
         divider = DividerUnit(bits=16)
-        divider.divide(np.ones(8), 2.0)
-        assert divider.divide_count == 8
         assert divider.divide_latency_s() == pytest.approx(16e-9)
         assert divider.area_um2() > 0
         assert divider.divide_energy_j() > 0

@@ -33,16 +33,18 @@ class TestEngineNumerics:
         exact = exact_softmax(score_rows)
         assert np.max(np.abs(approx - exact)) < 0.05
 
-    def test_trace_intermediates_are_consistent(self, cnews_engine, score_rows):
-        trace = cnews_engine.softmax_row_trace(score_rows[0])
-        assert trace.max_value == pytest.approx(trace.quantized_scores.max())
-        np.testing.assert_allclose(
-            trace.differences, trace.max_value - trace.quantized_scores, atol=1e-12
-        )
-        assert trace.denominator == pytest.approx(trace.exponentials.sum())
-        np.testing.assert_allclose(
-            trace.probabilities, trace.exponentials / trace.denominator, atol=1e-12
-        )
+    def test_stage_intermediates_are_consistent(self, cnews_engine, score_rows):
+        fmt = CNEWS_FORMAT
+        block = score_rows[:1]
+        quantized = np.rint(np.clip(block, fmt.signed_min_value, fmt.signed_max_value) / fmt.resolution) * fmt.resolution
+        cam = cnews_engine.cam_sub.process_batch(block)
+        exp = cnews_engine.exponential.process_batch(cam.difference_codes)
+        probabilities = cnews_engine.divider.divide_batch(exp.exponentials, exp.denominators)
+        assert cam.max_values[0] == quantized.max()
+        np.testing.assert_array_equal(cam.differences, cam.max_values[:, None] - quantized)
+        assert exp.denominators[0] == pytest.approx(exp.exponentials.sum())
+        np.testing.assert_array_equal(probabilities, exp.exponentials / exp.denominators[:, None])
+        np.testing.assert_array_equal(probabilities[0], cnews_engine.softmax_row(block[0]))
 
     def test_callable_interface_for_attention(self, cnews_engine, rng):
         scores = rng.normal(0, 5, size=(2, 3, 8))

@@ -23,30 +23,14 @@ class TestCAM:
     def test_search_finds_stored_code(self):
         cam = CAMCrossbar(CAMConfig(rows=16, bits=4))
         cam.program_codes(np.arange(16))
-        for query in (0, 7, 15):
-            matches = cam.search(query)
-            assert matches.sum() == 1
-            assert int(np.flatnonzero(matches)[0]) == query
+        queries = np.array([[0], [7], [15]])
+        np.testing.assert_array_equal(cam.search_max_codes(queries), [0, 7, 15])
 
     def test_search_miss_returns_all_zero(self):
         cam = CAMCrossbar(CAMConfig(rows=8, bits=4))
         cam.program_codes(np.arange(8))  # codes 0..7 of a 16-code space
-        assert cam.search(12).sum() == 0
-        assert cam.match_index(12) == -1
-
-    def test_search_many_matches_loop(self, rng):
-        cam = CAMCrossbar(CAMConfig(rows=32, bits=5))
-        cam.program_codes(np.arange(32))
-        queries = rng.integers(0, 32, size=10)
-        batch = cam.search_many(queries)
-        for i, query in enumerate(queries):
-            np.testing.assert_array_equal(batch[i], cam.search(int(query)))
-
-    def test_descending_storage_order(self):
-        cam = CAMCrossbar(CAMConfig(rows=8, bits=3))
-        cam.program_codes(np.arange(7, -1, -1))
-        assert cam.match_index(7) == 0
-        assert cam.match_index(0) == 7
+        np.testing.assert_array_equal(cam.search_max_codes(np.array([[12]])), [-1])
+        assert cam.search_histograms(np.array([[12]]), 16).sum() == 0
 
     def test_program_validation(self):
         cam = CAMCrossbar(CAMConfig(rows=4, bits=3))
@@ -59,14 +43,14 @@ class TestCAM:
 
     def test_search_before_program_raises(self):
         with pytest.raises(RuntimeError):
-            CAMCrossbar().search(0)
+            CAMCrossbar().search_max_codes(np.zeros((1, 1), dtype=np.int64))
 
     def test_search_error_injection_flips_some_matches(self):
         cam = CAMCrossbar(CAMConfig(rows=64, bits=6, search_error_rate=0.2, seed=0))
         cam.program_codes(np.arange(64))
-        matches = cam.search_many(np.arange(64))
-        # with a 20% flip rate, the result cannot be a perfect identity matrix
-        assert not np.array_equal(matches, np.eye(64, dtype=np.int64))
+        queries = np.arange(64)[:, None]
+        # with a 20% flip rate, the searches cannot all return their query
+        assert not np.array_equal(cam.search_max_codes(queries), np.arange(64))
 
     def test_costs_positive_and_scale_with_rows(self):
         small = CAMCrossbar(CAMConfig(rows=64, bits=9))
@@ -80,7 +64,8 @@ class TestCAM:
     def test_search_is_exact_for_any_stored_code(self, query):
         cam = CAMCrossbar(CAMConfig(rows=256, bits=8))
         cam.program_codes(np.arange(256))
-        assert cam.match_index(query) == query
+        assert cam.search_max_codes(np.array([[query]]))[0] == query
+        assert cam.search_histograms(np.array([[query]]), 256)[0, query] == 1
 
 
 class TestLUT:
@@ -97,25 +82,7 @@ class TestLUT:
         lut = LUTCrossbar(LUTConfig(rows=16, value_bits=8, frac_bits=4))
         values = exponential_lut_entries(-np.arange(16) * 0.25, 4)
         lut.program_values(values)
-        for row in (0, 5, 15):
-            assert lut.read_row(row) == pytest.approx(values[row])
-
-    def test_read_onehot(self):
-        lut = LUTCrossbar(LUTConfig(rows=8, value_bits=8, frac_bits=4))
-        lut.program_values(np.linspace(0, 10, 8))
-        onehot = np.zeros(8, dtype=int)
-        onehot[3] = 1
-        assert lut.read_onehot(onehot) == pytest.approx(lut.read_row(3))
-        with pytest.raises(ValueError):
-            lut.read_onehot(np.zeros(8, dtype=int))
-        with pytest.raises(ValueError):
-            lut.read_onehot(np.ones(8, dtype=int))
-
-    def test_read_rows_vectorised(self):
-        lut = LUTCrossbar(LUTConfig(rows=8, value_bits=10, frac_bits=4))
-        lut.program_values(np.arange(8, dtype=float))
-        out = lut.read_rows(np.array([1, 3, 5]))
-        np.testing.assert_allclose(out, [1.0, 3.0, 5.0])
+        np.testing.assert_array_equal(lut.values, values)
 
     def test_program_validation(self):
         lut = LUTCrossbar(LUTConfig(rows=4, value_bits=6, frac_bits=4))
@@ -128,7 +95,7 @@ class TestLUT:
 
     def test_read_before_program_raises(self):
         with pytest.raises(RuntimeError):
-            LUTCrossbar().read_row(0)
+            LUTCrossbar().values
 
     def test_costs_positive(self):
         lut = LUTCrossbar(LUTConfig(rows=256, value_bits=18, frac_bits=4))

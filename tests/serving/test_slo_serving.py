@@ -28,6 +28,7 @@ from repro.serving import (
     MMPPArrivals,
     NO_BATCHING,
     PoissonArrivals,
+    RetryPolicy,
     ScaleEvent,
     ServiceModel,
     ServingSimulator,
@@ -244,6 +245,38 @@ class TestReportSLOMetrics:
         p99 = report.class_latency_percentile_s(0, 99.0)
         assert p99 >= report.class_latency_percentile_s(0, 50.0)
         assert report.class_mean_latency_s(0) > 0.0
+
+    def test_goodput_counts_completions_that_met_their_own_slo(self):
+        # no faults and no retry deadline: a completion is good iff it met
+        # the deadline it arrived with
+        policy = SLOPolicy((SLOClass("tight", 1.5e-3), SLOClass("loose", 10.0)))
+        requests = policy.tag_random(
+            PoissonArrivals(1500.0, seed=2).generate(400), weights=(0.5, 0.5), seed=3
+        )
+        report = ServingSimulator(
+            ChipFleet(FixedServiceModel(1e-3), num_chips=2),
+            DynamicBatcher.edf(max_batch_size=4, max_wait_s=1e-3),
+        ).run(requests)
+        misses = report.num_deadline_misses()
+        assert misses > 0
+        assert report.num_good == report.num_requests - misses
+        assert report.goodput_rps == report.num_good / report.makespan_s
+
+    def test_goodput_needs_both_the_slo_and_the_retry_deadline(self):
+        policy = SLOPolicy((SLOClass("tight", 1.5e-3), SLOClass("loose", 10.0)))
+        requests = policy.tag_random(
+            PoissonArrivals(1500.0, seed=2).generate(400), weights=(0.5, 0.5), seed=3
+        )
+        report = ServingSimulator(
+            ChipFleet(FixedServiceModel(1e-3), num_chips=2),
+            DynamicBatcher.edf(max_batch_size=4, max_wait_s=1e-3),
+            retry=RetryPolicy(deadline_s=2.5e-3),
+        ).run(requests)
+        latency = report.requests.latency_s
+        met_slo = report.requests.met_deadline
+        met_retry = latency <= 2.5e-3
+        assert np.any(met_slo & ~met_retry) and np.any(~met_slo & met_retry)
+        assert report.num_good == int(np.count_nonzero(met_slo & met_retry))
 
     def test_untagged_reports_stay_slo_silent(self):
         report = ServingSimulator(
