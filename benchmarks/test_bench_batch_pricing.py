@@ -79,8 +79,9 @@ def test_bench_batch_gemm_executor(benchmark):
     )
     assert executed.num_tasks == 16 * 144 * 128
     assert deviation < 0.05
-    # sub-second simulation of ~300k tile tasks keeps sweeps affordable
-    assert benchmark.stats["mean"] < 2.0
+    # lockstep tile blocks simulate ~300k tile tasks in ~3k block pops
+    # (3-7 ms on 2 vCPUs); one event per tile task takes ~0.37 s and fails
+    assert benchmark.stats["mean"] < 0.05
 
 
 @pytest.mark.smoke

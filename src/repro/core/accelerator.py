@@ -500,11 +500,12 @@ class STARAccelerator:
         )
 
     def executed_gemm_schedule(self, workload: BertWorkload, shape: GEMMShape):
-        """Event-driven execution of one per-request GEMM across the batch.
+        """Executed schedule of one per-request GEMM across the batch.
 
         Every tile-level VMM task is dispatched to the first free tile of
-        the bank (:class:`~repro.core.batch_cost.BatchGEMMExecutor`); the
-        measured makespan cross-validates
+        the bank (:class:`~repro.core.batch_cost.BatchGEMMExecutor`, which
+        moves tiles that free together as one lockstep block, so the cost
+        is O(waves)); the measured makespan cross-validates
         :meth:`~repro.core.matmul_engine.MatMulEngine.gemm_streaming_latency_s`
         — exact when the task count divides the tile parallelism, within a
         wave otherwise.

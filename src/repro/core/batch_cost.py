@@ -36,20 +36,21 @@ when the batch grows, and amortised programming energy is exactly one
 operand per batch.
 
 :class:`BatchGEMMExecutor` executes the same batched GEMM as a discrete-
-event simulation on :mod:`repro.core.events` — every tile-level VMM task is
-dispatched to the first tile that frees up — and cross-validates the closed
-forms the same way PR 3's pipeline executor validated the batch-1 attention
-formulas: exact when the task count divides the tile count, within a wave
-otherwise.
+event schedule — every tile-level VMM task goes to the first tile that
+frees up — and cross-validates the closed forms the same way the pipeline
+executor validates the batch-1 attention formulas: exact when the task
+count divides the tile count, within a wave otherwise.  Tiles that free
+together move in lockstep, so the schedule is simulated one block of such
+tiles at a time and costs O(waves), not O(tile tasks).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.events import ARRIVE, FREE, EventLoop, ServerPool
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_positive_int
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid an import cycle
     from repro.core.matmul_engine import GEMMShape, MatMulEngine
@@ -260,12 +261,19 @@ class BatchGEMMExecutor:
     Each of the ``tiles_for(shape) * m * batch`` tile-level VMMs is an
     independent task (partial sums are buffered, so the tasks of one row
     need not be simultaneous); tasks are dispatched FIFO in request order
-    to whichever tile frees first, exactly the
-    :class:`~repro.core.events.ServerPool` discipline the attention
-    executor and the serving simulator use.  Under ``double_buffering``
-    the first request's tasks are served at the serialized VMM latency and
-    later requests' tasks at the overlapped latency, mirroring the closed
-    form's split.
+    to whichever tile frees first, ties going to the tile that was queued
+    first — the shared-pool FIFO discipline of the attention executor and
+    the serving simulator.  Under ``double_buffering`` the first request's
+    tasks are served at the serialized VMM latency and later requests'
+    tasks at the overlapped latency, mirroring the closed form's split.
+
+    Tiles that free at the same instant take consecutive tasks, so they
+    are simulated as one lockstep block: one heap entry per block, which
+    hands out a whole wave of tasks per pop.  At most two blocks are ever
+    live (the wave that crosses from the first request into the later ones
+    splits into a full-latency and an overlapped block), so a GEMM costs
+    O(waves) heap operations, and the schedule is exactly that of
+    dispatching every task on its own.
     """
 
     def __init__(
@@ -283,12 +291,10 @@ class BatchGEMMExecutor:
         tiles_available: int | None = None,
     ) -> ExecutedGEMMSchedule:
         """Simulate the batched GEMM and report its measured schedule."""
-        require_positive(batch_size, "batch_size")
+        require_positive_int(batch_size, "batch_size")
         engine = self.engine
         model = self.cost_model
-        tiles = tiles_available if tiles_available is not None else engine.config.num_tiles
-        require_positive(tiles, "tiles_available")
-        parallel = engine.gemm_parallel_tiles(shape, tiles)
+        parallel = engine.gemm_parallel_tiles(shape, tiles_available)
         tasks_per_request = engine.gemm_tile_vmms(shape)
         num_tasks = tasks_per_request * batch_size
 
@@ -300,43 +306,36 @@ class BatchGEMMExecutor:
             engine.programming_latency_s(shape) if model.charges_programming else 0.0
         )
 
-        loop = EventLoop()
-        pool = ServerPool("tiles", parallel)
-        for tile in range(parallel):
-            loop.schedule(0.0, ARRIVE, tile)
-
-        # tiles never starve while tasks remain (the whole batch is queued
-        # at t = 0), so each tile's completion time is an exact product sum
-        # of its served task counts — no cumulative floating-point drift,
+        # a block is (end, seq, tiles, full_served, overlapped_served): its
+        # tiles free at ``end`` having served the same task counts, and
+        # ``seq`` orders equal-time blocks by push order, as a tile-level
+        # event heap would.  Tiles never starve while tasks remain (the
+        # whole batch is queued at t = 0), so each end is an exact product
+        # sum of the served counts — no cumulative floating-point drift,
         # and the uniform batch-1 case lands bit-identically on the
         # closed-form ``waves * tile_vmm_latency`` arithmetic
-        full_served = [0] * parallel
-        overlapped_served = [0] * parallel
+        blocks = [(0.0, 0, parallel, 0, 0)]
+        seq = 1
         dispatched = 0
         makespan = 0.0
-        while loop:
-            time, kind, (tile,) = loop.pop()
-            if kind == FREE:
-                pool.release(tile)
-            if dispatched >= num_tasks:
-                continue
+        while dispatched < num_tasks:
+            _, _, tiles, full_served, overlapped_served = heapq.heappop(blocks)
+            take = min(tiles, num_tasks - dispatched)
             # the first request's rows interleave with dependent stages and
-            # stream serialized; later requests' rows are double-buffered
-            if dispatched < tasks_per_request:
-                full_served[tile] += 1
-                service = full
-            else:
-                overlapped_served[tile] += 1
-                service = overlapped
-            dispatched += 1
-            pool.acquire(tile)
-            pool.occupy(service)
-            if overlapped_served[tile]:
-                end = full_served[tile] * full + overlapped_served[tile] * overlapped
-            else:
-                end = full_served[tile] * full
-            makespan = max(makespan, end)
-            loop.schedule(end, FREE, tile)
+            # stream serialized; later requests' rows are double-buffered.
+            # The full sub-block's tiles pop first, so they are pushed
+            # first; tiles left without a task drop out
+            first = min(take, max(tasks_per_request - dispatched, 0))
+            dispatched += take
+            for count, f, o in (
+                (first, full_served + 1, overlapped_served),
+                (take - first, full_served, overlapped_served + 1),
+            ):
+                if count:
+                    end = f * full + o * overlapped
+                    makespan = max(makespan, end)
+                    heapq.heappush(blocks, (end, seq, count, f, o))
+                    seq += 1
 
         return ExecutedGEMMSchedule(
             shape=shape,
@@ -345,5 +344,6 @@ class BatchGEMMExecutor:
             num_tasks=num_tasks,
             programming_latency_s=programming,
             streaming_makespan_s=makespan,
-            busy_s=pool.busy_s,
+            # every task is served once: the first request's at full latency
+            busy_s=tasks_per_request * full + (num_tasks - tasks_per_request) * overlapped,
         )

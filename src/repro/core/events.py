@@ -109,7 +109,8 @@ class ServerPool:
     (heterogeneous pools); they default to a homogeneous pool of ``1.0``.
 
     The pool tracks aggregate busy time (:attr:`busy_s`, charged by the
-    client via :meth:`occupy`), the peak queued-item count
+    client via :meth:`occupy`), the queued-item count (:meth:`queue_depth`,
+    kept up to date by :meth:`enqueue` and :meth:`pop`), its peak
     (:attr:`queue_peak`) and per-server completion counts (:attr:`served`).
     """
 
@@ -121,6 +122,7 @@ class ServerPool:
         "online",
         "queues",
         "heads",
+        "_queued",
         "busy_s",
         "queue_peak",
         "served",
@@ -150,6 +152,7 @@ class ServerPool:
         self.online = [True] * num_servers
         self.queues: list[list[Any]] = [[] for _ in range(num_servers if keyed else 1)]
         self.heads = [0] * len(self.queues)
+        self._queued = 0
         self.busy_s = 0.0
         self.queue_peak = 0
         self.served = [0] * num_servers
@@ -165,12 +168,14 @@ class ServerPool:
 
     def queue_depth(self) -> int:
         """Items currently waiting across all queues."""
-        return sum(len(q) - h for q, h in zip(self.queues, self.heads))
+        return self._queued
 
     def enqueue(self, queue: int, item: Any) -> None:
         """Append an item to a queue, updating the peak-depth watermark."""
         self.queues[queue].append(item)
-        self.queue_peak = max(self.queue_peak, self.queue_depth())
+        self._queued += 1
+        if self._queued > self.queue_peak:
+            self.queue_peak = self._queued
 
     def peek(self, queue: int) -> Any | None:
         """The oldest queued item without removing it (``None`` when empty)."""
@@ -184,6 +189,7 @@ class ServerPool:
             return None
         item = self.queues[queue][self.heads[queue]]
         self.heads[queue] += 1
+        self._queued -= 1
         return item
 
     def idle_server(self, key: int = 0) -> int | None:

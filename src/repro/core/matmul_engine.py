@@ -42,7 +42,7 @@ from repro.core.config import MatMulEngineConfig
 from repro.rram.converters import ADC, DAC
 from repro.rram.crossbar import AnalogCrossbar, CrossbarAccessStats, CrossbarConfig
 from repro.rram.device import RRAMDeviceConfig
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_positive_int
 
 if TYPE_CHECKING:
     from repro.core.batch_cost import BatchCostModel, BatchGEMMCost
@@ -351,7 +351,7 @@ class MatMulEngine:
         tiles the operand occupies.
         """
         tiles = tiles_available if tiles_available is not None else self.config.num_tiles
-        require_positive(tiles, "tiles_available")
+        require_positive_int(tiles, "tiles_available")
         if self.config.allow_duplication:
             return tiles
         return min(tiles, self._tiles_for(shape))
@@ -373,7 +373,7 @@ class MatMulEngine:
         overlapped rate (its rows are independent of the row in flight, so
         input staging hides under the previous readout).
         """
-        require_positive(batch_size, "batch_size")
+        require_positive_int(batch_size, "batch_size")
         model = cost_model or DEFAULT_BATCH_COST
         parallel = self.gemm_parallel_tiles(shape, tiles_available)
         vmms_per_request = self.gemm_tile_vmms(shape)
@@ -419,7 +419,7 @@ class MatMulEngine:
         energy — when the cost model charges it — is paid exactly once per
         operand per batch.
         """
-        require_positive(batch_size, "batch_size")
+        require_positive_int(batch_size, "batch_size")
         model = cost_model or DEFAULT_BATCH_COST
         streaming = batch_size * self.gemm_tile_vmms(shape) * self.tile_vmm_energy_j()
         programming = self.programming_energy_j(shape) if model.charges_programming else 0.0
@@ -435,7 +435,7 @@ class MatMulEngine:
         """The full one-time vs per-row price split of one batched GEMM."""
         from repro.core.batch_cost import BatchGEMMCost
 
-        require_positive(batch_size, "batch_size")
+        require_positive_int(batch_size, "batch_size")
         model = cost_model or DEFAULT_BATCH_COST
         programming_latency = (
             self.programming_latency_s(shape) if model.charges_programming else 0.0

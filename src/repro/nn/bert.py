@@ -25,6 +25,7 @@ import numpy as np
 from repro.nn.backend import ComputeBackend
 from repro.nn.encoder import TransformerEncoder
 from repro.nn.layers import Embedding
+from repro.utils.validation import require_positive_int
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid an import cycle
     from repro.core.matmul_engine import GEMMShape
@@ -130,10 +131,8 @@ class BertWorkload:
     batch_size: int = 1
 
     def __post_init__(self) -> None:
-        if self.seq_len < 1:
-            raise ValueError(f"seq_len must be >= 1, got {self.seq_len}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        require_positive_int(self.seq_len, "seq_len")
+        require_positive_int(self.batch_size, "batch_size")
 
     # ------------------------------------------------------------------ #
     # request-level derivatives (serving)

@@ -6,12 +6,14 @@ simulation code free of repetitive boilerplate.
 
 from __future__ import annotations
 
+import numbers
 from typing import Any, Sequence
 
 import numpy as np
 
 __all__ = [
     "require_positive",
+    "require_positive_int",
     "require_non_negative",
     "require_in_range",
     "require_power_of_two",
@@ -27,6 +29,17 @@ def require_positive(value: float, name: str) -> float:
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
     return value
+
+
+def require_positive_int(value: int, name: str) -> int:
+    """Raise ``ValueError`` unless ``value`` is an integer ``>= 1``.
+
+    NumPy integer scalars pass; floats fail even when integral-valued, so a
+    fractional count can never be silently priced as a partial batch.
+    """
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return require_positive(value, name)
 
 
 def require_finite(value: float, name: str) -> float:

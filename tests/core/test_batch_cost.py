@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.batch_cost import (
@@ -197,3 +198,20 @@ class TestBatchGEMMExecutor:
     def test_rejects_bad_batch(self):
         with pytest.raises(ValueError):
             BatchGEMMExecutor(engine()).execute(GEMMShape(1, 1, 1), batch_size=0)
+
+    def test_rejects_fractional_sizes_naming_them(self):
+        executor = BatchGEMMExecutor(engine())
+        shape = GEMMShape(8, 128, 128)
+        with pytest.raises(ValueError, match="batch_size must be an integer, got 2.5"):
+            executor.execute(shape, batch_size=2.5)
+        with pytest.raises(ValueError, match="tiles_available must be an integer, got 2.5"):
+            executor.execute(shape, tiles_available=2.5)
+        with pytest.raises(ValueError, match="batch_size must be an integer, got 2.5"):
+            engine().gemm_latency_s(shape, batch_size=2.5)
+
+    def test_accepts_numpy_integer_sizes(self):
+        executor = BatchGEMMExecutor(engine())
+        shape = GEMMShape(8, 128, 128)
+        assert executor.execute(
+            shape, batch_size=np.int64(3), tiles_available=np.int32(5)
+        ) == executor.execute(shape, batch_size=3, tiles_available=5)

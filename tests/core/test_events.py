@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.events import ARRIVE, FREE, TIMEOUT, EventLoop, ServerPool, StageJitter
 
@@ -132,6 +134,30 @@ class TestServerPool:
         pool.occupy(1.5)
         pool.occupy(0.5)
         assert pool.busy_s == pytest.approx(2.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        keyed=st.booleans(),
+        num_servers=st.integers(min_value=1, max_value=6),
+        steps=st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=0, max_value=5)), max_size=80
+        ),
+    )
+    def test_running_depth_matches_recount(self, keyed, num_servers, steps):
+        # each step enqueues onto (True) or pops from (False) one queue;
+        # pops of empty queues are no-ops and must not move the count
+        pool = ServerPool("pool", num_servers, keyed=keyed)
+        peak = 0
+        for index, (push, key) in enumerate(steps):
+            queue = pool.queue_of(key % num_servers)
+            if push:
+                pool.enqueue(queue, index)
+            else:
+                pool.pop(queue)
+            recount = sum(len(q) - h for q, h in zip(pool.queues, pool.heads))
+            peak = max(peak, recount)
+            assert pool.queue_depth() == recount
+            assert pool.queue_peak == peak
 
 
 class TestStageJitter:

@@ -168,6 +168,16 @@ class TestBert:
         with pytest.raises(ValueError):
             BertWorkload(seq_len=0)
 
+    def test_fractional_workload_sizes_fail_loudly(self):
+        with pytest.raises(ValueError, match="seq_len must be an integer, got 64.5"):
+            BertWorkload(seq_len=64.5)
+        with pytest.raises(ValueError, match="batch_size must be an integer, got 2.5"):
+            BertWorkload(seq_len=64, batch_size=2.5)
+        with pytest.raises(ValueError, match="batch_size must be an integer, got 2.5"):
+            BertWorkload(seq_len=64).with_batch(2.5)
+        numpy_sized = BertWorkload(seq_len=np.int64(64), batch_size=np.int64(2))
+        assert numpy_sized.total_ops() == BertWorkload(seq_len=64, batch_size=2).total_ops()
+
 
 class TestQuantization:
     def test_round_trip_error_bounded(self, rng):
