@@ -2,7 +2,7 @@
 
 The paper's vector-grained pipeline is one of the two ingredients of STAR's
 gain over ReTransformer; this ablation quantifies it in isolation across
-sequence lengths.  Since the event-driven scheduler landed, every point is
+sequence lengths.  Since the executed scheduler landed, every point is
 also *executed* (discrete head-streams and softmax engines instead of the
 closed-form rate model) and the two are gated to agree within 5 % — the
 E7 acceptance criterion.

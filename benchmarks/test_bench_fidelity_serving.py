@@ -7,7 +7,7 @@ Two gates guard the tentpole claim that high-fidelity pricing costs
   :class:`~repro.core.schedule_cache.ScheduleTemplate` must be >= 20x
   faster than the cold ``executed_model_schedule`` run it replaces (in
   practice it is thousands of times faster: one vectorized
-  ``standard_normal`` call against a heap-based event simulation).
+  ``standard_normal`` call against a per-row schedule execution).
 * **Serving overhead** — 100k requests through a prewarmed sharded fleet
   with 5% executed sampling must finish within 2x the wall time of the
   identical analytic-only run.  Both arms ship tabulated pricing tables,

@@ -1,9 +1,13 @@
-"""Event-driven scheduler throughput and scenario-diversity benchmarks.
+"""Executed-scheduler throughput and scenario-diversity benchmarks.
 
 The executor must stay cheap enough to run inside experiment sweeps: one
-BERT-base seq-512 attention layer is 6144 rows x 3 stages of heap events.
-The scenario benchmarks exercise what the closed-form model cannot
-express — per-row jitter and unbalanced softmax-engine pools.
+BERT-base seq-512 attention layer is 6144 rows x 3 stages, each stage
+solved as a FIFO recurrence over its rows.  The smoke gate holds the
+vector-grained execution of that layer to at most **1.0x** the time of
+the operand-grained one — the plain per-row loop over the same rows,
+timed in alternating rounds — so a return to per-row event traffic fails
+the suite.  The scenario benchmarks exercise what the closed-form model
+cannot express — per-row jitter and unbalanced softmax-engine pools.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from repro.core.config import PipelineConfig
 from repro.core.scheduler import PipelineExecutor, StageJitter
 from repro.nn.bert import BertWorkload
 
-from conftest import record
+from conftest import best_of_alternating, record
 
 
 @pytest.mark.smoke
@@ -35,6 +39,25 @@ def test_bench_executor_bert_base_rows(benchmark):
     )
     assert schedule.num_rows == 12 * 512
     assert benchmark.stats["mean"] < 1.0
+
+
+@pytest.mark.smoke
+def test_bench_vector_executor_within_operand_time():
+    """The pipelined layer costs no more wall time than the barriered one."""
+    star = STARAccelerator(schedule="executed")
+    workload = BertWorkload(seq_len=512)
+    vector_s, operand_s = best_of_alternating(
+        [
+            lambda: star.executed_attention_schedule(workload, "vector"),
+            lambda: star.executed_attention_schedule(workload, "operand"),
+        ],
+        repeats=5,
+    )
+    ratio = vector_s / operand_s
+    assert ratio <= 1.0, (
+        f"the vector-grained layer takes {ratio:.2f}x the operand-grained one "
+        f"({vector_s * 1e3:.1f} ms vs {operand_s * 1e3:.1f} ms); the bound is 1.0x"
+    )
 
 
 def test_bench_executor_scenario_diversity(benchmark):

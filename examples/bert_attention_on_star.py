@@ -11,7 +11,7 @@ Four things are demonstrated:
    simulated crossbar tiles (`AnalogBackend`) feeding the RRAM softmax
    engine, swept across device read-noise levels: the end-to-end
    accuracy-under-noise scenario the compute-backend refactor opened;
-3. the executed schedule — attention rows stream through the event-driven
+3. the executed schedule — attention rows stream through the executed
    vector-grained pipeline (`AttentionExecutor`): real score rows from
    MatMul-engine tile banks, a pool of softmax engines, per-row timings
    measured from the access-stats ledgers;
@@ -100,7 +100,7 @@ def full_analog_inference_demo() -> None:
 
 
 def executed_schedule_demo() -> None:
-    """Real tensors streamed through the event-driven vector-grained schedule."""
+    """Real tensors streamed through the executed vector-grained schedule."""
     print("=== 3. Executed schedule: real rows through tile banks + engine pool ===")
     config = BertConfig(
         num_layers=1, hidden=32, num_heads=4, intermediate=64, vocab_size=256, max_positions=16
@@ -149,7 +149,7 @@ def full_model_accounting() -> None:
     print(f"  Q/K/V/output GEMMs    : {format_si(layer.projection_s, 's')}")
     print(f"  attention pipeline    : {format_si(layer.attention_pipeline_s, 's')}")
     print(f"  feed-forward GEMMs    : {format_si(layer.ffn_s, 's')}")
-    print("executed schedule cross-validation (event-driven vs closed-form):")
+    print("executed schedule cross-validation (executed vs closed-form):")
     print("  " + StarScheduleAnalyzer(star).format_table().replace("\n", "\n  ") + "\n")
 
 

@@ -4,7 +4,7 @@ Three ablations the paper's design decisions imply but do not tabulate:
 
 * **pipeline granularity** (E7) — vector-grained vs operand-grained
   scheduling of the attention chain, across sequence lengths; each point
-  is computed analytically *and* executed through the event-driven
+  is computed analytically *and* executed through the pipeline
   scheduler, cross-validating the closed-form model;
 * **softmax precision** (E8) — how the engine's area/power and the softmax
   fidelity trade off as the fixed-point format is swept;
@@ -42,7 +42,7 @@ class PipelineAblationRow:
 
     Each schedule is evaluated twice: with the closed-form analytical
     formulas (``vector_latency_s`` / ``operand_latency_s``) and by the
-    event-driven executor running the same rows through discrete stream and
+    pipeline executor running the same rows through discrete stream and
     engine resources (``executed_*``).  The executed numbers cross-validate
     the formulas — ``speedup_deviation`` is the E7 acceptance metric.
     """
@@ -60,7 +60,7 @@ class PipelineAblationRow:
 
     @property
     def executed_speedup(self) -> float:
-        """Executed (event-driven) speedup of the vector-grained pipeline."""
+        """Executed speedup of the vector-grained pipeline."""
         return self.executed_operand_latency_s / self.executed_vector_latency_s
 
     @property
@@ -116,7 +116,7 @@ class AblationSuite:
         """Attention-chain latency under both schedules, per sequence length.
 
         Every (granularity, seq_len) point is computed both analytically and
-        by executing the rows through the event-driven scheduler with the
+        by executing the rows through the pipeline scheduler with the
         accelerator's discrete head-streams and softmax-engine pool.
         """
         accelerator = self.accelerator()

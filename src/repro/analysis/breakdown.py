@@ -9,7 +9,7 @@ Two analyzers live here:
   sequence length 512 and reaches 59.20 % of BERT-base execution time there.
 * :class:`StarScheduleAnalyzer` — the executed counterpart on the STAR
   side: for each sequence length, run the attention rows through the
-  event-driven :class:`~repro.core.scheduler.PipelineExecutor` and compare
+  executed :class:`~repro.core.scheduler.PipelineExecutor` and compare
   the measured pipeline latency, steady-state interval and softmax-engine
   occupancy against the closed-form
   :class:`~repro.core.pipeline.AttentionPipeline` prediction.  This is

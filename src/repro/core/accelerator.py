@@ -18,7 +18,7 @@ model running on one such chip; the serving simulator
 (:mod:`repro.serving`) replicates the same resources across a fleet and
 charges request batches against them.  Beyond the single attention stage,
 :meth:`STARAccelerator.executed_model_schedule` runs **every encoder
-layer's** attention chain through the event-driven executor, and
+layer's** attention chain through the executed pipeline scheduler, and
 :meth:`STARAccelerator.request_timing` condenses a whole batched inference
 into the service time / energy quantities request-level serving needs.
 """
@@ -144,7 +144,7 @@ class ChipResources:
         jitter: StageJitter | None = None,
         streams: int | None = None,
     ) -> PipelineExecutor:
-        """An event-driven executor occupying this chip's resources.
+        """A pipeline executor occupying this chip's resources.
 
         ``streams`` overrides the tile-budget allocation (the accelerator
         passes its batch-cost model's stream count so analytical and
@@ -242,7 +242,7 @@ class LayerLatencyBreakdown:
 class ModelSchedule:
     """Whole-model executed timing: every encoder layer, not one scaled stage.
 
-    Each layer's attention chain runs through the event-driven executor
+    Each layer's attention chain runs through the pipeline executor
     (with per-layer jitter streams when jitter is configured); the
     projection and FFN GEMMs are charged analytically — they are plain
     weight-stationary GEMMs with no cross-stage pipelining to simulate.
@@ -304,7 +304,7 @@ class STARAccelerator:
     ``"analytical"`` evaluates the closed-form
     :class:`~repro.core.pipeline.AttentionPipeline` formulas (the fast
     default), ``"executed"`` runs the workload's rows through the
-    event-driven :class:`~repro.core.scheduler.PipelineExecutor` with the
+    :class:`~repro.core.scheduler.PipelineExecutor` with the
     chip's actual resources — ``attention_streams`` parallel tile groups
     for the GEMM stages and ``num_softmax_engines`` discrete softmax
     engines — and reports the simulated makespan.  ``jitter`` optionally
@@ -432,7 +432,7 @@ class STARAccelerator:
 
         Unlike :meth:`attention_stage_timing` nothing is divided by the
         stream or engine counts — these are the service times of one tile
-        group / one softmax engine, which is what the event-driven executor
+        group / one softmax engine, which is what the pipeline executor
         consumes (it models the parallelism with discrete servers instead
         of rate scaling).
         """
@@ -448,7 +448,7 @@ class STARAccelerator:
     def attention_executor(
         self, workload: BertWorkload, jitter: StageJitter | None = None
     ) -> PipelineExecutor:
-        """The event-driven executor provisioned for this workload.
+        """The pipeline executor provisioned for this workload.
 
         ``jitter`` overrides the accelerator-level jitter for this one
         executor (used by :meth:`executed_model_schedule` to give every
@@ -463,7 +463,7 @@ class STARAccelerator:
     def executed_attention_schedule(
         self, workload: BertWorkload, granularity: str | None = None
     ) -> ExecutedSchedule:
-        """Run the workload's attention rows through the event-driven executor.
+        """Run the workload's attention rows through the pipeline executor.
 
         ``granularity`` overrides the configured pipeline granularity for
         this one execution (``None`` keeps the configured one).
@@ -517,7 +517,7 @@ class STARAccelerator:
         """Execute the attention chain of **every** encoder layer.
 
         This replaces the single analytically-scaled attention stage with
-        one event-driven execution per layer.  Without jitter the layers
+        one executed pipeline schedule per layer.  Without jitter the layers
         are identical, so one execution is reused for all of them (the
         totals stay bit-identical to ``num_layers`` independent runs);
         with jitter each layer draws an independent per-row stream

@@ -2,7 +2,8 @@
 
 A cold :meth:`~repro.core.accelerator.STARAccelerator.executed_model_schedule`
 run simulates every attention row of every encoder layer through the
-heap-based event executor — milliseconds to seconds of wall clock per
+executed pipeline scheduler and every batched GEMM through the tile-bank
+executor — milliseconds to tenths of a second of wall clock per
 ``(batch, seq_len)`` shape, orders of magnitude too slow to sit inside a
 serving dispatch loop that prices tens of thousands of batches per second.
 This module makes the executed path cheap enough to *sample* at fleet
@@ -16,8 +17,8 @@ scale:
 * :meth:`ScheduleTemplate.resample` then prices one jittered dispatch as
   a vectorized recombination: all per-layer lognormal stage factors come
   from **one** ``Generator.standard_normal`` call and shift each layer's
-  steady-state bottleneck interval analytically — no event heap, no
-  per-row loop — typically >1000x faster than the cold run it replaces.
+  steady-state bottleneck interval analytically — no schedule execution,
+  no per-row loop — typically >1000x faster than the cold run it replaces.
 * :class:`ScheduleTemplateCache` memoizes templates per
   ``(chip-config fingerprint, batch_size, seq_len)`` so a fleet (and
   every sweep over the same configuration) pays each cold build exactly
@@ -29,7 +30,7 @@ Resampling model
 The executed attention pipeline settles into a steady state where rows
 leave at the bottleneck stage's aggregate interval: the analytical model
 writes the makespan as ``fill + (num_rows - 1) * bottleneck`` and the
-event-driven execution reproduces it within the pooling granularity.  A
+executed schedule reproduces it within the pooling granularity.  A
 per-layer lognormal factor matrix ``F`` (one row per encoder layer, one
 column per pipeline stage) shifts layer ``l``'s steady interval from
 ``max_k(steady_k)`` to ``max_k(steady_k * F[l, k])``, so the template

@@ -1,8 +1,8 @@
-"""Event-driven executor of the vector-grained attention pipeline.
+"""Executor of the vector-grained attention pipeline.
 
 :mod:`repro.core.pipeline` *predicts* the latency of the
 ``score GEMM -> softmax -> context GEMM`` chain with closed-form formulas;
-this module *executes* the schedule.  Rows flow through an event-driven
+this module *executes* the schedule.  Rows flow through a discrete
 simulation of the three stages, each backed by real resources:
 
 * the **score** and **context** stages are served by per-head-stream tile
@@ -13,6 +13,17 @@ simulation of the three stages, each backed by real resources:
   engines; a finished score row enters one FIFO queue and is dispatched to
   the first engine that frees up (engines may have different speeds — the
   unbalanced-pool scenario).
+
+Every stage is a FIFO queue, so the schedule is computed one stage at a
+time rather than by a global event heap: a stage's start times follow
+from its arrivals by the Kiefer–Wolfowitz workload recursion (a row
+starts at the later of its arrival and the time its server frees), and
+its ends plus the handoff are the next stage's arrivals.  Ties resolve as
+in :class:`~repro.core.events.EventLoop` — a server freeing at an instant
+is idle for a row arriving at that instant, and simultaneous arrivals
+keep the order their upstream services started in — so the result is
+bit-identical to an event loop over ``ARRIVE``/``FREE`` events
+(``tests/core/test_pipeline_oracle.py`` keeps that loop as the oracle).
 
 Executed-vs-analytical semantics
 --------------------------------
@@ -48,15 +59,17 @@ assumed.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.core.config import PipelineConfig
-from repro.core.events import ARRIVE, FREE, EventLoop, ServerPool, StageJitter
+from repro.core.events import ServerPool, StageJitter
 from repro.core.pipeline import PipelineSchedule, StageTiming, attention_streams
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_finite, require_finite_array, require_positive
 
 if TYPE_CHECKING:
     from repro.core.matmul_engine import MatMulEngine
@@ -107,9 +120,15 @@ class ExecutedSchedule:
 
     The measured counterpart of the analytical
     :class:`~repro.core.pipeline.PipelineSchedule`: total latency and
-    steady-state interval come from the simulated event times, and the
+    steady-state interval come from the simulated row timestamps, and the
     execution additionally exposes per-stage busy times, peak queue depths
     and the per-engine row assignment the formulas cannot see.
+
+    Rows are stored as arrays: ``starts`` and ``ends`` are
+    ``(num_rows, 3)`` service timestamps with columns in :data:`STAGES`
+    order, ``engine_of`` and ``stream_of`` give each row's softmax engine
+    and head-stream.  :attr:`records` views the same data one
+    :class:`RowRecord` per row, built on first access.
     """
 
     granularity: str
@@ -117,15 +136,39 @@ class ExecutedSchedule:
     steady_state_interval_s: float
     num_streams: int
     num_softmax_engines: int
-    records: tuple[RowRecord, ...]
+    starts: np.ndarray
+    ends: np.ndarray
+    engine_of: np.ndarray
+    stream_of: np.ndarray
     stage_busy_s: dict[str, float]
     queue_peaks: dict[str, int]
     engine_rows: tuple[int, ...]
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+            for mine, theirs in (
+                (getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+            )
+        )
+
+    @cached_property
+    def records(self) -> tuple[RowRecord, ...]:
+        """Per-row timestamps, one :class:`RowRecord` per row in row order."""
+        times = np.stack((self.starts, self.ends), axis=2).reshape(-1, 2 * len(STAGES))
+        return tuple(
+            RowRecord(row, stream, engine, *stamps)
+            for row, (stream, engine, stamps) in enumerate(
+                zip(self.stream_of.tolist(), self.engine_of.tolist(), times.tolist())
+            )
+        )
+
     @property
     def num_rows(self) -> int:
         """Rows that completed the pipeline."""
-        return len(self.records)
+        return self.stream_of.size
 
     def utilization(self, stage: str) -> float:
         """Busy fraction of the stage's servers over the whole execution."""
@@ -160,8 +203,146 @@ def _steady_interval(completions: np.ndarray, total: float) -> float:
     return float((ordered[hi] - ordered[lo]) / (hi - lo))
 
 
+def _keyed_fifo(
+    order: np.ndarray,
+    arrive: np.ndarray,
+    service: np.ndarray,
+    stream_of: np.ndarray,
+    streams: int,
+    handoff: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """One FIFO server per head-stream: start and end of every row.
+
+    ``order`` lists the rows in the order their arrivals are processed and
+    ``arrive`` gives each row's arrival time.  A stream serves its rows in
+    that order, each starting at ``max(arrival, predecessor's free time)``
+    (the Kiefer–Wolfowitz recursion for one server).  The streams are
+    independent, but the order their services start in ranks the next
+    stage's simultaneous arrivals, so their next starts merge in a heap
+    keyed ``(start, kind, trigger rank)`` with the tie rules of
+    :class:`~repro.core.events.EventLoop`: a row that had to queue starts
+    at its predecessor's FREE (kind 0, ranked by the predecessor's start),
+    any other row at its own ARRIVE (kind 1, ranked by arrival).
+
+    Returns the start and end times per row, the rows in start order and
+    the busy time summed in that order.
+    """
+    n = order.size
+    arrive_r = arrive[order].tolist()
+    service_r = service[order].tolist()
+    lanes: list[list[int]] = [[] for _ in range(streams)]
+    for rank, stream in enumerate(stream_of[order].tolist()):
+        lanes[stream].append(rank)
+    heap = []
+    for lane in lanes:
+        if lane:
+            queue = iter(lane)
+            first = next(queue)
+            heap.append((arrive_r[first], 1, first, first, queue))
+    heapq.heapify(heap)
+
+    start_r = [0.0] * n
+    end_r = [0.0] * n
+    started: list[int] = []
+    busy = 0.0
+    while heap:
+        # keys are unique (ranks never repeat within a kind), so the rank
+        # and lane iterator riding in each entry are never compared
+        time, _, _, rank, queue = heap[0]
+        finish = time + service_r[rank]
+        start_r[rank] = time
+        end_r[rank] = finish
+        busy += service_r[rank] + handoff
+        successor = next(queue, None)
+        if successor is None:
+            heapq.heappop(heap)
+        else:
+            free = finish + handoff
+            arrival = arrive_r[successor]
+            if arrival < free:
+                entry = (free, 0, len(started), successor, queue)
+            else:
+                entry = (arrival, 1, successor, successor, queue)
+            heapq.heapreplace(heap, entry)
+        started.append(rank)
+
+    start = np.empty(n)
+    end = np.empty(n)
+    start[order] = start_r
+    end[order] = end_r
+    return start, end, order[started], busy
+
+
+def _pool_fifo(
+    order: np.ndarray,
+    arrive: np.ndarray,
+    service: np.ndarray,
+    speedups: Sequence[float],
+    handoff: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """A shared FIFO pool of engines: start, end and engine of every row.
+
+    Rows start in arrival order (``order``), so the start order is the
+    arrival order.  A row takes the lowest-index engine idle at its
+    arrival; when none is, it waits for the engine with the smallest
+    ``(free time, start rank)`` — the order the event loop pops their
+    FREE events in.  A row's service is its nominal time divided by the
+    engine's speedup.
+
+    Returns the start and end times and the engine per row, the rows in
+    start order and the busy time summed in that order.
+    """
+    n = order.size
+    arrive_r = arrive[order].tolist()
+    service_r = service[order].tolist()
+    start_r = [0.0] * n
+    end_r = [0.0] * n
+    engine_r = [0] * n
+    idle = list(range(len(speedups)))  # sorted, hence already a heap
+    running: list[tuple[float, int, int]] = []  # (free time, start rank, engine)
+    busy = 0.0
+    for rank in range(n):
+        time = arrive_r[rank]
+        while running and running[0][0] <= time:
+            heapq.heappush(idle, heapq.heappop(running)[2])
+        if idle:
+            engine = heapq.heappop(idle)
+        else:
+            time, _, engine = heapq.heappop(running)
+        duration = service_r[rank] / speedups[engine]
+        finish = time + duration
+        start_r[rank] = time
+        end_r[rank] = finish
+        engine_r[rank] = engine
+        busy += duration + handoff
+        heapq.heappush(running, (finish + handoff, rank, engine))
+
+    start = np.empty(n)
+    end = np.empty(n)
+    engine_of = np.empty(n, dtype=np.int64)
+    start[order] = start_r
+    end[order] = end_r
+    engine_of[order] = engine_r
+    return start, end, order, engine_of, busy
+
+
+def _queue_peak(order: np.ndarray, arrive: np.ndarray, start: np.ndarray) -> int:
+    """Most rows ever waiting in one stage's queues at once.
+
+    A row waits iff it starts after it arrives.  Rows join the queues in
+    ``order``; at equal times a departure precedes an arrival, so the depth
+    just after the ``k``-th waiting row joins is ``k`` minus the waiting
+    rows that started by its arrival.
+    """
+    waiting = order[start[order] > arrive[order]]
+    if waiting.size == 0:
+        return 0
+    left = np.searchsorted(np.sort(start[waiting]), arrive[waiting], side="right")
+    return int((np.arange(1, waiting.size + 1) - left).max())
+
+
 class PipelineExecutor:
-    """Event-driven executor of the three-stage attention pipeline.
+    """Executor of the three-stage attention pipeline, one stage at a time.
 
     Parameters
     ----------
@@ -177,7 +358,8 @@ class PipelineExecutor:
         Size of the shared softmax-engine pool.
     softmax_speedups:
         Optional per-engine speed factors (service time is divided by the
-        factor); defaults to a homogeneous pool of 1.0.
+        factor), each finite and positive; defaults to a homogeneous pool
+        of 1.0.
     jitter:
         Optional :class:`StageJitter` applied to the per-row service times
         drawn from a :class:`~repro.core.pipeline.StageTiming`.
@@ -205,6 +387,9 @@ class PipelineExecutor:
                 f"got {len(self.softmax_speedups)} softmax_speedups for "
                 f"{softmax_engines} engines"
             )
+        for engine, speed in enumerate(self.softmax_speedups):
+            name = f"softmax_speedups[{engine}]"
+            require_finite(require_positive(speed, name), name)
         self.jitter = jitter
 
     # ------------------------------------------------------------------ #
@@ -275,14 +460,26 @@ class PipelineExecutor:
                 f"stage service arrays disagree on row count: "
                 f"{score_s.size}, {softmax_s.size}, {context_s.size}"
             )
+        for stage, service in zip(STAGES, (score_s, softmax_s, context_s)):
+            require_finite_array(service, f"{stage} service times")
         if min(score_s.min(), softmax_s.min(), context_s.min()) < 0:
             raise ValueError("service times must be non-negative")
         if stream_of is None:
             stream_of = np.arange(n) % self.streams
         else:
-            stream_of = np.asarray(stream_of, dtype=np.int64)
+            stream_of = np.asarray(stream_of)
             if stream_of.size != n:
                 raise ValueError("stream_of must give one stream per row")
+            if stream_of.dtype.kind not in "iu":
+                values = stream_of.astype(np.float64)
+                integral = np.isfinite(values) & (values == np.floor(values))
+                if not integral.all():
+                    row = int(np.argmin(integral))
+                    raise ValueError(
+                        "stream_of must hold integer stream indices, "
+                        f"got {stream_of.flat[row]} at row {row}"
+                    )
+            stream_of = stream_of.astype(np.int64)
             if stream_of.min() < 0 or stream_of.max() >= self.streams:
                 raise ValueError(
                     f"stream indices must lie in [0, {self.streams}), "
@@ -296,7 +493,54 @@ class PipelineExecutor:
         raise ValueError(f"granularity must be 'vector' or 'operand', got {granularity!r}")
 
     # ------------------------------------------------------------------ #
-    # vector-grained: event-driven simulation
+    # vector-grained: per-stage FIFO recurrences
+    # ------------------------------------------------------------------ #
+    def _run_vector(
+        self,
+        score_s: np.ndarray,
+        softmax_s: np.ndarray,
+        context_s: np.ndarray,
+        stream_of: np.ndarray,
+    ) -> ExecutedSchedule:
+        n = score_s.size
+        handoff = self.config.stage_handoff_s
+        starts = np.empty((n, len(STAGES)))
+        ends = np.empty((n, len(STAGES)))
+        busy_s: dict[str, float] = {}
+        queue_peaks: dict[str, int] = {}
+
+        # every row reaches the score stage at t = 0, in row order; each
+        # stage is then solved whole, because a stage's schedule depends
+        # only on its arrivals and on its own servers
+        arrive = np.zeros(n)
+        order = np.arange(n)
+        for index, (stage, service) in enumerate(
+            zip(STAGES, (score_s, softmax_s, context_s))
+        ):
+            if stage == "softmax":
+                start, end, started, engine_of, busy_s[stage] = _pool_fifo(
+                    order, arrive, service, self.softmax_speedups, handoff
+                )
+            else:
+                start, end, started, busy_s[stage] = _keyed_fifo(
+                    order, arrive, service, stream_of, self.streams, handoff
+                )
+            starts[:, index] = start
+            ends[:, index] = end
+            queue_peaks[stage] = _queue_peak(order, arrive, start)
+            # a row reaches the next stage when its server has forwarded it;
+            # simultaneous arrivals keep the order their services started in
+            arrive = end + handoff
+            order = started[np.argsort(arrive[started], kind="stable")]
+
+        engine_rows = np.bincount(engine_of, minlength=self.softmax_engines)
+        return self._package(
+            "vector", starts, ends, engine_of, stream_of,
+            busy_s, queue_peaks, tuple(engine_rows.tolist()),
+        )
+
+    # ------------------------------------------------------------------ #
+    # operand-grained: stage barriers
     # ------------------------------------------------------------------ #
     def _build_stages(self) -> list[ServerPool]:
         return [
@@ -310,69 +554,6 @@ class PipelineExecutor:
             ServerPool("context", self.streams, keyed=True),
         ]
 
-    def _run_vector(
-        self,
-        score_s: np.ndarray,
-        softmax_s: np.ndarray,
-        context_s: np.ndarray,
-        stream_of: np.ndarray,
-    ) -> ExecutedSchedule:
-        n = score_s.size
-        handoff = self.config.stage_handoff_s
-        services = (score_s, softmax_s, context_s)
-        stages = self._build_stages()
-        starts = np.zeros((n, len(STAGES)))
-        ends = np.zeros((n, len(STAGES)))
-        server_of = np.zeros((n, len(STAGES)), dtype=np.int64)
-
-        # FREE at time t sorts before ARRIVE at time t, so the arrival sees
-        # the freshly idled server directly (see repro.core.events)
-        loop = EventLoop()
-        for row in range(n):
-            loop.schedule(0.0, ARRIVE, 0, row)
-
-        def start_service(time: float, stage_index: int, server: int, row: int) -> None:
-            stage = stages[stage_index]
-            stage.acquire(server)
-            service = stage.service_time(server, services[stage_index][row])
-            end = time + service
-            stage.occupy(service + handoff)
-            starts[row, stage_index] = time
-            ends[row, stage_index] = end
-            server_of[row, stage_index] = server
-            # the server forwards the row before accepting the next one
-            loop.schedule(end + handoff, FREE, stage_index, server)
-            if stage_index + 1 < len(STAGES):
-                loop.schedule(end + handoff, ARRIVE, stage_index + 1, row)
-
-        while loop:
-            time, kind, (stage_index, payload) = loop.pop()
-            stage = stages[stage_index]
-            if kind == ARRIVE:
-                row = payload
-                stream = int(stream_of[row])
-                server = stage.idle_server(stream)
-                queue = stage.queue_of(stream)
-                if server is None:
-                    stage.enqueue(queue, row)
-                else:
-                    start_service(time, stage_index, server, row)
-            else:  # FREE
-                server = payload
-                stage.release(server)
-                row = stage.pop(stage.queue_of(server))
-                if row is not None:
-                    start_service(time, stage_index, server, row)
-
-        # the final forward of the context stage is writeback overlap, so a
-        # row completes when its context service ends
-        completions = ends[:, 2]
-        total = float(completions.max())
-        return self._package("vector", total, starts, ends, server_of, stream_of, stages, completions)
-
-    # ------------------------------------------------------------------ #
-    # operand-grained: stage barriers
-    # ------------------------------------------------------------------ #
     def _run_operand(
         self,
         score_s: np.ndarray,
@@ -409,9 +590,12 @@ class PipelineExecutor:
             # one handoff per stage boundary — the operand is forwarded once
             phase_start = max(free_at) + handoff
 
-        completions = ends[:, 2]
-        total = float(completions.max())
-        return self._package("operand", total, starts, ends, server_of, stream_of, stages, completions)
+        return self._package(
+            "operand", starts, ends, server_of[:, 1], stream_of,
+            {stage.name: stage.busy_s for stage in stages},
+            {stage.name: stage.queue_peak for stage in stages},
+            tuple(stages[1].served),
+        )
 
     # ------------------------------------------------------------------ #
     # packaging
@@ -419,38 +603,31 @@ class PipelineExecutor:
     def _package(
         self,
         granularity: str,
-        total: float,
         starts: np.ndarray,
         ends: np.ndarray,
-        server_of: np.ndarray,
+        engine_of: np.ndarray,
         stream_of: np.ndarray,
-        stages: list[ServerPool],
-        completions: np.ndarray,
+        stage_busy_s: dict[str, float],
+        queue_peaks: dict[str, int],
+        engine_rows: tuple[int, ...],
     ) -> ExecutedSchedule:
-        records = tuple(
-            RowRecord(
-                row=row,
-                stream=int(stream_of[row]),
-                engine=int(server_of[row, 1]),
-                score_start_s=float(starts[row, 0]),
-                score_end_s=float(ends[row, 0]),
-                softmax_start_s=float(starts[row, 1]),
-                softmax_end_s=float(ends[row, 1]),
-                context_start_s=float(starts[row, 2]),
-                context_end_s=float(ends[row, 2]),
-            )
-            for row in range(starts.shape[0])
-        )
+        # the final forward of the context stage is writeback overlap, so a
+        # row completes when its context service ends
+        completions = ends[:, 2]
+        total = float(completions.max())
         return ExecutedSchedule(
             granularity=granularity,
             total_latency_s=total,
             steady_state_interval_s=_steady_interval(completions, total),
             num_streams=self.streams,
             num_softmax_engines=self.softmax_engines,
-            records=records,
-            stage_busy_s={stage.name: stage.busy_s for stage in stages},
-            queue_peaks={stage.name: stage.queue_peak for stage in stages},
-            engine_rows=tuple(stages[1].served),
+            starts=starts,
+            ends=ends,
+            engine_of=engine_of,
+            stream_of=stream_of,
+            stage_busy_s=stage_busy_s,
+            queue_peaks=queue_peaks,
+            engine_rows=engine_rows,
         )
 
 
@@ -493,7 +670,7 @@ class AttentionExecutor:
     3. *measures* each row's three stage service times from the engines'
        access-statistics ledgers (the deltas each row adds to
        ``MatMulEngine.access_stats`` / ``RRAMSoftmaxEngine.access_stats``)
-       and replays them through the event-driven executor to obtain the
+       and replays them through :class:`PipelineExecutor` to obtain the
        :class:`ExecutedSchedule`.
 
     The tiles of one operand bank fire in parallel on the same input row,

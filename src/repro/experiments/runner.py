@@ -148,7 +148,7 @@ def report_e7_pipeline_ablation() -> str:
     """E7 — vector- vs operand-grained pipeline ablation.
 
     Every point is both predicted by the closed-form pipeline model and
-    *executed* by the event-driven scheduler with discrete head-streams and
+    *executed* by the pipeline scheduler with discrete head-streams and
     softmax engines; the deviation column cross-validates the two.
     """
     suite = AblationSuite()

@@ -99,7 +99,7 @@ class MultiHeadAttention:
 
         With an ``executor`` attached, the whole
         ``score GEMM -> softmax -> context GEMM`` chain instead streams
-        row by row through the event-driven schedule of
+        row by row through the executed schedule of
         :class:`~repro.core.scheduler.AttentionExecutor` (its MatMul engine
         and softmax-engine pool replace the backend/softmax callable for
         these three stages), and the measured

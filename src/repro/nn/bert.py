@@ -112,7 +112,7 @@ class BertEncoderModel:
         """Per-layer executed schedules of the most recent forward pass.
 
         Empty unless the model was built with an ``executor`` — with one,
-        each layer's attention chain streams through the event-driven
+        each layer's attention chain streams through the executed
         schedule and reports its measured timing here.
         """
         return self.encoder.collect_attention_schedules()

@@ -321,7 +321,7 @@ class StarServiceModel(ServiceModel):
     :meth:`~repro.core.batch_cost.BatchCostModel.streamed` pricing — pass
     :meth:`~repro.core.batch_cost.BatchCostModel.legacy` to reproduce the
     old linear behaviour); pass a ``schedule="executed"`` instance to
-    price batches with the event-driven executor instead (slower, but
+    price batches with the executed schedule instead (slower, but
     captures jitter and discrete pools).  ``bert_config`` sizes the served
     model.  Results are cached per ``(batch_size, seq_len)`` in ``cache``
     (the process-wide shared :class:`PricingCache` by default).

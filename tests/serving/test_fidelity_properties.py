@@ -36,7 +36,7 @@ from repro.serving import (
     TieredServiceModel,
 )
 
-# tiny-but-varied executed workloads: small enough that the event-driven
+# tiny-but-varied executed workloads: small enough that the pipeline
 # executor runs in milliseconds, varied enough to exercise the template
 tiny_workloads = st.fixed_dictionaries(
     {
