@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.rram.noise import IDEAL_NOISE, NoiseConfig
 from repro.utils.fixed_point import CNEWS_FORMAT, FixedPointFormat
+from repro.utils.validation import require_non_negative
 
 __all__ = ["SoftmaxEngineConfig", "MatMulEngineConfig", "PipelineConfig", "STARConfig"]
 
@@ -187,8 +188,7 @@ class PipelineConfig:
             raise ValueError(
                 f"granularity must be 'vector' or 'operand', got {self.granularity!r}"
             )
-        if self.stage_handoff_s < 0:
-            raise ValueError(f"stage_handoff_s must be >= 0, got {self.stage_handoff_s}")
+        require_non_negative(self.stage_handoff_s, "stage_handoff_s")
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,24 @@
-"""Discrete-event primitives shared by the pipeline executor and the serving simulator.
+"""Discrete-event primitives of the serving simulator and the pipeline executor.
 
 Two simulations in this codebase are, at heart, the same machine: the
-attention-pipeline executor (:mod:`repro.core.scheduler`) moves *rows*
-through stages of tile groups and softmax engines, and the request-level
-serving simulator (:mod:`repro.serving`) moves *requests and batches*
-through a fleet of accelerator chips.  Both need a heap of timed events
-with deterministic tie-breaking, and both need FIFO pools of servers with
-per-server speed factors and queue/busy-time bookkeeping.  This module
-factors those primitives out so each simulation is a thin client:
+request-level serving simulator (:mod:`repro.serving`) moves *requests and
+batches* through a fleet of accelerator chips, and the attention-pipeline
+executor (:mod:`repro.core.scheduler`) moves *rows* through stages of tile
+groups and softmax engines.  Both need pools of servers with per-server
+speed factors and busy-time bookkeeping; the serving simulator also needs
+a heap of timed events with deterministic tie-breaking.  The pipeline
+executor solves each of its FIFO stages by recurrence instead of running
+an event loop, with the loop's tie rules (``tests/core/test_pipeline_oracle.py``
+keeps the loop version as its oracle).  This module holds:
 
 * :class:`EventLoop` — a stable priority queue of ``(time, kind, *data)``
   events.  Events at equal time are ordered by ``kind`` first (lower kind
   wins — e.g. a server *freeing* is processed before a simultaneous
   *arrival*, so the arrival sees the idle server directly) and then by
   insertion order, which keeps every simulation bit-deterministic.
+  :meth:`EventLoop.pop_before` pops the next event only if it is due
+  before a given ``(time, kind)``, so a client can merge a pre-sorted
+  stream of its own into the heap's order.
 * :class:`ServerPool` — a set of identical-role servers with optional
   per-server speed factors, either *keyed* (each client is bound to one
   server and queues behind it) or *shared* (one FIFO queue drained by
@@ -32,7 +37,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.utils.validation import require_non_negative, require_positive
+from repro.utils.validation import require_finite, require_non_negative, require_positive
 
 __all__ = ["FREE", "ARRIVE", "TIMEOUT", "EventLoop", "ServerPool", "StageJitter"]
 
@@ -81,12 +86,30 @@ class EventLoop:
 
     def schedule(self, time: float, kind: int, *data: Any) -> None:
         """Schedule an event; ``data`` rides along uncompared."""
-        # inlined require_non_negative: this is the hottest call site of a
-        # million-request simulation, one function call per event matters
-        if time < 0:
+        # inlined require_non_negative (NaN fails too): this is the hottest
+        # call site of a million-request simulation, one function call per
+        # event matters
+        if not time >= 0:
             raise ValueError(f"event time must be non-negative, got {time}")
         heapq.heappush(self._heap, (time, kind, self._counter, data))
         self._counter += 1
+
+    def pop_before(self, time: float, kind: int) -> tuple[float, int, tuple[Any, ...]] | None:
+        """Pop the next event if it sorts strictly before ``(time, kind)``, else ``None``.
+
+        This merges a client's own pre-sorted stream into the heap's order:
+        an item of that stream, ordered before every event of its own
+        ``(time, kind)`` as if it had been scheduled first, is due before
+        every remaining event exactly when this returns ``None``.
+        """
+        heap = self._heap
+        # an entry equal in (time, kind) is the longer tuple, so not less
+        if heap and heap[0] < (time, kind):
+            time, kind, _, data = heapq.heappop(heap)
+            self.now = time
+            self.events_popped += 1
+            return time, kind, data
+        return None
 
     def pop(self) -> tuple[float, int, tuple[Any, ...]]:
         """Pop the next event and advance :attr:`now` to its timestamp."""
@@ -147,6 +170,7 @@ class ServerPool:
                 f"{name}: got {len(self.speedups)} speedups for {num_servers} servers"
             )
         for speed in self.speedups:
+            require_finite(speed, f"{name} server speedup")
             require_positive(speed, f"{name} server speedup")
         self.idle = [True] * num_servers
         self.online = [True] * num_servers

@@ -44,8 +44,9 @@ layers on the shared discrete-event core (:mod:`repro.core.events`):
 * :mod:`~repro.serving.profiling` — first-party hot-path counters
   (events, dispatch sweeps, wall time) behind the experiments CLI's
   ``--profile`` flag;
-* :mod:`~repro.serving.theory` — M/D/1, M/M/1 and machine-repair
-  M/M/1//N closed forms the simulator is cross-validated against.
+* :mod:`~repro.serving.theory` — M/D/1, M/M/1, M/M/c (Erlang C) and
+  machine-repair M/M/1//N closed forms the simulator is cross-validated
+  against.
 """
 
 from repro.serving.arrivals import (
@@ -97,7 +98,7 @@ from repro.serving.routing import ROUTING_POLICIES, NetworkModel, Router
 from repro.serving.sharded import SPLIT_POLICIES, ShardedServingSimulator
 from repro.serving.simulator import ServingSimulator
 from repro.serving.slo import SLOClass, SLOPolicy
-from repro.serving.theory import MachineRepairQueue, MD1Queue, MM1Queue
+from repro.serving.theory import MachineRepairQueue, MD1Queue, MM1Queue, MMcQueue
 
 __all__ = [
     "Request",
@@ -151,5 +152,6 @@ __all__ = [
     "PROFILER",
     "MD1Queue",
     "MM1Queue",
+    "MMcQueue",
     "MachineRepairQueue",
 ]

@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.utils.stats import spawn_seeds
-from repro.utils.validation import require_non_negative, require_positive
+from repro.utils.validation import require_finite, require_non_negative, require_positive
 
 __all__ = [
     "ServiceModel",
@@ -807,6 +807,7 @@ class ChipFleet:
                 f"got {len(self.speedups)} speedups for {num_chips} chips"
             )
         for speed in self.speedups:
+            require_finite(speed, "chip speedup")
             require_positive(speed, "chip speedup")
 
     @property

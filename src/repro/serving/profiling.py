@@ -32,6 +32,10 @@ class RunProfile:
     template, and how many cold template builds it paid.  Likewise the
     routing counters (front-end route decisions, batches stolen by idle
     peers, deepest single chip queue) stay zero for global-queue runs.
+
+    ``events_scheduled`` and ``events_popped`` count heap events only: the
+    open-loop arrivals the simulator reads from its sorted request list
+    never enter the heap and are not counted.
     """
 
     label: str

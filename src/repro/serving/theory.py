@@ -15,26 +15,30 @@ cross-checks.  :class:`MM1Queue` (exponential service) is included as the
 pessimistic bracket: a deterministic server waits exactly half as long as
 an exponential one, so a correct simulation must fall on the M/D/1 line,
 not the M/M/1 one.
+
+With exponential service, no batching and ``c`` identical chips draining
+the global queue, the simulated system is exactly an M/M/c queue, whose
+mean wait :class:`MMcQueue` gives by the Erlang C formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_positive, require_positive_int
 
-__all__ = ["MD1Queue", "MM1Queue", "MachineRepairQueue"]
+__all__ = ["MD1Queue", "MM1Queue", "MMcQueue", "MachineRepairQueue"]
 
 
-class _SingleServerQueue:
-    """Shared derived quantities of a single-server queue at rate/service."""
+class _OpenQueue:
+    """Shared derived quantities of an open queue at rate/service."""
 
     arrival_rate_rps: float
     service_s: float
 
     @property
     def utilization(self) -> float:
-        """Offered load ``rho = lambda * s``."""
+        """Per-server load ``rho = lambda * s`` (one server)."""
         return self.arrival_rate_rps * self.service_s
 
     @property
@@ -67,7 +71,7 @@ class _SingleServerQueue:
 
 
 @dataclass(frozen=True)
-class MD1Queue(_SingleServerQueue):
+class MD1Queue(_OpenQueue):
     """M/D/1: Poisson arrivals, deterministic service, one server."""
 
     arrival_rate_rps: float
@@ -84,7 +88,7 @@ class MD1Queue(_SingleServerQueue):
 
 
 @dataclass(frozen=True)
-class MM1Queue(_SingleServerQueue):
+class MM1Queue(_OpenQueue):
     """M/M/1: Poisson arrivals, exponential service, one server."""
 
     arrival_rate_rps: float
@@ -98,6 +102,55 @@ class MM1Queue(_SingleServerQueue):
         """Mean wait with exponential service — twice the M/D/1 wait."""
         rho = self.utilization
         return rho * self.service_s / (1.0 - rho)
+
+
+@dataclass(frozen=True)
+class MMcQueue(_OpenQueue):
+    """M/M/c: Poisson arrivals, exponential service, ``num_servers`` servers.
+
+    With offered load ``a = lambda * s`` and per-server load
+    ``rho = a / c``, an arrival waits with the Erlang C probability
+
+        C(c, a) = (a^c / c!) / (1 - rho)
+                  / (sum_{k<c} a^k / k! + (a^c / c!) / (1 - rho))
+
+    and the mean wait is ``W_q = C(c, a) * s / (c * (1 - rho))``.  ``c = 1``
+    is :class:`MM1Queue`.
+    """
+
+    arrival_rate_rps: float
+    service_s: float
+    num_servers: int
+
+    def __post_init__(self) -> None:
+        require_positive_int(self.num_servers, "num_servers")
+        self._check()
+
+    @property
+    def utilization(self) -> float:
+        """Per-server load ``rho = lambda * s / c``."""
+        return self.arrival_rate_rps * self.service_s / self.num_servers
+
+    @property
+    def wait_probability(self) -> float:
+        """Erlang C: the chance an arrival finds every server busy."""
+        offered = self.arrival_rate_rps * self.service_s
+        term = 1.0  # a^k / k!, from k = 0
+        below = 0.0  # sum over k < c
+        for k in range(self.num_servers):
+            below += term
+            term *= offered / (k + 1)
+        queued = term / (1.0 - self.utilization)
+        return queued / (below + queued)
+
+    @property
+    def mean_wait_s(self) -> float:
+        """Erlang C mean wait before service starts."""
+        return (
+            self.wait_probability
+            * self.service_s
+            / (self.num_servers * (1.0 - self.utilization))
+        )
 
 
 @dataclass(frozen=True)

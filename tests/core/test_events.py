@@ -56,6 +56,23 @@ class TestEventLoop:
         with pytest.raises(ValueError):
             EventLoop().schedule(-1.0, ARRIVE)
 
+    def test_nan_time_rejected(self):
+        # a NaN time compares false both ways and would corrupt the heap order
+        with pytest.raises(ValueError, match="got nan"):
+            EventLoop().schedule(float("nan"), ARRIVE)
+
+    def test_pop_before_merges_a_sorted_stream(self):
+        loop = EventLoop()
+        assert loop.pop_before(0.0, ARRIVE) is None  # empty: the stream goes first
+        loop.schedule(1.0, ARRIVE, "heap")
+        loop.schedule(1.0, FREE, "free")
+        # an earlier kind at the same time is due first
+        assert loop.pop_before(1.0, ARRIVE) == (1.0, FREE, ("free",))
+        # an equal (time, kind) was scheduled later than the stream's item
+        assert loop.pop_before(1.0, ARRIVE) is None
+        assert loop.pop_before(1.0, TIMEOUT) == (1.0, ARRIVE, ("heap",))
+        assert loop.events_popped == 2 and loop.now == 1.0 and not loop
+
     def test_payload_never_compared(self):
         # un-orderable payloads must not break tie-handling
         loop = EventLoop()
@@ -65,6 +82,11 @@ class TestEventLoop:
 
 
 class TestServerPool:
+    def test_infinite_speedup_rejected(self):
+        # an infinite speedup would serve every item in zero time
+        with pytest.raises(ValueError, match="must be finite, got inf"):
+            ServerPool("chips", 2, speedups=(1.0, float("inf")))
+
     def test_shared_pool_takes_lowest_idle(self):
         pool = ServerPool("chips", 3)
         assert pool.idle_server() == 0

@@ -1,9 +1,9 @@
 """Bad inputs to the pipeline executor fail loudly, naming the offending value.
 
 Non-finite service times used to run and return a NaN or infinite
-makespan, a fractional ``stream_of`` was truncated to a stream index, and
-a zero softmax speedup was accepted at construction and failed only at
-the first execution.
+makespan, a fractional ``stream_of`` was truncated to a stream index, a
+zero softmax speedup was accepted at construction and failed only at the
+first execution, and a NaN stage handoff passed validation.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import PipelineConfig
 from repro.core.scheduler import PipelineExecutor
 
 
@@ -83,3 +84,9 @@ def test_records_are_built_on_first_access():
     assert "records" not in vars(schedule)
     assert [r.softmax_start_s for r in schedule.records] == schedule.starts[:, 1].tolist()
     assert schedule.records is schedule.records
+
+
+def test_nan_stage_handoff_rejected():
+    # a NaN handoff used to make every executed timestamp NaN
+    with pytest.raises(ValueError, match="stage_handoff_s must be non-negative, got nan"):
+        PipelineConfig(stage_handoff_s=float("nan"))
