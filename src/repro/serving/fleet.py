@@ -211,10 +211,13 @@ class ExponentialServiceModel(ServiceModel):
     sum of ``batch_size`` exponentials with mean ``mean_s`` from one seeded
     generator, so runs are exactly reproducible in the seed and the
     call-order of the simulator (which prices each dispatched batch
-    exactly once).  The single-chip, no-batching closed loop over this
-    model is precisely the machine-repair M/M/1//N system of
-    :class:`~repro.serving.theory.MachineRepairQueue`; the open-loop
-    variant is M/M/1.  Energy stays deterministic (``batch_size *
+    exactly once).  The generator is seeded with the first child of
+    ``seed``, not ``seed`` itself: arrival processes draw their gaps from
+    ``seed`` directly, and equal seeds would otherwise make service ``n``
+    a fixed multiple of arrival gap ``n``.  The single-chip, no-batching
+    closed loop over this model is precisely the machine-repair M/M/1//N
+    system of :class:`~repro.serving.theory.MachineRepairQueue`; the
+    open-loop variant is M/M/1.  Energy stays deterministic (``batch_size *
     request_energy_j``): it is queried separately from the latency draw
     and plays no role in the Markovian dynamics.
     """
@@ -233,11 +236,16 @@ class ExponentialServiceModel(ServiceModel):
         self.request_energy_j = float(request_energy_j)
         self.idle_power_w = float(idle_power_w)
         self.seed = seed
-        self._rng = np.random.default_rng(seed)
+        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        # built, not spawned: ``spawn()`` would advance a caller's SeedSequence
+        self._stream = np.random.SeedSequence(
+            root.entropy, spawn_key=(*root.spawn_key, 0), pool_size=root.pool_size
+        )
+        self._rng = np.random.default_rng(self._stream)
 
     def reset(self) -> None:
         """Rewind the draw stream (fresh runs replay the same services)."""
-        self._rng = np.random.default_rng(self.seed)
+        self._rng = np.random.default_rng(self._stream)
 
     def batch_latency_s(self, batch_size: int, seq_len: int) -> float:
         if batch_size == 1:  # same value and stream as a one-element draw

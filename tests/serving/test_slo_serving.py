@@ -25,6 +25,7 @@ from repro.serving import (
     DynamicBatcher,
     ExponentialServiceModel,
     FixedServiceModel,
+    MM1Queue,
     MMPPArrivals,
     NO_BATCHING,
     PoissonArrivals,
@@ -216,6 +217,26 @@ class TestExponentialServiceModel:
         draws = [model.batch_latency_s(1, 128) for _ in range(5000)]
         assert np.mean(draws) == pytest.approx(2e-3, rel=0.05)
         assert model.batch_energy_j(3, 128) == pytest.approx(3e-4)
+
+    def test_seed_sequence_reset_replays_without_advancing_the_seed(self):
+        root = np.random.SeedSequence(7)
+        model = ExponentialServiceModel(mean_s=1e-3, seed=root)
+        first = [model.batch_latency_s(1, 128) for _ in range(5)]
+        model.reset()
+        assert [model.batch_latency_s(1, 128) for _ in range(5)] == first
+        # a second model on the same SeedSequence draws the same stream
+        again = ExponentialServiceModel(mean_s=1e-3, seed=root)
+        assert [again.batch_latency_s(1, 128) for _ in range(5)] == first
+        assert root.n_children_spawned == 0
+
+    def test_default_seeds_give_independent_arrivals_and_services(self):
+        # with the arrival stream's own seed, service n would be rho times
+        # arrival gap n, and the queue would wait ~0.61 ms instead of 1 ms
+        requests = PoissonArrivals(500.0, seed=0).generate(100_000)
+        fleet = ChipFleet(ExponentialServiceModel(mean_s=1e-3), num_chips=1)
+        report = ServingSimulator(fleet).run(requests)
+        theory = MM1Queue(arrival_rate_rps=500.0, service_s=1e-3)
+        assert report.mean_wait_s == pytest.approx(theory.mean_wait_s, rel=0.05)
 
 
 class TestReportSLOMetrics:
