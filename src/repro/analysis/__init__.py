@@ -6,7 +6,7 @@ from repro.analysis.ablation import (
     PipelineAblationRow,
     PrecisionAblationRow,
 )
-from repro.analysis.accuracy import AccuracyAnalyzer, FidelityMetrics, PrecisionSweepPoint
+from repro.analysis.accuracy import AccuracyAnalyzer, FidelityMetrics
 from repro.analysis.bitwidth import BitwidthAnalyzer, BitwidthRequirement
 from repro.analysis.breakdown import (
     BreakdownRow,
@@ -28,7 +28,6 @@ __all__ = [
     "BitwidthRequirement",
     "AccuracyAnalyzer",
     "FidelityMetrics",
-    "PrecisionSweepPoint",
     "LatencyBreakdownAnalyzer",
     "BreakdownRow",
     "StarScheduleAnalyzer",

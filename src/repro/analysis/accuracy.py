@@ -1,16 +1,13 @@
-"""Accuracy-vs-precision analysis of the softmax implementations.
+"""Distribution fidelity of the softmax implementations.
 
-Supports two complementary metrics:
-
-* **distribution fidelity** — mean KL divergence and maximum absolute
-  probability error of a softmax implementation against the exact softmax,
-  measured on synthetic attention-score rows;
-* **task accuracy** — agreement of a model using the approximate softmax
-  with the float-softmax teacher on the synthetic classification task
-  (:class:`repro.workloads.classification.ClassificationTask`).
-
-These feed the E8 precision-sweep ablation and back the paper's claim that
-softmax is "insensitive to computing precision".
+:class:`AccuracyAnalyzer` measures the mean KL divergence and the maximum
+and mean absolute probability errors of a softmax implementation against
+the exact softmax, on synthetic attention-score rows.  E4 runs it on the
+cycle-accurate engine at each dataset's derived format; the E8/E9
+ablations (:mod:`repro.analysis.ablation`) back the paper's claim that
+softmax is "insensitive to computing precision".  Task accuracy on the
+synthetic classification task comes from
+:class:`repro.workloads.classification.ClassificationTask` directly.
 """
 
 from __future__ import annotations
@@ -23,15 +20,11 @@ import numpy as np
 from repro.core.config import SoftmaxEngineConfig
 from repro.core.softmax_engine import RRAMSoftmaxEngine
 from repro.nn.functional import softmax as exact_softmax
-from repro.nn.softmax_models import FixedPointSoftmax
 from repro.utils.fixed_point import FixedPointFormat
 from repro.utils.stats import kl_divergence
-from repro.workloads.classification import ClassificationTask
 from repro.workloads.scores import AttentionScoreGenerator, ScoreProfile
 
-__all__ = ["FidelityMetrics", "PrecisionSweepPoint", "AccuracyAnalyzer"]
-
-SoftmaxFactory = Callable[[FixedPointFormat], Callable[[np.ndarray], np.ndarray]]
+__all__ = ["FidelityMetrics", "AccuracyAnalyzer"]
 
 
 @dataclass(frozen=True)
@@ -43,23 +36,8 @@ class FidelityMetrics:
     mean_abs_error: float
 
 
-@dataclass(frozen=True)
-class PrecisionSweepPoint:
-    """One point of the precision sweep (E8)."""
-
-    integer_bits: int
-    frac_bits: int
-    fidelity: FidelityMetrics
-    task_accuracy: float | None = None
-
-    @property
-    def total_bits(self) -> int:
-        """Total bits of this sweep point."""
-        return self.integer_bits + self.frac_bits
-
-
 class AccuracyAnalyzer:
-    """Measures softmax fidelity and downstream task accuracy."""
+    """Measures softmax fidelity against the exact softmax."""
 
     def __init__(self, num_rows: int = 256, seed: int = 0) -> None:
         if num_rows < 1:
@@ -69,10 +47,10 @@ class AccuracyAnalyzer:
 
     @staticmethod
     def engine_for_format(fmt: FixedPointFormat) -> RRAMSoftmaxEngine:
-        """A cycle-accurate engine for one swept format (a softmax factory).
+        """A cycle-accurate engine for one format.
 
-        The engine's crossbars must hold every representable level, so the
-        sweep sizes them to the format instead of using the paper defaults.
+        The engine's crossbars must hold every representable level, so they
+        are sized to the format instead of using the paper defaults.
         """
         rows = max(512, fmt.num_levels)
         return RRAMSoftmaxEngine(
@@ -100,59 +78,3 @@ class AccuracyAnalyzer:
             max_abs_error=float(np.max(errors)),
             mean_abs_error=float(np.mean(errors)),
         )
-
-    # ------------------------------------------------------------------ #
-    # precision sweep (E8)
-    # ------------------------------------------------------------------ #
-    def precision_sweep(
-        self,
-        profile: ScoreProfile,
-        formats: list[tuple[int, int]],
-        include_task_accuracy: bool = False,
-        task: ClassificationTask | None = None,
-        softmax_factory: SoftmaxFactory | None = None,
-    ) -> list[PrecisionSweepPoint]:
-        """Fidelity (and optionally task accuracy) across fixed-point formats.
-
-        ``softmax_factory`` maps each swept format to the softmax callable
-        under test.  It defaults to the functional
-        :class:`~repro.nn.softmax_models.FixedPointSoftmax`; pass
-        :meth:`engine_for_format` to sweep the cycle-accurate RRAM engine
-        itself — its batched backend makes that no slower than the
-        functional model.
-        """
-        if not formats:
-            raise ValueError("formats must not be empty")
-        if include_task_accuracy and task is None:
-            task = ClassificationTask(profile, num_examples=32, seq_len=32, seed=self.seed)
-        factory = softmax_factory if softmax_factory is not None else FixedPointSoftmax
-        points = []
-        for integer_bits, frac_bits in formats:
-            fmt = FixedPointFormat(integer_bits, frac_bits)
-            softmax_fn = factory(fmt)
-            fidelity = self.fidelity(softmax_fn, profile)
-            accuracy = None
-            if include_task_accuracy and task is not None:
-                accuracy = task.evaluate(softmax_fn).accuracy
-            points.append(
-                PrecisionSweepPoint(
-                    integer_bits=integer_bits,
-                    frac_bits=frac_bits,
-                    fidelity=fidelity,
-                    task_accuracy=accuracy,
-                )
-            )
-        return points
-
-    def accuracy_drop_table(
-        self,
-        profiles: list[ScoreProfile],
-        fmt_for_profile: Callable[[ScoreProfile], FixedPointFormat],
-    ) -> dict[str, float]:
-        """Task-accuracy drop per dataset at its chosen format (small task sizes)."""
-        drops: dict[str, float] = {}
-        for profile in profiles:
-            task = ClassificationTask(profile, num_examples=32, seq_len=32, seed=self.seed)
-            fmt = fmt_for_profile(profile)
-            drops[profile.name] = task.accuracy_drop(FixedPointSoftmax(fmt))
-        return drops

@@ -76,11 +76,6 @@ class CostReport:
         """Energy per primitive operation."""
         return self.energy_j / self.operations
 
-    @property
-    def area_efficiency_gops_per_mm2(self) -> float:
-        """GOPs/s per mm^2 of silicon."""
-        return self.throughput_gops / self.area_mm2
-
     def summary(self) -> dict[str, float]:
         """Dictionary form used by the benchmark harness."""
         return {

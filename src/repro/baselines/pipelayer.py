@@ -110,15 +110,6 @@ class PipeLayerModel:
         total_rows = workload.batch_size * cfg.num_heads * rows_per_head
         return total_rows * pulses * device.write_pulse_s
 
-    def operand_write_energy_j(self, workload: BertWorkload) -> float:
-        """Energy of programming the dynamic operands for one layer."""
-        cfg = workload.config
-        device = self.matmul_engine._reference_tile.device.config
-        pulses = self.config.write_verify_pulses
-        cells_per_head = 2 * (cfg.head_dim * workload.seq_len) * 2  # K^T and V, differential
-        total_cells = workload.batch_size * cfg.num_heads * cells_per_head
-        return total_cells * pulses * device.write_energy_j
-
     # ------------------------------------------------------------------ #
     # latency
     # ------------------------------------------------------------------ #

@@ -204,6 +204,3 @@ class SoftermaxUnit:
             ledger.record_area(block.name, block.area_um2)
         return ledger
 
-    def throughput_rows_per_s(self) -> float:
-        """Softmax rows completed per second at full utilisation."""
-        return 1.0 / self.row_latency_s()

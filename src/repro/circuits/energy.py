@@ -76,13 +76,6 @@ class EnergyLedger:
         """Sum of all registered areas."""
         return sum(entry.area_um2 for entry in self.entries.values())
 
-    def average_power_w(self) -> float:
-        """Average power over the recorded activity (energy / latency)."""
-        latency = self.total_latency_s
-        if latency <= 0:
-            raise ValueError("cannot compute average power with zero total latency")
-        return self.total_energy_j / latency
-
     # ------------------------------------------------------------------ #
     # combination / reporting
     # ------------------------------------------------------------------ #

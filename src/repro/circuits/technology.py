@@ -66,11 +66,6 @@ class TechnologyNode:
         return self.linear_ratio
 
     @property
-    def latency_scale(self) -> float:
-        """Multiplier applied to 32 nm combinational latency figures."""
-        return self.linear_ratio
-
-    @property
     def cycle_time_s(self) -> float:
         """One clock period."""
         return 1.0 / self.clock_hz
@@ -82,10 +77,6 @@ class TechnologyNode:
     def scale_power_w(self, power_w_at_32nm: float) -> float:
         """Scale a 32 nm power figure to this node."""
         return power_w_at_32nm * self.power_scale
-
-    def scale_latency_s(self, latency_s_at_32nm: float) -> float:
-        """Scale a 32 nm latency figure to this node."""
-        return latency_s_at_32nm * self.latency_scale
 
 
 DEFAULT_TECHNOLOGY = TechnologyNode()

@@ -261,11 +261,6 @@ class ModelSchedule:
         """End-to-end model latency."""
         return sum(layer.total_s for layer in self.layers)
 
-    @property
-    def attention_latency_s(self) -> float:
-        """Total time spent in the executed attention pipelines."""
-        return sum(layer.attention_pipeline_s for layer in self.layers)
-
     def softmax_utilization(self) -> float:
         """Mean softmax-pool occupancy across the layers' executions."""
         schedules = self.attention_schedules
@@ -285,16 +280,6 @@ class RequestTiming:
     seq_len: int
     latency_s: float
     energy_j: float
-
-    @property
-    def latency_per_request_s(self) -> float:
-        """Amortised per-request service time within the batch."""
-        return self.latency_s / self.batch_size
-
-    @property
-    def energy_per_request_j(self) -> float:
-        """Amortised per-request energy within the batch."""
-        return self.energy_j / self.batch_size
 
 
 class STARAccelerator:

@@ -145,12 +145,6 @@ class BatchCostModel:
         """
         return sum(engine.programming_latency_s(shape) for shape in shapes)
 
-    def maintenance_reprogram_energy_j(
-        self, engine: "MatMulEngine", shapes: Sequence["GEMMShape"]
-    ) -> float:
-        """Energy of the same maintenance rewrite (all cells repriced)."""
-        return sum(engine.programming_energy_j(shape) for shape in shapes)
-
     def wake_refresh_latency_s(self, engine: "MatMulEngine") -> float:
         """Peripheral re-bias after deep power-down — *not* a reprogram.
 
@@ -203,16 +197,6 @@ class BatchGEMMCost:
     def energy_j(self) -> float:
         """Total energy of the batched GEMM."""
         return self.programming_energy_j + self.streaming_energy_j
-
-    @property
-    def latency_per_request_s(self) -> float:
-        """Amortised per-request latency."""
-        return self.latency_s / self.batch_size
-
-    @property
-    def energy_per_request_j(self) -> float:
-        """Amortised per-request energy."""
-        return self.energy_j / self.batch_size
 
     @property
     def linear_latency_s(self) -> float:

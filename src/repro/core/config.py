@@ -15,7 +15,7 @@ the corresponding :class:`~repro.utils.fixed_point.FixedPointFormat`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.rram.noise import IDEAL_NOISE, NoiseConfig
 from repro.utils.fixed_point import CNEWS_FORMAT, FixedPointFormat
@@ -101,16 +101,6 @@ class SoftmaxEngineConfig:
                 "cam_search_error_rate must lie in [0, 1], "
                 f"got {self.cam_search_error_rate}"
             )
-
-    @property
-    def cam_bits(self) -> int:
-        """Stored codeword width of the CAM crossbars (the score magnitude bits)."""
-        return self.fmt.magnitude_bits
-
-    @property
-    def max_sequence_length(self) -> int:
-        """Largest row length the counters can accumulate without overflow."""
-        return (1 << self.counter_bits) - 1
 
 
 @dataclass(frozen=True)
@@ -198,8 +188,3 @@ class STARConfig:
     softmax: SoftmaxEngineConfig = field(default_factory=SoftmaxEngineConfig)
     matmul: MatMulEngineConfig = field(default_factory=MatMulEngineConfig)
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
-
-    def with_format(self, fmt: FixedPointFormat) -> "STARConfig":
-        """A copy of this configuration using a different softmax precision."""
-        softmax = replace(self.softmax, fmt=fmt)
-        return STARConfig(softmax=softmax, matmul=self.matmul, pipeline=self.pipeline)

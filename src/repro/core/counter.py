@@ -53,10 +53,6 @@ class CounterBank:
         """Energy of one counter increment."""
         return self._cost.energy_per_op_j
 
-    def increment_latency_s(self) -> float:
-        """Latency of one counter increment (overlapped with the CAM search)."""
-        return self._cost.latency_s
-
     def power_w(self) -> float:
         """Peak power with one counter toggling per cycle plus leakage share.
 

@@ -1,15 +1,9 @@
-"""Discrete-event primitives of the serving simulator and the pipeline executor.
+"""Discrete-event primitives of the serving simulator.
 
-Two simulations in this codebase are, at heart, the same machine: the
-request-level serving simulator (:mod:`repro.serving`) moves *requests and
-batches* through a fleet of accelerator chips, and the attention-pipeline
-executor (:mod:`repro.core.scheduler`) moves *rows* through stages of tile
-groups and softmax engines.  Both need pools of servers with per-server
-speed factors and busy-time bookkeeping; the serving simulator also needs
-a heap of timed events with deterministic tie-breaking.  The pipeline
-executor solves each of its FIFO stages by recurrence instead of running
-an event loop, with the loop's tie rules (``tests/core/test_pipeline_oracle.py``
-keeps the loop version as its oracle).  This module holds:
+The request-level serving simulator (:mod:`repro.serving.simulator`)
+moves requests and batches through a fleet of accelerator chips.  This
+module holds what its one event loop runs on, plus the seeded jitter the
+attention-pipeline executor (:mod:`repro.core.scheduler`) draws:
 
 * :class:`EventLoop` — a stable priority queue of ``(time, kind, *data)``
   events.  Events at equal time are ordered by ``kind`` first (lower kind
@@ -19,11 +13,8 @@ keeps the loop version as its oracle).  This module holds:
   :meth:`EventLoop.pop_before` pops the next event only if it is due
   before a given ``(time, kind)``, so a client can merge a pre-sorted
   stream of its own into the heap's order.
-* :class:`ServerPool` — a set of identical-role servers with optional
-  per-server speed factors, either *keyed* (each client is bound to one
-  server and queues behind it) or *shared* (one FIFO queue drained by
-  whichever server frees first), tracking busy time, queue peaks and
-  per-server completion counts.
+* :class:`ServerPool` — the chips: which are idle and which are online,
+  and their aggregate busy time.
 * :class:`StageJitter` — seeded log-normal service-time perturbation,
   shared by every simulation that wants per-item timing variation while
   staying reproducible.
@@ -33,21 +24,20 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
-from repro.utils.validation import require_finite, require_non_negative, require_positive
+from repro.utils.validation import require_non_negative, require_positive
 
-__all__ = ["FREE", "ARRIVE", "TIMEOUT", "EventLoop", "ServerPool", "StageJitter"]
+__all__ = ["FREE", "ARRIVE", "EventLoop", "ServerPool", "StageJitter"]
 
 #: Canonical event kinds.  At equal timestamps lower kinds are processed
 #: first: a server finishing its forward (``FREE``) is handled before a
-#: simultaneous arrival (``ARRIVE``), which is handled before batching
-#: timers (``TIMEOUT``).  Clients may define further kinds around these
-#: (the serving simulator's table is in :mod:`repro.serving.simulator`);
-#: only the relative ordering matters.
-FREE, ARRIVE, TIMEOUT = 0, 1, 2
+#: simultaneous arrival (``ARRIVE``).  Clients may define further kinds
+#: around these (the serving simulator's table is in
+#: :mod:`repro.serving.simulator`); only the relative ordering matters.
+FREE, ARRIVE = 0, 1
 
 
 class EventLoop:
@@ -56,8 +46,7 @@ class EventLoop:
     Events are ``(time, kind, *data)`` tuples.  The loop keeps a strictly
     deterministic order: primary key is ``time``, secondary is ``kind``
     (lower first) and ties beyond that are broken by insertion order, so
-    payloads are never compared.  :attr:`now` tracks the timestamp of the
-    most recently popped event.
+    payloads are never compared.
 
     The loop counts its own traffic — :attr:`events_scheduled` and
     :attr:`events_popped` — so simulations built on it get first-party
@@ -65,19 +54,15 @@ class EventLoop:
     integer increment per event.
     """
 
-    __slots__ = ("_heap", "_counter", "now", "events_popped")
+    __slots__ = ("_heap", "_counter", "events_popped")
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, int, tuple[Any, ...]]] = []
         self._counter = 0
-        self.now = 0.0
         self.events_popped = 0
 
     def __bool__(self) -> bool:
         return bool(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
     @property
     def events_scheduled(self) -> int:
@@ -106,126 +91,44 @@ class EventLoop:
         # an entry equal in (time, kind) is the longer tuple, so not less
         if heap and heap[0] < (time, kind):
             time, kind, _, data = heapq.heappop(heap)
-            self.now = time
             self.events_popped += 1
             return time, kind, data
         return None
 
     def pop(self) -> tuple[float, int, tuple[Any, ...]]:
-        """Pop the next event and advance :attr:`now` to its timestamp."""
+        """Pop the next event."""
         if not self._heap:
             raise IndexError("pop from an empty event loop")
         time, kind, _, data = heapq.heappop(self._heap)
-        self.now = time
         self.events_popped += 1
         return time, kind, data
 
 
 class ServerPool:
-    """A FIFO pool of servers with per-server speed factors.
+    """A pool of servers — the chips of a serving fleet.
 
-    ``keyed=True`` binds each client to the server given by its key (e.g.
-    the per-stream tile groups of the score/context GEMMs), with one queue
-    per server; ``keyed=False`` is a shared pool (softmax engines, chips of
-    a serving fleet) with a single queue drained by whichever server frees
-    first.  ``speedups`` divides the nominal service time of each server
-    (heterogeneous pools); they default to a homogeneous pool of ``1.0``.
-
-    The pool tracks aggregate busy time (:attr:`busy_s`, charged by the
-    client via :meth:`occupy`), the queued-item count (:meth:`queue_depth`,
-    kept up to date by :meth:`enqueue` and :meth:`pop`), its peak
-    (:attr:`queue_peak`) and per-server completion counts (:attr:`served`).
+    :attr:`idle` and :attr:`online` are plain per-server lists the client
+    may read directly; :attr:`busy_s` is the aggregate busy time the
+    client charges via :meth:`occupy`.  Service times, speed factors
+    included, are the client's business (:class:`~repro.serving.fleet.ChipFleet`
+    validates and applies per-chip speedups).
     """
 
-    __slots__ = (
-        "name",
-        "keyed",
-        "speedups",
-        "idle",
-        "online",
-        "queues",
-        "heads",
-        "_queued",
-        "busy_s",
-        "queue_peak",
-        "served",
-    )
+    __slots__ = ("idle", "online", "busy_s")
 
-    def __init__(
-        self,
-        name: str,
-        num_servers: int,
-        *,
-        keyed: bool = False,
-        speedups: Sequence[float] | None = None,
-    ) -> None:
+    def __init__(self, num_servers: int) -> None:
         require_positive(num_servers, "num_servers")
-        self.name = name
-        self.keyed = keyed
-        if speedups is None:
-            speedups = (1.0,) * num_servers
-        self.speedups = [float(s) for s in speedups]
-        if len(self.speedups) != num_servers:
-            raise ValueError(
-                f"{name}: got {len(self.speedups)} speedups for {num_servers} servers"
-            )
-        for speed in self.speedups:
-            require_finite(speed, f"{name} server speedup")
-            require_positive(speed, f"{name} server speedup")
         self.idle = [True] * num_servers
         self.online = [True] * num_servers
-        self.queues: list[list[Any]] = [[] for _ in range(num_servers if keyed else 1)]
-        self.heads = [0] * len(self.queues)
-        self._queued = 0
         self.busy_s = 0.0
-        self.queue_peak = 0
-        self.served = [0] * num_servers
 
-    @property
-    def num_servers(self) -> int:
-        """Number of servers in the pool."""
-        return len(self.idle)
+    def idle_server(self) -> int | None:
+        """The lowest-indexed idle *online* server, or ``None``.
 
-    def queue_of(self, key: int = 0) -> int:
-        """Queue index serving ``key`` (always 0 for shared pools)."""
-        return key if self.keyed else 0
-
-    def queue_depth(self) -> int:
-        """Items currently waiting across all queues."""
-        return self._queued
-
-    def enqueue(self, queue: int, item: Any) -> None:
-        """Append an item to a queue, updating the peak-depth watermark."""
-        self.queues[queue].append(item)
-        self._queued += 1
-        if self._queued > self.queue_peak:
-            self.queue_peak = self._queued
-
-    def peek(self, queue: int) -> Any | None:
-        """The oldest queued item without removing it (``None`` when empty)."""
-        if self.heads[queue] >= len(self.queues[queue]):
-            return None
-        return self.queues[queue][self.heads[queue]]
-
-    def pop(self, queue: int) -> Any | None:
-        """Pop the oldest queued item (``None`` when the queue is empty)."""
-        if self.heads[queue] >= len(self.queues[queue]):
-            return None
-        item = self.queues[queue][self.heads[queue]]
-        self.heads[queue] += 1
-        self._queued -= 1
-        return item
-
-    def idle_server(self, key: int = 0) -> int | None:
-        """An idle *online* server able to serve ``key``, or ``None``.
-
-        Keyed pools return the key's server iff it is idle; shared pools
-        return the lowest-indexed idle server.  Servers taken offline via
-        :meth:`set_online` (e.g. failed chips of a fault-injected serving
-        fleet) are never offered, whatever their idle state.
+        Servers taken offline via :meth:`set_online` (e.g. failed chips of a
+        fault-injected serving fleet) are never offered, whatever their
+        idle state.
         """
-        if self.keyed:
-            return key if self.idle[key] and self.online[key] else None
         for index, free in enumerate(self.idle):
             if free and self.online[index]:
                 return index
@@ -234,24 +137,18 @@ class ServerPool:
     def set_online(self, server: int, online: bool) -> None:
         """Mark a server as dispatchable (``True``) or failed/offline.
 
-        Offline servers keep their queue and bookkeeping but are skipped by
-        :meth:`idle_server`; all servers start online, so pools that never
-        call this behave exactly as before.  The mask serves double duty:
-        fault-injected fleets take failed chips offline, and the serving
-        autoscaler parks deep-idle chips the same way.
+        Offline servers are skipped by :meth:`idle_server`; all servers
+        start online.  The mask serves double duty: fault-injected fleets
+        take failed chips offline, and the serving autoscaler parks
+        deep-idle chips the same way.
         """
         self.online[server] = online
 
-    def service_time(self, server: int, nominal_s: float) -> float:
-        """``nominal_s`` scaled by the server's speed factor."""
-        return nominal_s / self.speedups[server]
-
     def acquire(self, server: int) -> None:
-        """Mark a server busy and count the item it starts serving."""
+        """Mark a server busy."""
         if not self.idle[server]:
-            raise RuntimeError(f"{self.name}: server {server} is already busy")
+            raise RuntimeError(f"server {server} is already busy")
         self.idle[server] = False
-        self.served[server] += 1
 
     def release(self, server: int) -> None:
         """Mark a server idle again."""

@@ -8,15 +8,14 @@ bitline sums.
 
 The class provides both
 
-* a *functional* path — :meth:`program_operand` / :meth:`matmul` /
-  :meth:`matvec_tile` — built on
-  :class:`repro.rram.crossbar.AnalogCrossbar`, used by the NN compute
+* a *functional* path — :meth:`program_operand` / :meth:`matmul` — built
+  on :class:`repro.rram.crossbar.AnalogCrossbar`, used by the NN compute
   backends (:class:`repro.nn.backend.AnalogBackend`), the examples and the
   crossbar-fidelity tests, and
-* an *analytical cost* path — :meth:`gemm_latency_s`, :meth:`gemm_energy_j`,
-  :meth:`row_latency_s` — used by the pipeline model and the Fig. 3
-  efficiency comparison, where simulating every analog access would be
-  pointlessly slow.
+* an *analytical cost* path — :meth:`gemm_latency_s`,
+  :meth:`gemm_batch_cost`, :meth:`row_latency_s` — used by the pipeline
+  model and the Fig. 3 efficiency comparison, where simulating every
+  analog access would be pointlessly slow.
 
 The functional path is weight-stationary: :meth:`program_operand` writes a
 ``K x N`` operand into a persistent bank of crossbar tiles **once** and
@@ -149,12 +148,6 @@ class MatMulEngine:
             tile_config = replace(tile_config, noise=noise)
         self._tiles_created += 1
         return AnalogCrossbar(tile_config, stats=self.access_stats)
-
-    def matvec_tile(self, matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-        """Analog ``vector @ matrix`` on one tile (shapes must fit the tile)."""
-        tile = self.new_tile()
-        tile.program(matrix)
-        return tile.matvec(vector)
 
     def program_operand(self, b: np.ndarray) -> ProgrammedOperand:
         """Write a stationary ``K x N`` operand into a persistent tile bank.
@@ -297,10 +290,6 @@ class MatMulEngine:
         """Energy of one tile VMM."""
         return self._reference_tile.vmm_energy_j()
 
-    def tile_ops(self) -> int:
-        """Primitive operations completed by one tile VMM (MAC = 2 ops)."""
-        return 2 * self.config.crossbar_rows * self.config.crossbar_cols
-
     def tile_area_um2(self) -> float:
         """Area of one tile including DACs, S&H and shared ADCs."""
         cfg = self.config
@@ -329,10 +318,6 @@ class MatMulEngine:
     def peak_power_w(self) -> float:
         """Power with every tile active."""
         return self.config.num_tiles * self.tile_power_w()
-
-    def peak_throughput_ops(self) -> float:
-        """Operations per second with every tile active."""
-        return self.config.num_tiles * self.tile_ops() / self.tile_vmm_latency_s()
 
     def _tiles_for(self, shape: GEMMShape) -> int:
         cfg = self.config
@@ -405,25 +390,6 @@ class MatMulEngine:
         return programming + self.gemm_streaming_latency_s(
             shape, batch_size=batch_size, cost_model=model, tiles_available=tiles_available
         )
-
-    def gemm_energy_j(
-        self,
-        shape: GEMMShape,
-        batch_size: int = 1,
-        cost_model: "BatchCostModel | None" = None,
-    ) -> float:
-        """Energy of one batched GEMM.
-
-        Streaming energy is strictly per-row (overlap removes idle time,
-        not conversions), so it scales with ``batch_size``; programming
-        energy — when the cost model charges it — is paid exactly once per
-        operand per batch.
-        """
-        require_positive_int(batch_size, "batch_size")
-        model = cost_model or DEFAULT_BATCH_COST
-        streaming = batch_size * self.gemm_tile_vmms(shape) * self.tile_vmm_energy_j()
-        programming = self.programming_energy_j(shape) if model.charges_programming else 0.0
-        return programming + streaming
 
     def gemm_batch_cost(
         self,

@@ -67,7 +67,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.core.config import PipelineConfig
-from repro.core.events import ServerPool, StageJitter
+from repro.core.events import StageJitter
 from repro.core.pipeline import PipelineSchedule, StageTiming, attention_streams
 from repro.utils.validation import require_finite, require_finite_array, require_positive
 
@@ -107,11 +107,6 @@ class RowRecord:
     def completion_s(self) -> float:
         """When the row's context-GEMM service ended (pipeline exit)."""
         return self.context_end_s
-
-    @property
-    def softmax_queue_wait_s(self) -> float:
-        """Time the row spent queued between score completion and softmax."""
-        return self.softmax_start_s - self.score_end_s
 
 
 @dataclass(frozen=True)
@@ -542,18 +537,6 @@ class PipelineExecutor:
     # ------------------------------------------------------------------ #
     # operand-grained: stage barriers
     # ------------------------------------------------------------------ #
-    def _build_stages(self) -> list[ServerPool]:
-        return [
-            ServerPool("score", self.streams, keyed=True),
-            ServerPool(
-                "softmax",
-                self.softmax_engines,
-                keyed=False,
-                speedups=self.softmax_speedups,
-            ),
-            ServerPool("context", self.streams, keyed=True),
-        ]
-
     def _run_operand(
         self,
         score_s: np.ndarray,
@@ -562,39 +545,39 @@ class PipelineExecutor:
         stream_of: np.ndarray,
     ) -> ExecutedSchedule:
         n = score_s.size
-        handoff = self.config.stage_handoff_s
-        services = (score_s, softmax_s, context_s)
-        stages = self._build_stages()
         starts = np.zeros((n, len(STAGES)))
         ends = np.zeros((n, len(STAGES)))
-        server_of = np.zeros((n, len(STAGES)), dtype=np.int64)
+        engine_of = np.zeros(n, dtype=np.int64)
+        busy_s: dict[str, float] = {}
 
         phase_start = 0.0
-        for stage_index, stage in enumerate(stages):
-            free_at = [phase_start] * len(stage.idle)
+        for index, (stage, service) in enumerate(
+            zip(STAGES, (score_s, softmax_s, context_s))
+        ):
+            pooled = stage == "softmax"
+            free_at = [phase_start] * (self.softmax_engines if pooled else self.streams)
+            busy_s[stage] = 0.0
             for row in range(n):
-                if stage.keyed:
-                    server = int(stream_of[row])
+                if pooled:
+                    # the first engine to free takes the row
+                    server = engine_of[row] = int(np.argmin(free_at))
+                    duration = service[row] / self.softmax_speedups[server]
                 else:
-                    server = int(np.argmin(free_at))
-                service = stage.service_time(server, services[stage_index][row])
-                starts[row, stage_index] = free_at[server]
-                ends[row, stage_index] = free_at[server] + service
-                server_of[row, stage_index] = server
-                free_at[server] = ends[row, stage_index]
-                stage.occupy(service)
-                stage.served[server] += 1
-            # the whole operand queues ahead of every phase: all rows are
-            # resident before any of them starts
-            stage.queue_peak = n
+                    server = int(stream_of[row])
+                    duration = service[row]
+                starts[row, index] = free_at[server]
+                ends[row, index] = free_at[server] + duration
+                free_at[server] = ends[row, index]
+                busy_s[stage] += duration
             # one handoff per stage boundary — the operand is forwarded once
-            phase_start = max(free_at) + handoff
+            phase_start = max(free_at) + self.config.stage_handoff_s
 
+        engine_rows = np.bincount(engine_of, minlength=self.softmax_engines)
+        # the whole operand queues ahead of every phase: all rows are
+        # resident before any of them starts
         return self._package(
-            "operand", starts, ends, server_of[:, 1], stream_of,
-            {stage.name: stage.busy_s for stage in stages},
-            {stage.name: stage.queue_peak for stage in stages},
-            tuple(stages[1].served),
+            "operand", starts, ends, engine_of, stream_of,
+            busy_s, {stage: n for stage in STAGES}, tuple(engine_rows.tolist()),
         )
 
     # ------------------------------------------------------------------ #

@@ -230,6 +230,3 @@ class RRAMSoftmaxEngine:
         """Per-component ledger for one softmax row (used by Table I)."""
         return self.ledger_of(self.stats_for(1, seq_len))
 
-    def throughput_rows_per_s(self, seq_len: int = 128) -> float:
-        """Softmax rows per second at full utilisation."""
-        return 1.0 / self.row_latency_s(seq_len)

@@ -19,7 +19,7 @@ from repro.nn.quantization import (
     fake_quantize,
     quantize_tensor,
 )
-from repro.nn.softmax_models import Base2Softmax, FixedPointSoftmax, ReferenceSoftmax
+from repro.nn.softmax_models import FixedPointSoftmax, ReferenceSoftmax
 
 __all__ = [
     "softmax",
@@ -41,7 +41,6 @@ __all__ = [
     "BertWorkload",
     "ReferenceSoftmax",
     "FixedPointSoftmax",
-    "Base2Softmax",
     "ComputeBackend",
     "IdealBackend",
     "AnalogBackend",

@@ -4,9 +4,8 @@ Two pieces are interchangeable:
 
 * the **softmax callable** — the accuracy experiments swap
   :class:`~repro.nn.softmax_models.ReferenceSoftmax` for
-  :class:`~repro.nn.softmax_models.FixedPointSoftmax` (STAR's datapath) or
-  :class:`~repro.nn.softmax_models.Base2Softmax` (Softermax) without
-  touching the rest of the encoder, and the cycle-accurate
+  :class:`~repro.nn.softmax_models.FixedPointSoftmax` (STAR's datapath)
+  without touching the rest of the encoder, and the cycle-accurate
   :class:`~repro.core.softmax_engine.RRAMSoftmaxEngine` plugs in the same
   way: its ``__call__`` flattens the whole ``(batch, heads, seq, seq)``
   score tensor into one block for the vectorized batch backend;

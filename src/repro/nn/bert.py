@@ -149,10 +149,6 @@ class BertWorkload:
         """The same model padded/truncated to ``seq_len`` tokens per request."""
         return replace(self, seq_len=seq_len)
 
-    def ops_per_request(self) -> float:
-        """Primitive operations attributable to one request of the batch."""
-        return self.total_ops() / self.batch_size
-
     # ------------------------------------------------------------------ #
     # per-request GEMM shapes (batch-aware accelerator pricing)
     # ------------------------------------------------------------------ #
@@ -250,11 +246,6 @@ class BertWorkload:
         )
         return self.config.num_layers * per_layer
 
-    def attention_only_matmul_ops(self) -> int:
-        """GEMMs inside the attention mechanism only (used by Fig. 3's scope)."""
-        per_layer = self.qkv_projection_ops_per_layer() + self.attention_matmul_ops_per_layer()
-        return self.config.num_layers * per_layer
-
     def softmax_ops(self) -> int:
         """Softmax operations across the encoder stack."""
         return self.config.num_layers * self.softmax_ops_per_layer()
@@ -262,15 +253,6 @@ class BertWorkload:
     def softmax_elements(self) -> int:
         """Softmax matrix elements across the encoder stack."""
         return self.config.num_layers * self.softmax_elements_per_layer()
-
-    def softmax_vectors(self) -> int:
-        """Number of length-``seq_len`` softmax row vectors in the whole model."""
-        return (
-            self.config.num_layers
-            * self.config.num_heads
-            * self.batch_size
-            * self.seq_len
-        )
 
     def total_ops(self) -> int:
         """GEMM + softmax operations (the paper's GOPs accounting)."""

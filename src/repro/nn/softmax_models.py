@@ -1,4 +1,4 @@
-"""Algorithmic softmax variants: exact, STAR fixed-point, and Softermax base-2.
+"""Algorithmic softmax variants: exact and STAR fixed-point.
 
 These are *functional* models — they compute what the respective hardware
 produces, without simulating crossbar currents — and are therefore fast
@@ -17,7 +17,7 @@ import numpy as np
 from repro.nn.functional import softmax as exact_softmax
 from repro.utils.fixed_point import FixedPointFormat
 
-__all__ = ["ReferenceSoftmax", "FixedPointSoftmax", "Base2Softmax"]
+__all__ = ["ReferenceSoftmax", "FixedPointSoftmax"]
 
 
 @dataclass(frozen=True)
@@ -105,55 +105,4 @@ class FixedPointSoftmax:
             q_scale = float(1 << self.quotient_bits)
             probs = np.floor(probs * q_scale) / q_scale
 
-        return np.moveaxis(probs, -1, axis)
-
-
-@dataclass(frozen=True)
-class Base2Softmax:
-    """Softermax-style base-2 softmax (functional model of the CMOS baseline).
-
-    Softermax (Stevens et al., 2021) replaces ``e^x`` with ``2^x`` so the
-    exponential becomes a shift, and computes the running maximum online.
-    Functionally the output equals ``2^{x_i - x_max} / sum_j 2^{x_j - x_max}``
-    with the inputs quantised to ``input_bits`` and the un-normalised terms
-    kept at ``term_bits`` of fraction.
-
-    When ``correct_scale`` is true the scores are pre-multiplied by
-    ``log2(e)`` so the result approximates the true softmax (this is the
-    "no-retraining" deployment mode); otherwise the raw base-2 form is used.
-    """
-
-    input_bits: int = 8
-    term_bits: int = 8
-    correct_scale: bool = True
-
-    def __post_init__(self) -> None:
-        if self.input_bits < 2:
-            raise ValueError(f"input_bits must be >= 2, got {self.input_bits}")
-        if self.term_bits < 1:
-            raise ValueError(f"term_bits must be >= 1, got {self.term_bits}")
-
-    def __call__(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
-        """Base-2 softmax along ``axis``."""
-        x = np.asarray(x, dtype=np.float64)
-        moved = np.moveaxis(x, axis, -1)
-        if self.correct_scale:
-            moved = moved * np.log2(np.e)
-
-        # fixed-point input quantisation with a symmetric range sized from data
-        max_abs = np.max(np.abs(moved))
-        scale = max_abs if max_abs > 0 else 1.0
-        levels = (1 << (self.input_bits - 1)) - 1
-        quantised = np.rint(moved / scale * levels) / levels * scale
-
-        x_max = np.max(quantised, axis=-1, keepdims=True)
-        terms = np.power(2.0, quantised - x_max)
-        term_scale = float(1 << self.term_bits)
-        terms = np.rint(terms * term_scale) / term_scale
-
-        denom = np.sum(terms, axis=-1, keepdims=True)
-        safe_denom = np.where(denom > 0.0, denom, 1.0)
-        probs = terms / safe_denom
-        uniform = np.full_like(probs, 1.0 / probs.shape[-1])
-        probs = np.where(denom > 0.0, probs, uniform)
         return np.moveaxis(probs, -1, axis)

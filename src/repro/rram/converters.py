@@ -90,11 +90,6 @@ class ADC:
         codes = np.rint(arr / full_scale * (self.num_levels - 1))
         return np.clip(codes, 0, self.num_levels - 1).astype(np.int64)
 
-    def dequantize(self, codes: np.ndarray, full_scale: float) -> np.ndarray:
-        """Map ADC codes back to the analog value they represent."""
-        require_positive(full_scale, "full_scale")
-        return np.asarray(codes, dtype=np.float64) / (self.num_levels - 1) * full_scale
-
     def _convert_chain(
         self, values: np.ndarray, full_scale: float, low_code: int, out: np.ndarray | None
     ) -> np.ndarray:
@@ -115,7 +110,8 @@ class ADC:
     ) -> np.ndarray:
         """Quantise and immediately dequantise (the value seen downstream).
 
-        Equivalent to ``dequantize(quantize(...))`` up to floating-point
+        Equivalent to mapping :meth:`quantize`'s codes back to
+        ``code / (num_levels - 1) * full_scale`` up to floating-point
         association (the scaling is fused into one multiply per direction),
         skipping the integer round-trip; with ``out=`` no temporaries are
         allocated.  Both matter on the batched crossbar hot path.

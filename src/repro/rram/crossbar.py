@@ -157,11 +157,6 @@ class CrossbarConfig:
         return self.rows * self.physical_cols
 
     @property
-    def num_adcs(self) -> int:
-        """Number of ADC instances (columns / adc_share, at least one)."""
-        return max(1, self.physical_cols // self.adc_share)
-
-    @property
     def input_cycles(self) -> int:
         """Number of bit-serial cycles needed to stream one input vector."""
         return -(-self.input_bits // self.dac_bits)  # ceil division
@@ -266,11 +261,6 @@ class AnalogCrossbar:
         if self._weights is None:
             raise RuntimeError("crossbar has not been programmed yet")
         return self._weights.copy()
-
-    @property
-    def weight_scale(self) -> float:
-        """Scale factor mapping normalised weights back to logical values."""
-        return self._weight_scale
 
     def program(self, weights: np.ndarray) -> None:
         """Write a logical ``rows x cols`` weight matrix into the array.

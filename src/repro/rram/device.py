@@ -90,11 +90,6 @@ class RRAMDeviceConfig:
         """Number of programmable conductance levels."""
         return 1 << self.bits_per_cell
 
-    @property
-    def on_off_ratio(self) -> float:
-        """Conductance (resistance) on/off ratio."""
-        return self.r_off_ohm / self.r_on_ohm
-
 
 class RRAMDevice:
     """Maps digital cell values to conductances and models per-access costs.
@@ -110,11 +105,6 @@ class RRAMDevice:
         self._conductance_levels = np.linspace(
             self.config.g_min_s, self.config.g_max_s, levels
         )
-
-    @property
-    def conductance_levels(self) -> np.ndarray:
-        """The ``2 ** bits_per_cell`` programmable conductances, ascending."""
-        return self._conductance_levels.copy()
 
     def level_to_conductance(self, levels: np.ndarray | int) -> np.ndarray:
         """Convert integer cell levels to conductances in siemens."""

@@ -102,10 +102,6 @@ class NoiseModel:
         self.config = config or IDEAL_NOISE
         self._rng = np.random.default_rng(self.config.seed)
 
-    def reseed(self, seed: int) -> None:
-        """Reset the random stream (used by Monte-Carlo sweeps)."""
-        self._rng = np.random.default_rng(seed)
-
     # ------------------------------------------------------------------ #
     # programming-time effects
     # ------------------------------------------------------------------ #

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.rram.device import RRAMDevice, RRAMDeviceConfig
 from repro.utils.validation import require_in_range, require_positive
 
@@ -129,17 +127,3 @@ class WriteVerifyProgrammer:
             total_energy_j=total_energy,
         )
 
-    def achieved_conductance(
-        self, target: np.ndarray, seed: int = 0
-    ) -> np.ndarray:
-        """Sample the conductances achieved after write-verify.
-
-        The residual error is Gaussian with relative sigma equal to the
-        configured tolerance (the loop stops once inside the tolerance band).
-        """
-        rng = np.random.default_rng(seed)
-        arr = np.asarray(target, dtype=np.float64)
-        residual = rng.normal(0.0, self.config.tolerance, size=arr.shape)
-        g_min = self.device.config.g_min_s
-        g_max = self.device.config.g_max_s
-        return np.clip(arr * (1.0 + residual), g_min, g_max)

@@ -455,11 +455,6 @@ class MMPPArrivals:
         """Long-run mean arrival rate ``pi . rates`` — the pinnable figure."""
         return float(self.stationary_distribution @ self.rates_rps)
 
-    @property
-    def burstiness(self) -> float:
-        """Peak state rate over the mean rate (1.0 = not bursty at all)."""
-        return float(self.rates_rps.max()) / self.mean_rate_rps
-
     def generate(self, num_requests: int, index_offset: int = 0) -> list[Request]:
         """The first ``num_requests`` arrivals of the modulated stream."""
         require_positive(num_requests, "num_requests")

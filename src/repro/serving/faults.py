@@ -153,10 +153,6 @@ class AdmissionController:
         if self.degraded_max_batch is not None:
             require_positive(self.degraded_max_batch, "degraded_max_batch")
 
-    def admits(self, queue_depth: int) -> bool:
-        """Whether a new arrival may join a queue currently this deep."""
-        return self.max_queue_depth is None or queue_depth < self.max_queue_depth
-
 
 #: Accept everything, serve everything: the pre-admission-control queue.
 NO_ADMISSION = AdmissionController(max_queue_depth=None, shed_expired=False)

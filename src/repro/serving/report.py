@@ -340,11 +340,6 @@ class ScaleEvent:
                 f"ready_s {self.ready_s} precedes the decision at {self.time_s}"
             )
 
-    @property
-    def transition_s(self) -> float:
-        """How long the power-state transition took."""
-        return self.ready_s - self.time_s
-
 
 @dataclass(frozen=True)
 class StealRecord:
@@ -646,14 +641,6 @@ class ServingReport:
             return 0.0
         return float(np.sum(self.requests.wait_s)) / span
 
-    @property
-    def mean_in_system(self) -> float:
-        """Time-averaged number of requests in the system (queued or running)."""
-        span = self.makespan_s
-        if span <= 0:
-            return 0.0
-        return float(np.sum(self.requests.latency_s)) / span
-
     # ------------------------------------------------------------------ #
     # batching, occupancy and energy
     # ------------------------------------------------------------------ #
@@ -846,13 +833,6 @@ class ServingReport:
             return float("nan")
         return float(percentile(latencies, q))
 
-    def class_mean_latency_s(self, slo_class: int | None) -> float:
-        """Mean latency within one class (NaN with no members)."""
-        latencies = self.requests.latency_s[self._class_mask(slo_class)]
-        if latencies.size == 0:
-            return float("nan")
-        return float(np.mean(latencies))
-
     def num_deadline_misses(self, slo_class: int | None = None) -> int:
         """Completed requests that overran their own relative deadline."""
         mask = self._class_mask(slo_class)
@@ -952,13 +932,6 @@ class ServingReport:
     def total_sleep_s(self) -> float:
         """Summed chip-seconds spent in deep sleep across the fleet."""
         return sum(self.chip_sleep_s)
-
-    def chip_sleep_fraction(self, chip: int) -> float:
-        """Share of the makespan one chip spent parked."""
-        span = self.makespan_s
-        if span <= 0:
-            return 0.0
-        return self._chip_sleep(chip) / span
 
     @property
     def mean_awake_chips(self) -> float:

@@ -176,15 +176,26 @@ def front_end(
     # route() runs once per request, so it must not allocate
     cost_rows: dict[int, list[float]] = {}
 
+    def cost_row(seq_len: int) -> list[float]:
+        row = []
+        for chip in range(num_chips):
+            price = fleet.expected_latency_s(chip, batch_size, seq_len)
+            # a NaN or infinite price would beat no candidate, and route()
+            # would return -1: every request to the last chip's queue
+            if not 0.0 <= price < math.inf:
+                raise ValueError(
+                    f"chip {chip}: the expected latency of a batch of {batch_size} "
+                    f"at seq_len {seq_len} must be finite and non-negative, got {price}"
+                )
+            row.append(price / batch_size)
+        return row
+
     def route(request: Request, usable: Sequence[int]) -> int:
         # shortest expected delay: network hop plus the chip's outstanding
         # work priced at the candidate's amortized full-batch cost
         costs = cost_rows.get(request.seq_len)
         if costs is None:
-            costs = cost_rows[request.seq_len] = [
-                fleet.expected_latency_s(chip, batch_size, request.seq_len) / batch_size
-                for chip in range(num_chips)
-            ]
+            costs = cost_rows[request.seq_len] = cost_row(request.seq_len)
         best = -1
         best_cost = math.inf
         for c in usable:

@@ -50,16 +50,6 @@ class _OpenQueue:
         """Mean sojourn time: queueing wait plus service."""
         return self.mean_wait_s + self.service_s
 
-    @property
-    def mean_queue_len(self) -> float:
-        """Mean number waiting (Little's law on the queue)."""
-        return self.arrival_rate_rps * self.mean_wait_s
-
-    @property
-    def mean_in_system(self) -> float:
-        """Mean number in the system (Little's law on the sojourn)."""
-        return self.arrival_rate_rps * self.mean_latency_s
-
     def _check(self) -> None:
         require_positive(self.arrival_rate_rps, "arrival_rate_rps")
         require_positive(self.service_s, "service_s")

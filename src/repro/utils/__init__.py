@@ -11,7 +11,6 @@ from repro.utils.fixed_point import (
     sqnr_db,
 )
 from repro.utils.stats import (
-    RunningStats,
     geometric_mean,
     kl_divergence,
     percentile_range,
@@ -29,7 +28,6 @@ __all__ = [
     "dequantize_codes",
     "quantization_error",
     "sqnr_db",
-    "RunningStats",
     "summarize",
     "percentile_range",
     "geometric_mean",

@@ -149,50 +149,9 @@ class FixedPointFormat:
         """Round values to the representable grid (round-to-nearest, saturate)."""
         return self.from_code(self.to_code(values))
 
-    def representable_values(self) -> np.ndarray:
-        """Every representable magnitude value, ascending.
-
-        Used to pre-load the CAM and LUT crossbars of the exponential unit,
-        which store *all possible* ``x_i - x_max`` magnitudes and their
-        exponentials.
-        """
-        codes = np.arange(self.num_levels, dtype=np.int64)
-        return self.from_code(codes)
-
-    def contains(self, value: float) -> bool:
-        """Whether ``value`` lies inside the representable range."""
-        return self.min_value <= value <= self.max_value
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         sign = "s" if self.signed else "u"
         return f"Q{sign}{self.integer_bits}.{self.frac_bits}"
-
-    # ------------------------------------------------------------------ #
-    # constructors
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def for_range(
-        cls,
-        max_magnitude: float,
-        resolution: float,
-        signed: bool = False,
-    ) -> "FixedPointFormat":
-        """Smallest format covering ``[0, max_magnitude]`` at ``resolution``.
-
-        Parameters
-        ----------
-        max_magnitude:
-            Largest magnitude that must be representable.
-        resolution:
-            Required step size; rounded down to the nearest power of two.
-        """
-        if max_magnitude < 0:
-            raise ValueError("max_magnitude must be non-negative")
-        if resolution <= 0:
-            raise ValueError("resolution must be positive")
-        frac_bits = max(0, int(math.ceil(-math.log2(resolution))))
-        integer_bits = max(1, int(math.ceil(math.log2(max_magnitude + 2.0 ** (-frac_bits)))))
-        return cls(integer_bits=integer_bits, frac_bits=frac_bits, signed=signed)
 
 
 # Canonical formats from the paper's bit-width table (Section II).

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "RunningStats",
     "percentile",
     "summarize",
     "percentile_range",
@@ -76,54 +74,6 @@ def percentile(
     if np.isscalar(q) or np.ndim(q) == 0:
         return float(result[0])
     return result
-
-
-@dataclass
-class RunningStats:
-    """Streaming mean / variance / extrema (Welford's algorithm).
-
-    Useful when analysing attention-score ranges over many batches without
-    materialising every score, which is what the bit-width analysis of
-    Section II does across whole datasets.
-    """
-
-    count: int = 0
-    mean: float = 0.0
-    _m2: float = 0.0
-    minimum: float = float("inf")
-    maximum: float = float("-inf")
-
-    def update(self, values: np.ndarray | float) -> None:
-        """Fold one value or an array of values into the running statistics."""
-        arr = np.atleast_1d(np.asarray(values, dtype=np.float64)).ravel()
-        for value in arr:
-            self.count += 1
-            delta = value - self.mean
-            self.mean += delta / self.count
-            self._m2 += delta * (value - self.mean)
-            if value < self.minimum:
-                self.minimum = float(value)
-            if value > self.maximum:
-                self.maximum = float(value)
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the values seen so far."""
-        if self.count == 0:
-            return float("nan")
-        return self._m2 / self.count
-
-    @property
-    def std(self) -> float:
-        """Population standard deviation of the values seen so far."""
-        return float(np.sqrt(self.variance))
-
-    @property
-    def range(self) -> float:
-        """``max - min`` of the values seen so far."""
-        if self.count == 0:
-            return float("nan")
-        return self.maximum - self.minimum
 
 
 def summarize(

@@ -142,7 +142,3 @@ class ClassificationTask:
         return ClassificationResult(
             accuracy=agreement, agreement=agreement, num_examples=self.num_examples
         )
-
-    def accuracy_drop(self, softmax_fn: Callable[[np.ndarray], np.ndarray]) -> float:
-        """Accuracy degradation (in fraction) relative to the float teacher."""
-        return 1.0 - self.evaluate(softmax_fn).accuracy

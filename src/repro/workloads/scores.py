@@ -157,11 +157,6 @@ class AttentionScoreGenerator:
             rows[i] = row
         return rows
 
-    def score_matrix(self, seq_len: int | None = None) -> np.ndarray:
-        """A full ``seq_len x seq_len`` attention-score matrix (one head)."""
-        length = seq_len if seq_len is not None else self.profile.typical_seq_len
-        return self.rows(length, length)
-
     def observed_range(self, num_rows: int = 2048, seq_len: int | None = None) -> float:
         """Empirical 99.9th-percentile row spread, used by the bit-width analysis."""
         rows = self.rows(num_rows, seq_len)

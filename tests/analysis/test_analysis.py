@@ -61,28 +61,11 @@ class TestAccuracyAnalyzer:
 
     def test_fixed_point_fidelity_improves_with_bits(self):
         analyzer = AccuracyAnalyzer(num_rows=32)
-        sweep = analyzer.precision_sweep(CNEWS_PROFILE, [(6, 1), (6, 4)])
-        assert sweep[1].fidelity.mean_kl < sweep[0].fidelity.mean_kl
-
-    def test_precision_sweep_with_task_accuracy(self):
-        analyzer = AccuracyAnalyzer(num_rows=16)
-        sweep = analyzer.precision_sweep(
-            COLA_PROFILE, [(5, 2)], include_task_accuracy=True
+        coarse, fine = (
+            analyzer.fidelity(FixedPointSoftmax(FixedPointFormat(6, frac)), CNEWS_PROFILE)
+            for frac in (1, 4)
         )
-        assert sweep[0].task_accuracy is not None
-        assert 0.0 <= sweep[0].task_accuracy <= 1.0
-
-    def test_accuracy_drop_table(self):
-        analyzer = AccuracyAnalyzer(num_rows=16)
-        drops = analyzer.accuracy_drop_table(
-            [CNEWS_PROFILE], lambda profile: CNEWS_FORMAT
-        )
-        assert "CNEWS" in drops
-        assert drops["CNEWS"] <= 0.3
-
-    def test_empty_formats_rejected(self):
-        with pytest.raises(ValueError):
-            AccuracyAnalyzer().precision_sweep(CNEWS_PROFILE, [])
+        assert fine.mean_kl < coarse.mean_kl
 
 
 class TestLatencyBreakdown:

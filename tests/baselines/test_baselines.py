@@ -73,7 +73,6 @@ class TestSoftermax:
     def test_row_energy_positive(self):
         unit = SoftermaxUnit()
         assert unit.row_energy_j() > 0
-        assert unit.throughput_rows_per_s() > 0
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
@@ -147,7 +146,6 @@ class TestAcceleratorBaselines:
         workload = BertWorkload(seq_len=128)
         model = PipeLayerModel()
         assert model.operand_write_latency_s(workload) > 0
-        assert model.operand_write_energy_j(workload) > 0
         no_rewrite = ReTransformerModel()
         assert model.inference_latency_s(workload) > no_rewrite.inference_latency_s(workload)
 

@@ -123,17 +123,6 @@ class TestEnergyLedger:
         ledger.record_area("block", 100.0)
         assert ledger.total_area_um2 == pytest.approx(100.0)
 
-    def test_average_power(self):
-        ledger = EnergyLedger()
-        ledger.record("x", energy_j=2e-6, latency_s=1e-3)
-        assert ledger.average_power_w() == pytest.approx(2e-3)
-
-    def test_average_power_requires_latency(self):
-        ledger = EnergyLedger()
-        ledger.record("x", energy_j=1e-9)
-        with pytest.raises(ValueError):
-            ledger.average_power_w()
-
     def test_merge(self):
         a = EnergyLedger()
         a.record("x", energy_j=1.0)

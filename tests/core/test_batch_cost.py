@@ -27,7 +27,8 @@ from repro.core.config import MatMulEngineConfig
 from repro.core.matmul_engine import GEMMShape, MatMulEngine
 
 #: Pre-refactor ``gemm_latency_s`` / ``gemm_energy_j`` values, recorded on
-#: the seed tree as float hex (bit-exact).  The old formula was
+#: the seed tree as float hex (bit-exact); the energy is now read as
+#: ``gemm_batch_cost(shape).energy_j``.  The old formula was
 #: ``ceil(tiles_for(shape) * m / parallel) * tile_vmm_latency_s``.
 SEED_GEMM_LATENCY_HEX = {
     (128, 768, 768): "0x1.266b85a74cca3p-16",
@@ -76,7 +77,7 @@ class TestBatchOneBitIdentity:
     @pytest.mark.parametrize("dims", sorted(SEED_GEMM_ENERGY_HEX))
     def test_default_energy_matches_seed(self, dims):
         shape = GEMMShape(*dims)
-        assert engine().gemm_energy_j(shape).hex() == SEED_GEMM_ENERGY_HEX[dims]
+        assert engine().gemm_batch_cost(shape).energy_j.hex() == SEED_GEMM_ENERGY_HEX[dims]
 
     def test_no_duplication_latency_matches_seed(self):
         shape = GEMMShape(128, 768, 768)
@@ -125,7 +126,6 @@ class TestProgrammingAmortisation:
         cost = eng.gemm_batch_cost(GEMMShape(32, 768, 768), 8, BatchCostModel.streamed())
         assert cost.latency_s == cost.programming_latency_s + cost.streaming_latency_s
         assert cost.energy_j == cost.programming_energy_j + cost.streaming_energy_j
-        assert cost.latency_per_request_s == pytest.approx(cost.latency_s / 8)
         assert cost.linear_latency_s == pytest.approx(8 * cost.single_latency_s)
         assert cost.amortisation < 1.0
 

@@ -86,8 +86,8 @@ def test_batch_one_is_bit_identical_to_seed_formula(engine, shape, model):
 @settings(max_examples=80, deadline=None)
 @given(engine=engines, shape=shapes, model=cost_models, batch=batches)
 def test_energy_never_decreases_with_batch(engine, shape, model, batch):
-    smaller = engine.gemm_energy_j(shape, batch_size=batch, cost_model=model)
-    larger = engine.gemm_energy_j(shape, batch_size=batch + 1, cost_model=model)
+    smaller = engine.gemm_batch_cost(shape, batch, model).energy_j
+    larger = engine.gemm_batch_cost(shape, batch + 1, model).energy_j
     assert larger > smaller  # streaming energy is strictly per-row
 
 

@@ -71,7 +71,7 @@ class PerTaskGEMMExecutor:
         )
 
         loop = EventLoop()
-        pool = ServerPool("tiles", parallel)
+        pool = ServerPool(parallel)
         for tile in range(parallel):
             loop.schedule(0.0, ARRIVE, tile)
 

@@ -89,7 +89,8 @@ class TestModelSchedule:
         star = STARAccelerator(schedule="executed")
         model = star.executed_model_schedule(BertWorkload(seq_len=64))
         assert 0.0 < model.softmax_utilization() <= 1.0
-        assert model.attention_latency_s < model.total_latency_s
+        attention = sum(layer.attention_pipeline_s for layer in model.layers)
+        assert attention < model.total_latency_s
 
 
 class TestRequestTiming:
@@ -107,8 +108,6 @@ class TestRequestTiming:
             star.power_w(128) * serialized.inference_latency_s(workload)
         )
         assert timing.energy_j > star.power_w(128) * timing.latency_s
-        assert timing.latency_per_request_s == pytest.approx(timing.latency_s / 4)
-        assert timing.energy_per_request_j == pytest.approx(timing.energy_j / 4)
 
     def test_batch_one_energy_is_power_times_latency(self):
         star = STARAccelerator()
@@ -141,8 +140,3 @@ class TestRequestTiming:
         batched = workload.with_batch(8).with_seq_len(256)
         assert batched.batch_size == 8 and batched.seq_len == 256
         assert batched.config is workload.config
-        assert batched.ops_per_request() == pytest.approx(batched.total_ops() / 8)
-        # per-request op count is batch-invariant
-        assert batched.ops_per_request() == pytest.approx(
-            workload.with_seq_len(256).total_ops()
-        )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.events import ARRIVE, FREE, TIMEOUT, EventLoop, ServerPool, StageJitter
+from repro.core.events import ARRIVE, FREE, EventLoop, ServerPool, StageJitter
 
 
 class TestEventLoop:
@@ -22,11 +22,11 @@ class TestEventLoop:
 
     def test_kind_breaks_time_ties(self):
         loop = EventLoop()
-        loop.schedule(1.0, TIMEOUT)
+        loop.schedule(1.0, ARRIVE + 1)
         loop.schedule(1.0, ARRIVE, "req")
         loop.schedule(1.0, FREE, 0)
         kinds = [loop.pop()[1] for _ in range(3)]
-        assert kinds == [FREE, ARRIVE, TIMEOUT]
+        assert kinds == [FREE, ARRIVE, ARRIVE + 1]
 
     def test_insertion_order_breaks_kind_ties(self):
         loop = EventLoop()
@@ -35,18 +35,11 @@ class TestEventLoop:
         labels = [loop.pop()[2][0] for _ in range(3)]
         assert labels == ["first", "second", "third"]
 
-    def test_now_tracks_popped_time(self):
+    def test_bool(self):
         loop = EventLoop()
-        loop.schedule(2.5, FREE, 1)
-        assert loop.now == 0.0
-        loop.pop()
-        assert loop.now == 2.5
-
-    def test_len_and_bool(self):
-        loop = EventLoop()
-        assert not loop and len(loop) == 0
+        assert not loop
         loop.schedule(0.0, ARRIVE)
-        assert loop and len(loop) == 1
+        assert loop
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
@@ -70,8 +63,19 @@ class TestEventLoop:
         assert loop.pop_before(1.0, ARRIVE) == (1.0, FREE, ("free",))
         # an equal (time, kind) was scheduled later than the stream's item
         assert loop.pop_before(1.0, ARRIVE) is None
-        assert loop.pop_before(1.0, TIMEOUT) == (1.0, ARRIVE, ("heap",))
-        assert loop.events_popped == 2 and loop.now == 1.0 and not loop
+        assert loop.pop_before(1.0, ARRIVE + 1) == (1.0, ARRIVE, ("heap",))
+        assert loop.events_popped == 2 and not loop
+
+    def test_counts_scheduled_and_popped_events(self):
+        loop = EventLoop()
+        for time in (2.0, 1.0, 3.0):
+            loop.schedule(time, ARRIVE)
+        with pytest.raises(ValueError):
+            loop.schedule(-1.0, ARRIVE)  # rejected before it is counted
+        loop.pop()
+        assert loop.pop_before(2.0, FREE) is None  # not due: nothing popped
+        assert loop.pop_before(2.5, ARRIVE) is not None
+        assert (loop.events_scheduled, loop.events_popped) == (3, 2)
 
     def test_payload_never_compared(self):
         # un-orderable payloads must not break tie-handling
@@ -82,104 +86,83 @@ class TestEventLoop:
 
 
 class TestServerPool:
-    def test_infinite_speedup_rejected(self):
-        # an infinite speedup would serve every item in zero time
-        with pytest.raises(ValueError, match="must be finite, got inf"):
-            ServerPool("chips", 2, speedups=(1.0, float("inf")))
-
-    def test_shared_pool_takes_lowest_idle(self):
-        pool = ServerPool("chips", 3)
+    def test_takes_lowest_idle(self):
+        pool = ServerPool(3)
         assert pool.idle_server() == 0
         pool.acquire(0)
         assert pool.idle_server() == 1
 
-    def test_keyed_pool_binds_to_key(self):
-        pool = ServerPool("streams", 2, keyed=True)
+    def test_offline_servers_are_skipped(self):
+        pool = ServerPool(2)
+        pool.set_online(0, False)
+        assert pool.idle_server() == 1
         pool.acquire(1)
-        assert pool.idle_server(0) == 0
-        assert pool.idle_server(1) is None
+        assert pool.idle_server() is None
+        pool.set_online(0, True)
+        assert pool.idle_server() == 0
 
     def test_acquire_busy_raises(self):
-        pool = ServerPool("chips", 1)
+        pool = ServerPool(1)
         pool.acquire(0)
         with pytest.raises(RuntimeError):
             pool.acquire(0)
 
     def test_release_makes_idle(self):
-        pool = ServerPool("chips", 1)
+        pool = ServerPool(1)
         pool.acquire(0)
         pool.release(0)
         assert pool.idle_server() == 0
-        assert pool.served == [1]
 
-    def test_fifo_queue_and_peek(self):
-        pool = ServerPool("chips", 1)
-        pool.enqueue(0, "a")
-        pool.enqueue(0, "b")
-        assert pool.peek(0) == "a"
-        assert pool.pop(0) == "a"
-        assert pool.pop(0) == "b"
-        assert pool.pop(0) is None and pool.peek(0) is None
-
-    def test_queue_peak_tracks_depth(self):
-        pool = ServerPool("chips", 1)
-        for item in range(3):
-            pool.enqueue(0, item)
-        pool.pop(0)
-        pool.enqueue(0, 3)
-        assert pool.queue_depth() == 3
-        assert pool.queue_peak == 3
-
-    def test_keyed_queues_are_separate(self):
-        pool = ServerPool("streams", 2, keyed=True)
-        pool.enqueue(pool.queue_of(0), "x")
-        pool.enqueue(pool.queue_of(1), "y")
-        assert pool.pop(0) == "x"
-        assert pool.pop(1) == "y"
-        assert pool.queue_peak == 2
-
-    def test_speedups_divide_service_time(self):
-        pool = ServerPool("chips", 2, speedups=(1.0, 4.0))
-        assert pool.service_time(0, 8.0) == pytest.approx(8.0)
-        assert pool.service_time(1, 8.0) == pytest.approx(2.0)
-
-    def test_speedup_validation(self):
+    def test_needs_a_server(self):
         with pytest.raises(ValueError):
-            ServerPool("chips", 2, speedups=(1.0,))
-        with pytest.raises(ValueError):
-            ServerPool("chips", 1, speedups=(0.0,))
-        with pytest.raises(ValueError):
-            ServerPool("chips", 0)
+            ServerPool(0)
 
     def test_occupy_accumulates_busy_time(self):
-        pool = ServerPool("chips", 2)
+        pool = ServerPool(2)
         pool.occupy(1.5)
         pool.occupy(0.5)
         assert pool.busy_s == pytest.approx(2.0)
 
+    def test_a_busy_server_taken_offline_stays_busy(self):
+        # the idle and online flags are independent: going offline and back
+        # does not free a busy server, only release() does
+        pool = ServerPool(1)
+        pool.acquire(0)
+        pool.set_online(0, False)
+        pool.set_online(0, True)
+        assert pool.idle_server() is None
+        pool.release(0)
+        assert pool.idle_server() == 0
+
     @settings(max_examples=200, deadline=None)
     @given(
-        keyed=st.booleans(),
         num_servers=st.integers(min_value=1, max_value=6),
         steps=st.lists(
-            st.tuples(st.booleans(), st.integers(min_value=0, max_value=5)), max_size=80
+            st.tuples(st.sampled_from(("acquire", "release", "offline", "online")),
+                      st.integers(min_value=0, max_value=5)),
+            max_size=60,
         ),
     )
-    def test_running_depth_matches_recount(self, keyed, num_servers, steps):
-        # each step enqueues onto (True) or pops from (False) one queue;
-        # pops of empty queues are no-ops and must not move the count
-        pool = ServerPool("pool", num_servers, keyed=keyed)
-        peak = 0
-        for index, (push, key) in enumerate(steps):
-            queue = pool.queue_of(key % num_servers)
-            if push:
-                pool.enqueue(queue, index)
+    def test_idle_server_is_the_lowest_idle_online_one(self, num_servers, steps):
+        pool = ServerPool(num_servers)
+        busy, offline = set(), set()
+        for action, key in steps:
+            server = key % num_servers
+            if action == "acquire":
+                if server in busy:
+                    with pytest.raises(RuntimeError):
+                        pool.acquire(server)
+                else:
+                    pool.acquire(server)
+                    busy.add(server)
+            elif action == "release":
+                pool.release(server)
+                busy.discard(server)
             else:
-                pool.pop(queue)
-            recount = sum(len(q) - h for q, h in zip(pool.queues, pool.heads))
-            peak = max(peak, recount)
-            assert pool.queue_depth() == recount
-            assert pool.queue_peak == peak
+                pool.set_online(server, action == "online")
+                (offline.discard if action == "online" else offline.add)(server)
+            candidates = set(range(num_servers)) - busy - offline
+            assert pool.idle_server() == min(candidates, default=None)
 
 
 class TestStageJitter:

@@ -100,6 +100,34 @@ class TestPipelineExecutor:
         schedule = PipelineExecutor(PipelineConfig(stage_handoff_s=0.0)).execute_vector(t)
         assert schedule.queue_peaks["softmax"] > 32
 
+    def test_operand_phases_queue_every_row(self):
+        # all rows are resident before a phase starts, and the engines,
+        # all free at the barrier, take rows first-free, lowest index first
+        executor = PipelineExecutor(softmax_engines=3)
+        schedule = executor.execute_service_times(
+            np.full(7, 1e-7), np.full(7, 1e-7), np.full(7, 1e-7), granularity="operand"
+        )
+        assert schedule.queue_peaks == {"score": 7, "softmax": 7, "context": 7}
+        assert [r.engine for r in schedule.records] == [0, 1, 2, 0, 1, 2, 0]
+        assert schedule.engine_rows == (3, 2, 2)
+
+    def test_operand_busy_time_is_speed_scaled_service(self):
+        rng = np.random.default_rng(3)
+        score, softmax, context = (rng.uniform(0.0, 2e-7, 40) for _ in range(3))
+        speedups = np.array([1.0, 2.5])
+        executor = PipelineExecutor(streams=3, softmax_engines=2, softmax_speedups=tuple(speedups))
+        schedule = executor.execute_service_times(
+            score, softmax, context, granularity="operand"
+        )
+        engines = np.array([r.engine for r in schedule.records])
+        assert schedule.engine_rows == tuple(np.bincount(engines, minlength=2).tolist())
+        assert schedule.engine_rows[1] > schedule.engine_rows[0]
+        assert schedule.stage_busy_s["softmax"] == pytest.approx(
+            np.sum(softmax / speedups[engines])
+        )
+        assert schedule.stage_busy_s["score"] == pytest.approx(score.sum())
+        assert schedule.stage_busy_s["context"] == pytest.approx(context.sum())
+
     def test_utilization_bounds_and_unknown_stage(self):
         schedule = PipelineExecutor().execute_vector(timing())
         for stage in ("score", "softmax", "context"):

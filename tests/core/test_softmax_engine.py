@@ -143,11 +143,6 @@ class TestEngineCosts:
             cnews_engine.row_energy_j(128), rel=0.35
         )
 
-    def test_throughput(self, cnews_engine):
-        assert cnews_engine.throughput_rows_per_s(128) == pytest.approx(
-            1.0 / cnews_engine.row_latency_s(128)
-        )
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SoftmaxEngineConfig(fmt=MRPC_FORMAT, cam_sub_rows=256)  # needs 512 levels

@@ -15,7 +15,7 @@ from repro.nn.functional import (
     scaled_dot_product_attention,
     softmax,
 )
-from repro.nn.softmax_models import Base2Softmax, FixedPointSoftmax, ReferenceSoftmax
+from repro.nn.softmax_models import FixedPointSoftmax, ReferenceSoftmax
 from repro.utils.fixed_point import CNEWS_FORMAT, MRPC_FORMAT, FixedPointFormat
 
 
@@ -144,28 +144,7 @@ class TestFixedPointSoftmax:
         assert np.all(probs >= 0) and np.all(probs <= 1 + 1e-12)
 
 
-class TestBase2AndReference:
+class TestReference:
     def test_reference_wrapper_equals_functional(self, rng):
         x = rng.normal(size=(4, 9))
         np.testing.assert_allclose(ReferenceSoftmax()(x), softmax(x))
-
-    def test_base2_with_scale_correction_approximates_softmax(self, score_rows):
-        approx = Base2Softmax(correct_scale=True)(score_rows)
-        exact = softmax(score_rows)
-        assert np.max(np.abs(approx - exact)) < 0.06
-
-    def test_base2_without_correction_differs(self, score_rows):
-        corrected = Base2Softmax(correct_scale=True)(score_rows)
-        raw = Base2Softmax(correct_scale=False)(score_rows)
-        assert np.max(np.abs(corrected - raw)) > 1e-3
-
-    def test_base2_outputs_distribution(self, rng):
-        x = rng.normal(0, 5, size=(5, 11))
-        probs = Base2Softmax()(x)
-        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
-
-    def test_base2_invalid_bits(self):
-        with pytest.raises(ValueError):
-            Base2Softmax(input_bits=1)
-        with pytest.raises(ValueError):
-            Base2Softmax(term_bits=0)

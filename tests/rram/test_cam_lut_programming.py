@@ -131,13 +131,6 @@ class TestWriteVerifyProgrammer:
         assert parallel.total_latency_s < serial.total_latency_s
         assert parallel.total_energy_j == pytest.approx(serial.total_energy_j)
 
-    def test_achieved_conductance_within_tolerance_band(self):
-        programmer = WriteVerifyProgrammer(config=ProgrammingConfig(tolerance=0.02))
-        target = np.full(5000, 5e-6)
-        achieved = programmer.achieved_conductance(target, seed=1)
-        relative = np.abs(achieved / target - 1.0)
-        assert np.percentile(relative, 99) < 0.07
-
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):
             WriteVerifyProgrammer().program_array(0, 10)

@@ -14,7 +14,7 @@ class TestDeviceConfig:
         cfg = RRAMDeviceConfig()
         assert cfg.g_max_s == pytest.approx(1.0 / cfg.r_on_ohm)
         assert cfg.g_min_s == pytest.approx(1.0 / cfg.r_off_ohm)
-        assert cfg.on_off_ratio == pytest.approx(100.0)
+        assert cfg.r_off_ohm / cfg.r_on_ohm == pytest.approx(100.0)
         assert cfg.num_levels == 4
 
     def test_invalid_resistances(self):
@@ -33,7 +33,7 @@ class TestDeviceConfig:
 class TestDevice:
     def test_conductance_levels_span_window(self):
         device = RRAMDevice()
-        levels = device.conductance_levels
+        levels = device.level_to_conductance(np.arange(device.config.num_levels))
         assert levels[0] == pytest.approx(device.config.g_min_s)
         assert levels[-1] == pytest.approx(device.config.g_max_s)
         assert np.all(np.diff(levels) > 0)
@@ -108,12 +108,9 @@ class TestNoiseModel:
         out = model.apply_read(g)
         assert np.std(out / g - 1.0) == pytest.approx(0.02, rel=0.1)
 
-    def test_reseed_reproducibility(self):
+    def test_seed_reproducibility(self):
         config = NoiseConfig(read_noise_sigma=0.05, seed=0)
         model_a = NoiseModel(config)
         model_b = NoiseModel(config)
         g = np.ones(100) * 1e-6
-        np.testing.assert_allclose(model_a.apply_read(g), model_b.apply_read(g))
-        model_a.reseed(42)
-        model_b.reseed(42)
         np.testing.assert_allclose(model_a.apply_read(g), model_b.apply_read(g))

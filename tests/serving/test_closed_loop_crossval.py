@@ -183,6 +183,6 @@ class TestAutoscalerFixedPoint:
         wakes = [e for e in report.scale_events if e.action == "wake"]
         assert wakes, "cold start from 1 chip must wake chips"
         for event in wakes:
-            assert event.transition_s == pytest.approx(5e-3)
+            assert event.ready_s - event.time_s == pytest.approx(5e-3)
             assert event.energy_j == pytest.approx(0.02)
         assert report.wake_energy_j == pytest.approx(0.02 * len(wakes))

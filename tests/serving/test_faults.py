@@ -75,12 +75,21 @@ class TestRetryPolicy:
 
 class TestAdmissionController:
     def test_bounded_queue_admits(self):
-        controller = AdmissionController(max_queue_depth=3)
-        assert controller.admits(0) and controller.admits(2)
-        assert not controller.admits(3) and not controller.admits(10)
+        # the loop admits an arrival while fewer than max_queue_depth
+        # requests are queued and sheds it at the bound
+        fleet = ChipFleet(FixedServiceModel(1.0), num_chips=1)
+        arrivals = [0.0] * 5 + [0.5, 0.6]
+        requests = [Request(index=i, arrival_s=t, seq_len=128) for i, t in enumerate(arrivals)]
+        simulator = ServingSimulator(fleet, admission=AdmissionController(max_queue_depth=3))
+        report = simulator.run(requests)
+        # t=0 queues three of five; at t=0.5 one has been dispatched
+        assert sorted(report.requests.index.tolist()) == [0, 1, 2, 5]
+        assert [(d.index, d.reason) for d in report.shed] == [
+            (3, "queue_full"), (4, "queue_full"), (6, "queue_full")
+        ]
 
     def test_unbounded_admits_everything(self):
-        assert NO_ADMISSION.admits(10**9)
+        assert NO_ADMISSION.max_queue_depth is None
         assert not NO_ADMISSION.shed_expired
 
     def test_validation(self):

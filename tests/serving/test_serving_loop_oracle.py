@@ -33,7 +33,7 @@ from typing import Sequence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.events import ARRIVE, FREE, TIMEOUT, EventLoop, ServerPool
+from repro.core.events import ARRIVE, FREE, EventLoop, ServerPool
 from repro.serving import (
     AdmissionController,
     Autoscaler,
@@ -70,7 +70,7 @@ from repro.serving.simulator import _assemble_tables, _per_chip_busy, _routing_s
 
 # the reference loop's event kinds and power states, as it defined them
 _FAIL, _REPAIR, _WAKE = FREE - 3, FREE - 2, FREE - 1
-_HOP, _DISPATCH, _TICK = TIMEOUT + 1, TIMEOUT + 2, TIMEOUT + 3
+_HOP, _DISPATCH, _TICK = 3, 4, 5  # kind 2 was a kind the loop never used
 _AWAKE, _WAKING, _SLEEPING = 0, 1, 2
 _LAST = (float("inf"), float("inf"))
 
@@ -109,7 +109,7 @@ class EventPerArrivalSimulator(ServingSimulator):
 
         loop = EventLoop()
         schedule = loop.schedule
-        chips = ServerPool("chips", num_chips, speedups=fleet.speedups)
+        chips = ServerPool(num_chips)
         idle = chips.idle
         online = chips.online
         ready = batcher.ready

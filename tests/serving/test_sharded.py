@@ -291,21 +291,6 @@ class TestMergeProperties:
                 getattr(remerged, metric), rel=1e-9
             ), metric
 
-    @given(
-        seed=st.integers(min_value=0, max_value=2**16),
-        num_shards=st.integers(min_value=2, max_value=4),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_littles_law_holds_on_merged_report(self, seed, num_shards):
-        simulator = sharded(num_shards=num_shards, num_chips=num_shards)
-        merged = simulator.run_poisson(
-            PoissonArrivals(1500.0, seed=seed), 80 * num_shards
-        )
-        # L = lambda * W over the observation window, by construction of
-        # the time-averaged occupancy metrics
-        expected = merged.throughput_rps * merged.mean_latency_s
-        assert merged.mean_in_system == pytest.approx(expected, rel=1e-9)
-
 
 class TestTabulatedPricing:
     def test_table_matches_base_model(self):

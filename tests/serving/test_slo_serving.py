@@ -114,8 +114,7 @@ class TestAutoscalerPolicy:
 
 class TestScaleEvent:
     def test_validation(self):
-        event = ScaleEvent(chip=0, time_s=1.0, action="wake", ready_s=1.5)
-        assert event.transition_s == pytest.approx(0.5)
+        ScaleEvent(chip=0, time_s=1.0, action="wake", ready_s=1.5)
         with pytest.raises(ValueError):
             ScaleEvent(chip=0, time_s=1.0, action="resize", ready_s=1.5)
         with pytest.raises(ValueError):
@@ -229,6 +228,22 @@ class TestExponentialServiceModel:
         assert [again.batch_latency_s(1, 128) for _ in range(5)] == first
         assert root.n_children_spawned == 0
 
+    def test_draws_come_from_the_seeds_first_child(self):
+        model = ExponentialServiceModel(mean_s=1e-3, seed=7)
+        child = np.random.SeedSequence(7).spawn(1)[0]
+        expected = np.random.default_rng(child).exponential(1e-3, size=4)
+        assert [model.batch_latency_s(1, 128) for _ in range(4)] == expected.tolist()
+
+    def test_services_are_not_a_multiple_of_the_arrival_gaps(self):
+        # drawn from the seed itself, service n was rho times arrival gap n
+        arrivals = [r.arrival_s for r in PoissonArrivals(500.0, seed=0).generate(6)]
+        gaps = np.diff(arrivals)
+        model = ExponentialServiceModel(mean_s=1e-3, seed=0)
+        model.batch_latency_s(1, 128)  # aligns draw n with gap n
+        services = np.array([model.batch_latency_s(1, 128) for _ in gaps])
+        ratios = services / gaps
+        assert np.ptp(ratios) > 0.1 * ratios.mean()
+
     def test_default_seeds_give_independent_arrivals_and_services(self):
         # with the arrival stream's own seed, service n would be rho times
         # arrival gap n, and the queue would wait ~0.61 ms instead of 1 ms
@@ -265,7 +280,6 @@ class TestReportSLOMetrics:
         assert misses == round((1.0 - overall) * report.num_requests)
         p99 = report.class_latency_percentile_s(0, 99.0)
         assert p99 >= report.class_latency_percentile_s(0, 50.0)
-        assert report.class_mean_latency_s(0) > 0.0
 
     def test_goodput_counts_completions_that_met_their_own_slo(self):
         # no faults and no retry deadline: a completion is good iff it met
@@ -330,7 +344,6 @@ class TestReportSLOMetrics:
             busy = report.chip_busy_s[chip]
             sleep = report.chip_sleep_s[chip]
             assert busy + sleep <= span + 1e-9
-            assert report.chip_sleep_fraction(chip) == pytest.approx(sleep / span)
         expected_idle = sum(
             1.0 * max(0.0, span - report.chip_busy_s[c] - report.chip_sleep_s[c])
             for c in range(4)

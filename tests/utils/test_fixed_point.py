@@ -57,7 +57,7 @@ class TestFixedPointFormat:
 
     def test_to_code_round_trip_on_grid(self):
         fmt = FixedPointFormat(4, 2)
-        values = fmt.representable_values()
+        values = np.arange(fmt.num_levels) * fmt.resolution
         codes = fmt.to_code(values)
         assert np.array_equal(codes, np.arange(fmt.num_levels))
         np.testing.assert_allclose(fmt.from_code(codes), values)
@@ -73,32 +73,6 @@ class TestFixedPointFormat:
         fmt = FixedPointFormat(4, 2)
         assert fmt.quantize(1.1) == pytest.approx(1.0)
         assert fmt.quantize(1.13) == pytest.approx(1.25)
-
-    def test_representable_values_count_and_spacing(self):
-        fmt = FixedPointFormat(3, 2)
-        values = fmt.representable_values()
-        assert values.shape == (32,)
-        np.testing.assert_allclose(np.diff(values), fmt.resolution)
-
-    def test_contains(self):
-        fmt = FixedPointFormat(3, 1)
-        assert fmt.contains(0.0)
-        assert fmt.contains(fmt.max_value)
-        assert not fmt.contains(fmt.max_value + 1)
-        assert not fmt.contains(-0.5)
-
-    def test_for_range_covers_requested_range(self):
-        fmt = FixedPointFormat.for_range(55.0, 0.25)
-        assert fmt.max_value >= 55.0
-        assert fmt.resolution <= 0.25
-        assert fmt.integer_bits == 6
-        assert fmt.frac_bits == 2
-
-    def test_for_range_invalid(self):
-        with pytest.raises(ValueError):
-            FixedPointFormat.for_range(-1.0, 0.25)
-        with pytest.raises(ValueError):
-            FixedPointFormat.for_range(1.0, 0.0)
 
     def test_str_representation(self):
         assert "6.2" in str(FixedPointFormat(6, 2))

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.stats import (
-    RunningStats,
     geometric_mean,
     kl_divergence,
     percentile,
@@ -82,38 +81,6 @@ class TestPercentile:
     def test_result_lies_within_range(self, values, q):
         result = percentile(values, q)
         assert min(values) <= result <= max(values)
-
-
-class TestRunningStats:
-    def test_matches_numpy_moments(self, rng):
-        values = rng.normal(3.0, 2.0, size=500)
-        stats = RunningStats()
-        stats.update(values)
-        assert stats.count == 500
-        assert stats.mean == pytest.approx(np.mean(values))
-        assert stats.std == pytest.approx(np.std(values), rel=1e-9)
-        assert stats.minimum == pytest.approx(np.min(values))
-        assert stats.maximum == pytest.approx(np.max(values))
-
-    def test_incremental_updates_equal_batch(self, rng):
-        values = rng.normal(size=100)
-        batch = RunningStats()
-        batch.update(values)
-        incremental = RunningStats()
-        for value in values:
-            incremental.update(value)
-        assert incremental.mean == pytest.approx(batch.mean)
-        assert incremental.variance == pytest.approx(batch.variance)
-
-    def test_range(self):
-        stats = RunningStats()
-        stats.update([1.0, 5.0, -2.0])
-        assert stats.range == pytest.approx(7.0)
-
-    def test_empty_stats_are_nan(self):
-        stats = RunningStats()
-        assert np.isnan(stats.variance)
-        assert np.isnan(stats.range)
 
 
 class TestSummaries:

@@ -60,10 +60,6 @@ class TestScoreGenerator:
             observed = AttentionScoreGenerator(profile, seed=0).observed_range(256)
             assert int(np.ceil(np.log2(observed))) == expected_int_bits
 
-    def test_score_matrix_square(self):
-        matrix = AttentionScoreGenerator(COLA_PROFILE, seed=0).score_matrix(16)
-        assert matrix.shape == (16, 16)
-
     def test_rows_rejects_bad_arguments(self):
         generator = AttentionScoreGenerator(CNEWS_PROFILE)
         with pytest.raises(ValueError):
@@ -94,13 +90,6 @@ class TestClassificationTask:
         good = task.evaluate(FixedPointSoftmax(FixedPointFormat(6, 3))).accuracy
         bad = task.evaluate(FixedPointSoftmax(FixedPointFormat(3, 1))).accuracy
         assert bad <= good
-
-    def test_accuracy_drop_consistent_with_evaluate(self):
-        task = ClassificationTask(COLA_PROFILE, num_examples=8, seq_len=16, seed=3)
-        softmax_fn = FixedPointSoftmax(CNEWS_FORMAT)
-        assert task.accuracy_drop(softmax_fn) == pytest.approx(
-            1.0 - task.evaluate(softmax_fn).accuracy
-        )
 
     def test_labels_cached_and_deterministic(self):
         task = ClassificationTask(CNEWS_PROFILE, num_examples=8, seq_len=16, seed=4)
