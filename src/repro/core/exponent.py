@@ -195,7 +195,9 @@ class ExponentialUnit:
         intermediate is an exact multiple of the LUT resolution, so each
         denominator is exactly ``min(histogram, max_count) @ LUT`` whatever
         the summation order.  Under non-ideal noise the perturbations are
-        drawn for the whole block at once.
+        drawn for the whole block at once: one deviate per nonzero LUT
+        readout in C order (zero readouts carry no current and stay exactly
+        zero), then one per row for the denominators.
         """
         codes = self._validated_codes(difference_codes)
         num_rows, seq_len = codes.shape

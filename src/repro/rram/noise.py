@@ -144,12 +144,23 @@ class NoiseModel:
         return np.clip(g * (1.0 + noise), 0.0, None)
 
     def perturb_current(self, currents: np.ndarray) -> np.ndarray:
-        """Apply read noise directly to bitline currents (same relative model)."""
+        """Apply read noise directly to bitline currents (same relative model).
+
+        The noise is relative, so a zero current stays exactly zero and
+        needs no deviate: one deviate is drawn per nonzero current, in C
+        order.  Each nonzero current therefore has the same law as under a
+        dense draw of one deviate per element, but seeded outputs differ
+        draw for draw from such a draw.
+        """
         i = np.asarray(currents, dtype=np.float64)
         if self.config.read_noise_sigma <= 0.0:
             return i.copy()
-        noise = self._rng.normal(0.0, self.config.read_noise_sigma, size=i.shape)
-        return i * (1.0 + noise)
+        carries = i != 0.0
+        live = i[carries]
+        noise = self._rng.normal(0.0, self.config.read_noise_sigma, size=live.size)
+        out = np.zeros_like(i)
+        out[carries] = live * (1.0 + noise)
+        return out
 
     # ------------------------------------------------------------------ #
     # pre-drawn deviates (batched crossbar backend)

@@ -148,6 +148,66 @@ class TestExponentialUnit:
         assert unit.power_w() > 0
 
 
+class TestSparseReadNoise:
+    """Read noise on the unit's readouts: exact in law, zero readouts draw nothing."""
+
+    # rows mixing nonzero levels, levels whose LUT entry rounds to zero and
+    # CAM misses (codes beyond the stored range)
+    CODES = np.array(
+        [[0, 3, 90, 7], [0, 0, 200, 500], [1, 40, 2, 0], [0, 255, 60, 13]]
+    )
+
+    @staticmethod
+    def unit(sigma: float = 0.0, seed: int = 0) -> ExponentialUnit:
+        noise = NoiseConfig(read_noise_sigma=sigma, seed=seed)
+        return ExponentialUnit(SoftmaxEngineConfig(fmt=CNEWS_FORMAT, noise=noise))
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.03])
+    def test_moments_match_the_dense_per_element_reference(self, sigma):
+        """Per element, ``x (1 + eps)`` with ``eps ~ N(0, sigma^2)``: mean ``x``,
+        variance ``(x sigma)^2``, independent of the other elements."""
+        repeats = 12_000
+        clean = self.unit().process_batch(self.CODES)
+        result = self.unit(sigma, seed=3).process_batch(np.tile(self.CODES, (repeats, 1)))
+        readouts = result.exponentials.reshape(repeats, -1)
+        denominators = result.denominators.reshape(repeats, -1)
+        values = np.concatenate([clean.exponentials.ravel(), clean.denominators])
+        samples = np.concatenate([readouts, denominators], axis=1)
+
+        live = values != 0.0
+        assert np.all(samples[:, ~live] == 0.0)
+        x = values[live]
+        mean_z = (samples[:, live].mean(axis=0) - x) / (x * sigma / np.sqrt(repeats))
+        variance = samples[:, live].var(axis=0, ddof=1)
+        var_z = (variance - (x * sigma) ** 2) / ((x * sigma) ** 2 * np.sqrt(2 / (repeats - 1)))
+        assert np.all(np.abs(mean_z) <= 5), mean_z
+        assert np.all(np.abs(var_z) <= 5), var_z
+        # two nonzero readouts of one row are independent
+        first, second = np.flatnonzero(clean.exponentials[0])[:2]
+        correlation = np.corrcoef(readouts[:, first], readouts[:, second])[0, 1]
+        assert abs(correlation) * np.sqrt(repeats) <= 5
+
+    def test_block_draws_one_deviate_per_nonzero_readout_then_per_row(self):
+        sigma, seed = 0.03, 5
+        clean = self.unit().process_batch(self.CODES)
+        unit = self.unit(sigma, seed)
+        result = unit.process_batch(self.CODES)
+
+        live = clean.exponentials != 0.0
+        nonzero, rows = int(live.sum()), self.CODES.shape[0]
+        assert nonzero < live.size  # the block has zero readouts to skip
+        deviates = np.random.default_rng(seed).normal(0.0, sigma, size=nonzero + rows + 3)
+        expected = np.zeros_like(clean.exponentials)
+        expected[live] = clean.exponentials[live] * (1.0 + deviates[:nonzero])
+        np.testing.assert_array_equal(result.exponentials, expected)
+        np.testing.assert_array_equal(
+            result.denominators,
+            clean.denominators * (1.0 + deviates[nonzero : nonzero + rows]),
+        )
+        # and no more: the stream resumes right after the block's deviates
+        np.testing.assert_array_equal(unit.noise.draw_read_deviates(3), deviates[-3:])
+
+
 class TestCounterBank:
     def test_saturation_value(self):
         assert CounterBank(num_counters=2, bits=2).max_count == 3

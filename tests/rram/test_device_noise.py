@@ -108,6 +108,18 @@ class TestNoiseModel:
         out = model.apply_read(g)
         assert np.std(out / g - 1.0) == pytest.approx(0.02, rel=0.1)
 
+    def test_perturb_current_draws_only_for_nonzero_currents_in_c_order(self):
+        sigma, seed = 0.02, 4
+        model = NoiseModel(NoiseConfig(read_noise_sigma=sigma, seed=seed))
+        currents = np.array([[0.0, 2e-6, 0.0], [1e-6, 0.0, 3e-6]]).T  # a Fortran-ordered view
+        out = model.perturb_current(currents)
+        live = currents != 0.0
+        deviates = np.random.default_rng(seed).normal(0.0, sigma, size=int(live.sum()))
+        expected = np.zeros_like(currents)
+        expected[live] = currents[live] * (1.0 + deviates)
+        np.testing.assert_array_equal(out, expected)
+        assert np.all(out[~live] == 0.0)
+
     def test_seed_reproducibility(self):
         config = NoiseConfig(read_noise_sigma=0.05, seed=0)
         model_a = NoiseModel(config)
