@@ -66,6 +66,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.core.access_stats import AccessStats
 from repro.core.config import PipelineConfig
 from repro.core.events import StageJitter
 from repro.core.pipeline import PipelineSchedule, StageTiming, attention_streams
@@ -627,15 +628,37 @@ class AttentionExecution:
     schedule: ExecutedSchedule
 
 
-def _stats_delta(before, after):
-    """Field-wise difference of two access-stats dataclasses."""
+def _row_share(before, after, rows: int):
+    """One row's share of the ledger delta a block of ``rows`` rows added.
+
+    Every crossbar count a GEMM block adds scales with the rows it
+    streamed, so the integer division is exact.
+    """
     return replace(
         before,
         **{
-            f.name: getattr(after, f.name) - getattr(before, f.name)
+            f.name: (getattr(after, f.name) - getattr(before, f.name)) // rows
             for f in fields(after)
         },
     )
+
+
+def _softmax_row_latencies(engine: "RRAMSoftmaxEngine", seq_len: int) -> np.ndarray:
+    """Latency of each row of the engine's last block, from its own LUT reads.
+
+    The rows of one block differ only in their CAM misses (a missed element
+    reads no LUT row); every other count of a row's
+    :class:`~repro.core.access_stats.AccessStats` follows from ``seq_len``,
+    and the latency charges no counter increments.
+    """
+    reads, row_reads = np.unique(engine.last_lut_reads, return_inverse=True)
+    latencies = [
+        engine.latency_s_of(
+            AccessStats.for_block(1, seq_len, lut_reads=r, cam_misses=seq_len - r)
+        )
+        for r in reads.tolist()
+    ]
+    return np.array(latencies)[row_reads]
 
 
 class AttentionExecutor:
@@ -646,24 +669,37 @@ class AttentionExecutor:
 
     1. programs each head's ``K^T`` and ``V`` operands into persistent
        :class:`~repro.core.matmul_engine.MatMulEngine` tile banks,
-    2. streams every query row through the score tiles, hands the finished
-       score row to a softmax engine of the pool and contracts the
-       attention row against the ``V`` tiles — producing the actual
-       attention output, and
+    2. streams each (batch, head) through the engines as one block: one
+       score GEMM over the head's query rows, the finished score rows
+       softmaxed by the engine pool, and one context GEMM against the
+       ``V`` tiles — producing the actual attention output, and
     3. *measures* each row's three stage service times from the engines'
-       access-statistics ledgers (the deltas each row adds to
-       ``MatMulEngine.access_stats`` / ``RRAMSoftmaxEngine.access_stats``)
-       and replays them through :class:`PipelineExecutor` to obtain the
-       :class:`ExecutedSchedule`.
+       access-statistics ledgers and replays them through
+       :class:`PipelineExecutor` to obtain the :class:`ExecutedSchedule`.
 
-    The tiles of one operand bank fire in parallel on the same input row,
-    so the measured GEMM-row latency is the serialized ledger latency
-    divided by the bank's tile count — the same tile-parallelism assumption
+    A GEMM row's service time is its share of the block's ledger delta on
+    ``MatMulEngine.access_stats`` (every crossbar count scales with the
+    rows streamed) divided by the bank's tile count: the tiles of one
+    operand bank fire in parallel on the same input row — the same
+    tile-parallelism assumption
     :meth:`~repro.core.matmul_engine.MatMulEngine.row_latency_s` makes.
-    Functional softmax work is spread round-robin over the pool (the
-    engines are assumed homogeneous — per-engine *speed* asymmetry is a
-    timed-executor scenario, see ``softmax_speedups``), while the schedule
-    dispatches rows to whichever engine frees first.
+    Softmax rows are spread round-robin over the pool across all rows of
+    the call, and each engine softmaxes its rows of a head as one strided
+    block; a row's service time comes from its own LUT reads
+    (:attr:`~repro.core.softmax_engine.RRAMSoftmaxEngine.last_lut_reads`)
+    through the engine's ``latency_s_of``.  The engines are assumed
+    homogeneous — per-engine *speed* asymmetry is a timed-executor
+    scenario, see ``softmax_speedups`` — while the schedule dispatches rows
+    to whichever engine frees first.
+
+    With ideal devices the outputs, the schedule and every ledger are
+    bit-identical to streaming the rows one at a time
+    (``tests/core/test_attention_executor_oracle.py`` keeps that loop as
+    the oracle).  A noisy softmax engine draws a block's read noise for all
+    its readouts before its denominators, rather than row by row, so its
+    outputs are exact in law, not draw for draw.  Noisy crossbar tiles and
+    CAM search errors still draw row by row in row order, so they match
+    the per-row loop draw for draw.
     """
 
     def __init__(
@@ -739,6 +775,7 @@ class AttentionExecutor:
         executor = self.executor_for(heads, batch)
         engine = self.matmul_engine
         pool = self.softmax_pool
+        engines = len(pool)
         n = batch * heads * seq_len
 
         scores = np.empty((batch, heads, seq_len, seq_len))
@@ -749,40 +786,38 @@ class AttentionExecutor:
         context_s = np.empty(n)
         stream_of = np.empty(n, dtype=np.int64)
 
-        row = 0
-        for b in range(batch):
-            for h in range(heads):
-                stream = (b * heads + h) % executor.streams
-                # the head-stream's stationary operands: programmed once,
-                # before streaming, so per-row ledger deltas are read-only
-                k_operand = engine.program_operand(key[b, h].T)
-                v_operand = engine.program_operand(value[b, h])
-                for i in range(seq_len):
-                    before = replace(engine.access_stats)
-                    score_row = engine.matmul(query[b, h, i : i + 1], k_operand)[0] * scale
-                    after = replace(engine.access_stats)
-                    score_s[row] = engine.latency_s_of(
-                        _stats_delta(before, after)
-                    ) / k_operand.num_tiles
-                    if mask_arr is not None:
-                        score_row = score_row + mask_arr[b, h, i]
-                    scores[b, h, i] = score_row
+        for head, (b, h) in enumerate(np.ndindex(batch, heads)):
+            first = head * seq_len  # the call-wide index of the head's first row
+            rows = slice(first, first + seq_len)
+            stream_of[rows] = head % executor.streams
+            # the head-stream's stationary operands: programmed once,
+            # before streaming, so the blocks' ledger deltas are read-only
+            k_operand = engine.program_operand(key[b, h].T)
+            v_operand = engine.program_operand(value[b, h])
 
-                    soft = pool[row % len(pool)]
-                    soft_before = soft.access_stats
-                    weights[b, h, i] = soft.softmax(score_row)
-                    softmax_s[row] = soft.latency_s_of(
-                        _stats_delta(soft_before, soft.access_stats)
-                    )
+            before = replace(engine.access_stats)
+            head_scores = engine.matmul(query[b, h], k_operand) * scale
+            score_s[rows] = engine.latency_s_of(
+                _row_share(before, engine.access_stats, seq_len)
+            ) / k_operand.num_tiles
+            if mask_arr is not None:
+                head_scores += mask_arr[b, h]
+            scores[b, h] = head_scores
 
-                    before = replace(engine.access_stats)
-                    context[b, h, i] = engine.matmul(weights[b, h, i : i + 1], v_operand)[0]
-                    after = replace(engine.access_stats)
-                    context_s[row] = engine.latency_s_of(
-                        _stats_delta(before, after)
-                    ) / v_operand.num_tiles
-                    stream_of[row] = stream
-                    row += 1
+            # row i goes to engine (first + i) % engines, so each engine
+            # takes a strided block of the head's rows
+            for offset in range(min(engines, seq_len)):
+                soft = pool[(first + offset) % engines]
+                weights[b, h, offset::engines] = soft.softmax_batch(head_scores[offset::engines])
+                softmax_s[first + offset : first + seq_len : engines] = (
+                    _softmax_row_latencies(soft, seq_len)
+                )
+
+            before = replace(engine.access_stats)
+            context[b, h] = engine.matmul(weights[b, h], v_operand)
+            context_s[rows] = engine.latency_s_of(
+                _row_share(before, engine.access_stats, seq_len)
+            ) / v_operand.num_tiles
 
         if self.jitter is not None:
             # ledger-derived service times are deterministic; the configured

@@ -56,6 +56,10 @@ class RRAMSoftmaxEngine:
         self.divider = DividerUnit(bits=self.config.divider_bits)
         self.rows_processed = 0
         self.access_stats = AccessStats()
+        #: LUT reads of each row of the last :meth:`softmax_batch` block
+        #: (row length minus its CAM misses), the per-row share of
+        #: ``access_stats`` that varies from row to row.
+        self.last_lut_reads = np.zeros(0, dtype=np.int64)
 
     @property
     def fmt(self) -> FixedPointFormat:
@@ -76,7 +80,8 @@ class RRAMSoftmaxEngine:
         over the whole block, with zero Python per-row loops.  Bit-identical
         to :class:`~repro.nn.softmax_models.FixedPointSoftmax` under ideal
         devices.  NaN scores raise ``ValueError``; ±inf saturate to the
-        format's range.
+        format's range.  Each row's LUT reads are kept on
+        :attr:`last_lut_reads`.
         """
         block = np.asarray(scores, dtype=np.float64)
         if block.ndim != 2:
@@ -85,6 +90,7 @@ class RRAMSoftmaxEngine:
             )
         num_rows, seq_len = block.shape
         if num_rows == 0:
+            self.last_lut_reads = np.zeros(0, dtype=np.int64)
             return block.copy()
         if seq_len < 1:
             raise ValueError("score rows must not be empty")
@@ -98,6 +104,7 @@ class RRAMSoftmaxEngine:
         )
 
         misses = int(exp_result.misses.sum())
+        self.last_lut_reads = seq_len - exp_result.misses
         self.rows_processed += num_rows
         self.access_stats += AccessStats.for_block(
             num_rows,
