@@ -53,12 +53,18 @@ from typing import Callable, Sequence
 
 from repro.serving.arrivals import Request
 from repro.serving.fleet import ChipFleet
-from repro.utils.validation import require_non_negative
+from repro.utils.validation import require_finite, require_non_negative
 
 __all__ = ["ROUTING_POLICIES", "NetworkModel", "Router", "front_end"]
 
 #: Front-end request-to-queue routing policies.
 ROUTING_POLICIES = ("round_robin", "join_shortest_queue", "shortest_expected_delay")
+
+
+def _require_latency(value: float, name: str) -> None:
+    """A hop latency must be finite and non-negative: an infinite one makes
+    every route cost infinite, and the router would pick no chip."""
+    require_finite(require_non_negative(value, name), name)
 
 
 @dataclass(frozen=True)
@@ -76,13 +82,13 @@ class NetworkModel:
 
     def __post_init__(self) -> None:
         if isinstance(self.link_latency_s, (int, float)):
-            require_non_negative(float(self.link_latency_s), "link_latency_s")
+            _require_latency(float(self.link_latency_s), "link_latency_s")
         else:
             links = tuple(float(s) for s in self.link_latency_s)
             object.__setattr__(self, "link_latency_s", links)
-            for latency in links:
-                require_non_negative(latency, "link_latency_s")
-        require_non_negative(self.steal_latency_s, "steal_latency_s")
+            for chip, latency in enumerate(links):
+                _require_latency(latency, f"link_latency_s[{chip}]")
+        _require_latency(self.steal_latency_s, "steal_latency_s")
 
     def links(self, num_chips: int) -> tuple[float, ...]:
         """Per-chip link latencies, the scalar replicated if need be."""

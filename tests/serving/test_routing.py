@@ -9,6 +9,8 @@ bit-identity legs live in ``test_routing_properties.py``.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.schedule_cache import ScheduleTemplate
@@ -91,6 +93,24 @@ class TestNetworkModel:
             NetworkModel(link_latency_s=(1e-6, -2e-6))
         with pytest.raises(ValueError):
             NetworkModel(steal_latency_s=-1e-6)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(link_latency_s=math.inf), r"link_latency_s must be finite, got inf"),
+            (dict(link_latency_s=(0.0, math.inf, 0.0)), r"link_latency_s\[1\] must be finite"),
+            (dict(steal_latency_s=math.inf), r"steal_latency_s must be finite, got inf"),
+            (dict(link_latency_s=-math.inf), r"link_latency_s must be non-negative, got -inf"),
+            (dict(link_latency_s=(0.0, -math.inf)), r"link_latency_s\[1\] must be non-negative"),
+            (dict(steal_latency_s=-math.inf), r"steal_latency_s must be non-negative, got -inf"),
+            (dict(link_latency_s=(0.0, math.nan)), r"link_latency_s\[1\] must be non-negative"),
+        ],
+    )
+    def test_non_finite_latencies_rejected_naming_the_field(self, kwargs, name):
+        """An infinite link used to price every route at inf, so the router
+        sent every request to the last chip and the p50 came out NaN."""
+        with pytest.raises(ValueError, match=name):
+            NetworkModel(**kwargs)
 
     def test_for_chips_slices_tuple_links(self):
         network = NetworkModel(link_latency_s=(1e-6, 2e-6, 3e-6, 4e-6))
