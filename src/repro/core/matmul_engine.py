@@ -198,11 +198,19 @@ class MatMulEngine:
         batched VMM per tile: wordlines need non-negative inputs, so each
         row is shifted by its per-row minimum and the whole correction is
         applied as one rank-1 update — the per-row Python loop of the
-        original implementation collapses into vectorized NumPy.
+        original implementation collapses into vectorized NumPy.  A NaN or
+        infinite activation raises ``ValueError`` naming it and its
+        position.
         """
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2:
             raise ValueError("matmul expects a 2-D activation matrix")
+        finite = np.isfinite(a)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise ValueError(
+                f"activations must be finite, got {a[row, col]} at row {row}, column {col}"
+            )
         if isinstance(b, ProgrammedOperand):
             operand = b
         else:

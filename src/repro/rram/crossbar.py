@@ -382,8 +382,8 @@ class AnalogCrossbar:
         Parameters
         ----------
         inputs:
-            ``(batch, rows)`` block of non-negative vectors in logical
-            units.  Each row is scaled to its own maximum, exactly as the
+            ``(batch, rows)`` block of finite, non-negative vectors in
+            logical units (NaN, inf and negative entries raise).  Each row is scaled to its own maximum, exactly as the
             per-vector path does.
         quantize_output:
             As in :meth:`matvec`.
@@ -400,8 +400,12 @@ class AnalogCrossbar:
             raise ValueError(
                 f"input length {block.shape[1]} does not match crossbar rows {cfg.rows}"
             )
-        if np.any(block < 0):
-            raise ValueError("wordline inputs must be non-negative voltages/counts")
+        if block.size and not (block.min() >= 0.0 and block.max() < np.inf):
+            row, col = np.argwhere(~((block >= 0.0) & (block < np.inf)))[0]
+            raise ValueError(
+                "wordline inputs must be finite, non-negative voltages/counts, "
+                f"got {block[row, col]} at row {row}, column {col}"
+            )
         batch = block.shape[0]
         if batch == 0:
             return np.zeros((0, cfg.cols), dtype=np.float64)

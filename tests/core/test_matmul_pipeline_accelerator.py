@@ -51,6 +51,17 @@ class TestMatMulEngine:
         with pytest.raises(ValueError):
             engine.matmul(rng.normal(size=(2, 3)), rng.normal(size=(4, 2)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_matmul_rejects_non_finite_activations(self, rng, value):
+        """A non-finite activation used to come out as a NaN output row."""
+        engine = self.small_engine()
+        operand = engine.program_operand(rng.normal(size=(16, 16)))
+        a = rng.normal(size=(3, 16))
+        a[1, 5] = value
+        with pytest.raises(ValueError, match=rf"got {value} at row 1, column 5"):
+            engine.matmul(a, operand)
+        assert engine.access_stats.vmm_ops == 0
+
     def test_gemm_tile_vmms_and_latency(self):
         engine = MatMulEngine(MatMulEngineConfig(num_tiles=96))
         shape = GEMMShape(m=128, k=768, n=768)

@@ -186,6 +186,17 @@ class TestBatchSemantics:
         with pytest.raises(ValueError):
             crossbar.matvec_batch(block)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.5])
+    def test_rejects_non_finite_and_negative_inputs_naming_them(self, value):
+        """NaN used to slip past the ``block < 0`` check."""
+        crossbar = build()
+        crossbar.program(np.abs(np.random.default_rng(1).normal(size=(16, 8))))
+        block = np.ones((3, 16))
+        block[2, 7] = value
+        with pytest.raises(ValueError, match=rf"got {value} at row 2, column 7"):
+            crossbar.matvec_batch(block)
+        assert crossbar.stats.vmm_ops == 0
+
     def test_requires_programming(self):
         with pytest.raises(RuntimeError):
             build().matvec_batch(np.zeros((2, 16)))
