@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.accelerator import STARAccelerator
-from repro.core.config import SoftmaxEngineConfig, STARConfig
+from repro.core.config import SoftmaxEngineConfig
 from repro.core.softmax_engine import RRAMSoftmaxEngine
 from repro.nn.bert import BertWorkload
 from repro.nn.functional import softmax as exact_softmax

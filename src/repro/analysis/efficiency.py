@@ -8,7 +8,7 @@ whose efficiency ratios are the bars of Fig. 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.arch.report import ComparisonTable, CostReport
 from repro.baselines.gpu import GPUModel

@@ -10,7 +10,7 @@ Fig. 3 report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.utils.units import GIGA, format_si

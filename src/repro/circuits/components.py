@@ -15,7 +15,7 @@ the Table I experiment only relies on the *relative* costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 from repro.circuits.technology import DEFAULT_TECHNOLOGY, TechnologyNode

@@ -15,8 +15,6 @@ on simulated RRAM crossbar tiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.nn.backend import IDEAL_BACKEND, ComputeBackend

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.validation import require_in_range, require_positive
+from repro.utils.validation import require_positive
 
 __all__ = ["ADC", "DAC", "SenseAmplifier", "SampleAndHold"]
 

@@ -19,11 +19,11 @@ voltage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.validation import require_in_range, require_positive
+from repro.utils.validation import require_positive
 
 __all__ = ["RRAMDeviceConfig", "RRAMDevice"]
 

@@ -13,7 +13,7 @@ inference time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.rram.device import RRAMDevice, RRAMDeviceConfig
 from repro.utils.validation import require_in_range, require_positive

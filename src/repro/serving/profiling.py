@@ -16,7 +16,7 @@ and library users can use a private :class:`Profiler` instance instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["RunProfile", "Profiler", "PROFILER"]
 

@@ -7,7 +7,7 @@ simulation code free of repetitive boilerplate.
 from __future__ import annotations
 
 import numbers
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 

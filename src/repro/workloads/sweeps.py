@@ -8,7 +8,7 @@ points in one place so examples, tests and benchmarks report the same rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 __all__ = [
