@@ -155,11 +155,12 @@ class NoiseModel:
         i = np.asarray(currents, dtype=np.float64)
         if self.config.read_noise_sigma <= 0.0:
             return i.copy()
-        carries = i != 0.0
-        live = i[carries]
-        noise = self._rng.normal(0.0, self.config.read_noise_sigma, size=live.size)
-        out = np.zeros_like(i)
-        out[carries] = live * (1.0 + noise)
+        out = np.array(i, order="C")
+        flat = out.reshape(-1)
+        carries = np.flatnonzero(flat)
+        factors = self._rng.normal(0.0, self.config.read_noise_sigma, size=carries.size)
+        factors += 1.0
+        flat[carries] *= factors
         return out
 
     # ------------------------------------------------------------------ #
