@@ -383,8 +383,9 @@ class AnalogCrossbar:
         ----------
         inputs:
             ``(batch, rows)`` block of finite, non-negative vectors in
-            logical units (NaN, inf and negative entries raise).  Each row is scaled to its own maximum, exactly as the
-            per-vector path does.
+            logical units (NaN, inf and negative entries raise).  Each row
+            is scaled to its own maximum, exactly as the per-vector path
+            does.
         quantize_output:
             As in :meth:`matvec`.
 
