@@ -764,6 +764,8 @@ class AttentionExecutor:
                 f"shape, got {query.shape}, {key.shape}, {value.shape}"
             )
         batch, heads, seq_len, head_dim = query.shape
+        if seq_len == 0:
+            raise ValueError("cannot execute an empty schedule")
         if scale is None:
             scale = 1.0 / np.sqrt(head_dim)
         mask_arr = None

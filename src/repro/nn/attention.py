@@ -97,8 +97,8 @@ class MultiHeadAttention:
         ``weights @ V``) run on the configured compute backend.
 
         With an ``executor`` attached, the whole
-        ``score GEMM -> softmax -> context GEMM`` chain instead streams
-        row by row through the executed schedule of
+        ``score GEMM -> softmax -> context GEMM`` chain instead runs, one
+        (batch, head) block at a time, through the executed schedule of
         :class:`~repro.core.scheduler.AttentionExecutor` (its MatMul engine
         and softmax-engine pool replace the backend/softmax callable for
         these three stages), and the measured

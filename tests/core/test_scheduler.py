@@ -238,6 +238,9 @@ class TestAttentionExecutor:
 
     def test_shape_validation(self, rng):
         executor = self.executor()
+        empty = np.zeros((1, 2, 0, 16))
+        with pytest.raises(ValueError, match="empty schedule"):
+            executor.run(empty, empty, empty)
         with pytest.raises(ValueError):
             executor.run(
                 rng.normal(size=(2, 8, 16)),
