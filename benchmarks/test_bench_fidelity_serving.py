@@ -64,7 +64,7 @@ def test_bench_template_resample_beats_cold_executed_run(benchmark):
 
     from repro.core.accelerator import STARAccelerator
 
-    accelerator = STARAccelerator(schedule="executed")
+    accelerator = STARAccelerator()
     workload = BertWorkload(config=BERT_BASE, seq_len=SEQ_LEN).with_batch(8)
 
     start = time.perf_counter()

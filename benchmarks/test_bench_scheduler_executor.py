@@ -25,7 +25,7 @@ from conftest import best_of_alternating, record
 @pytest.mark.smoke
 def test_bench_executor_bert_base_rows(benchmark):
     """Executing a full BERT-base seq-512 attention layer stays sub-second."""
-    star = STARAccelerator(schedule="executed")
+    star = STARAccelerator()
     workload = BertWorkload(seq_len=512)
 
     schedule = benchmark(star.executed_attention_schedule, workload)
@@ -44,7 +44,7 @@ def test_bench_executor_bert_base_rows(benchmark):
 @pytest.mark.smoke
 def test_bench_vector_executor_within_operand_time():
     """The pipelined layer costs no more wall time than the barriered one."""
-    star = STARAccelerator(schedule="executed")
+    star = STARAccelerator()
     workload = BertWorkload(seq_len=512)
     vector_s, operand_s = best_of_alternating(
         [
@@ -67,16 +67,16 @@ def test_bench_executor_scenario_diversity(benchmark):
     timing = star.native_attention_stage_timing(BertWorkload(seq_len=128))
 
     def scenarios():
-        base = PipelineExecutor(config, streams=12, softmax_engines=8).execute_vector(timing)
+        base = PipelineExecutor(config, streams=12, softmax_engines=8).execute(timing)
         jittered = PipelineExecutor(
             config, streams=12, softmax_engines=8, jitter=StageJitter(sigma=0.3, seed=0)
-        ).execute_vector(timing)
+        ).execute(timing)
         unbalanced = PipelineExecutor(
             config,
             streams=12,
             softmax_engines=8,
             softmax_speedups=(0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 1.0),
-        ).execute_vector(timing)
+        ).execute(timing)
         return base, jittered, unbalanced
 
     base, jittered, unbalanced = benchmark(scenarios)

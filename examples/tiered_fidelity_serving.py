@@ -39,7 +39,7 @@ from repro.serving import (
 
 def main() -> None:
     # 1. the template itself: one cold executed run, then microsecond draws
-    accelerator = STARAccelerator(schedule="executed")
+    accelerator = STARAccelerator()
     workload = BertWorkload(config=BERT_BASE, seq_len=128).with_batch(8)
     start = time.perf_counter()
     template = build_schedule_template(accelerator, workload)

@@ -32,11 +32,11 @@ from repro.arch.system import DEFAULT_SYSTEM_OVERHEAD, SystemOverheadModel
 from repro.core.batch_cost import BatchCostModel, BatchGEMMExecutor, DEFAULT_BATCH_COST
 from repro.core.config import STARConfig
 from repro.core.matmul_engine import GEMMShape, MatMulEngine
-from repro.core.pipeline import AttentionPipeline, PipelineSchedule, StageTiming, attention_streams
-from repro.core.scheduler import ExecutedSchedule, PipelineExecutor, StageJitter
+from repro.core.pipeline import AttentionPipeline, StageTiming, attention_streams
+from repro.core.scheduler import ExecutedSchedule, PipelineExecutor
 from repro.core.softmax_engine import RRAMSoftmaxEngine
 from repro.nn.bert import BertWorkload
-from repro.utils.validation import require_non_negative, require_positive
+from repro.utils.validation import require_finite, require_non_negative, require_positive_int
 
 __all__ = [
     "ChipResources",
@@ -46,10 +46,6 @@ __all__ = [
     "RequestTiming",
     "STARAccelerator",
 ]
-
-#: Valid values of the ``schedule`` constructor argument.
-SCHEDULES = ("analytical", "executed")
-
 
 @dataclass(frozen=True)
 class PowerState:
@@ -80,10 +76,10 @@ class PowerState:
             raise ValueError(
                 f"sleep_power_fraction must lie in [0, 1], got {self.sleep_power_fraction}"
             )
-        require_non_negative(self.entry_latency_s, "entry_latency_s")
-        require_non_negative(self.exit_latency_s, "exit_latency_s")
-        if self.wake_energy_j is not None:
-            require_non_negative(self.wake_energy_j, "wake_energy_j")
+        for name in ("entry_latency_s", "exit_latency_s", "wake_energy_j"):
+            value = getattr(self, name)
+            if value is not None:
+                require_finite(require_non_negative(value, name), name)
 
 
 class ChipResources:
@@ -106,7 +102,7 @@ class ChipResources:
         idle_power_fraction: float = 0.1,
         power_state: PowerState | None = None,
     ) -> None:
-        require_positive(num_softmax_engines, "num_softmax_engines")
+        require_positive_int(num_softmax_engines, "num_softmax_engines")
         require_non_negative(idle_power_fraction, "idle_power_fraction")
         if idle_power_fraction > 1.0:
             raise ValueError(
@@ -138,12 +134,7 @@ class ChipResources:
         """Concurrent head-streams the tile budget supports for one workload."""
         return attention_streams(num_heads, batch_size, self.num_tiles)
 
-    def executor(
-        self,
-        workload: BertWorkload,
-        jitter: StageJitter | None = None,
-        streams: int | None = None,
-    ) -> PipelineExecutor:
+    def executor(self, workload: BertWorkload, streams: int | None = None) -> PipelineExecutor:
         """A pipeline executor occupying this chip's resources.
 
         ``streams`` overrides the tile-budget allocation (the accelerator
@@ -156,7 +147,6 @@ class ChipResources:
             self.config.pipeline,
             streams=streams,
             softmax_engines=self.num_softmax_engines,
-            jitter=jitter,
         )
 
     def power_w(self, seq_len: int = 128) -> float:
@@ -242,10 +232,9 @@ class LayerLatencyBreakdown:
 class ModelSchedule:
     """Whole-model executed timing: every encoder layer, not one scaled stage.
 
-    Each layer's attention chain runs through the pipeline executor
-    (with per-layer jitter streams when jitter is configured); the
-    projection and FFN GEMMs are charged analytically — they are plain
-    weight-stationary GEMMs with no cross-stage pipelining to simulate.
+    Each layer's attention chain runs through the pipeline executor; the
+    projection and FFN GEMMs run through the tile-bank GEMM executor —
+    they are plain weight-stationary GEMMs with no cross-stage pipelining.
     """
 
     layers: tuple[LayerLatencyBreakdown, ...]
@@ -285,21 +274,23 @@ class RequestTiming:
 class STARAccelerator:
     """Architectural model of the full STAR accelerator.
 
-    ``schedule`` selects how the attention-pipeline latency is obtained:
-    ``"analytical"`` evaluates the closed-form
-    :class:`~repro.core.pipeline.AttentionPipeline` formulas (the fast
-    default), ``"executed"`` runs the workload's rows through the
-    :class:`~repro.core.scheduler.PipelineExecutor` with the
+    Latency is priced in closed form — the attention pipeline by the
+    :class:`~repro.core.pipeline.AttentionPipeline` formulas, the GEMMs by
+    the MatMul engine's streaming formulas — through
+    :meth:`inference_latency_s`, :meth:`layer_latency_breakdown` and
+    :meth:`request_timing`.  The executed schedule is a separate call:
+    :meth:`executed_attention_schedule` runs one layer's attention rows
+    through the :class:`~repro.core.scheduler.PipelineExecutor` with the
     chip's actual resources — ``attention_streams`` parallel tile groups
     for the GEMM stages and ``num_softmax_engines`` discrete softmax
-    engines — and reports the simulated makespan.  ``jitter`` optionally
-    perturbs the executed per-row stage times (ignored by the analytical
-    schedule, which cannot express it).
+    engines — and :meth:`executed_model_schedule` does so for the whole
+    model.
 
     The chip's resources live in a :class:`ChipResources` object; pass one
     as ``resources`` to share or replicate a provisioned chip (the serving
     fleet does this), or let the constructor build one from ``config`` /
-    ``num_softmax_engines`` / ``system_overhead``.
+    ``num_softmax_engines`` / ``system_overhead``.  Beside ``resources``
+    each of those may only restate the chip's own value.
 
     ``batch_cost`` selects the :class:`~repro.core.batch_cost.BatchCostModel`
     pricing a batched inference: the default keeps ``batch_size = 1``
@@ -307,9 +298,8 @@ class STARAccelerator:
     later requests; :meth:`BatchCostModel.streamed
     <repro.core.batch_cost.BatchCostModel.streamed>` additionally charges
     (and amortises) per-batch operand programming, and
-    :meth:`BatchCostModel.legacy
-    <repro.core.batch_cost.BatchCostModel.legacy>` reproduces the old
-    strictly linear pricing.
+    ``BatchCostModel(double_buffering=False)`` reproduces the old strictly
+    linear pricing.
     """
 
     name = "STAR"
@@ -317,33 +307,31 @@ class STARAccelerator:
     def __init__(
         self,
         config: STARConfig | None = None,
-        num_softmax_engines: int = 64,
-        system_overhead: SystemOverheadModel = DEFAULT_SYSTEM_OVERHEAD,
-        schedule: str = "analytical",
-        jitter: StageJitter | None = None,
+        num_softmax_engines: int | None = None,
+        system_overhead: SystemOverheadModel | None = None,
         resources: ChipResources | None = None,
         batch_cost: BatchCostModel | None = None,
     ) -> None:
-        if schedule not in SCHEDULES:
-            raise ValueError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
+        passed = {
+            name: value
+            for name, value in (
+                ("config", config),
+                ("num_softmax_engines", num_softmax_engines),
+                ("system_overhead", system_overhead),
+            )
+            if value is not None
+        }
         if resources is None:
-            resources = ChipResources(config, num_softmax_engines, system_overhead)
-        else:
-            # an explicit resources object IS the chip: the piecewise
-            # parameters must be left at their defaults, or they would be
-            # silently ignored
-            if config is not None and resources.config is not config:
-                raise ValueError("pass either config or resources, not conflicting both")
-            if num_softmax_engines != 64 and num_softmax_engines != resources.num_softmax_engines:
+            resources = ChipResources(**passed)
+        for name, value in passed.items():
+            # an explicit resources object IS the chip: a value passed beside
+            # it must restate the chip's own (the engine count by value, the
+            # configuration objects by identity), or it would be ignored
+            own = getattr(resources, name)
+            if (value != own) if name == "num_softmax_engines" else (value is not own):
                 raise ValueError(
-                    "pass either num_softmax_engines or resources, not conflicting both"
-                )
-            if (
-                system_overhead is not DEFAULT_SYSTEM_OVERHEAD
-                and system_overhead is not resources.system_overhead
-            ):
-                raise ValueError(
-                    "pass either system_overhead or resources, not conflicting both"
+                    f"pass either {name} or resources, not conflicting both: "
+                    f"got {name}={value!r}, resources has {own!r}"
                 )
         self.resources = resources
         self.config = resources.config
@@ -351,8 +339,6 @@ class STARAccelerator:
         self.softmax_engine = resources.softmax_engine
         self.num_softmax_engines = resources.num_softmax_engines
         self.pipeline = AttentionPipeline(self.config.pipeline)
-        self.schedule = schedule
-        self.jitter = jitter
         self.system_overhead = resources.system_overhead
         self.batch_cost = batch_cost or DEFAULT_BATCH_COST
 
@@ -430,20 +416,9 @@ class STARAccelerator:
             num_rows=workload.batch_size * cfg.num_heads * seq_len,
         )
 
-    def attention_executor(
-        self, workload: BertWorkload, jitter: StageJitter | None = None
-    ) -> PipelineExecutor:
-        """The pipeline executor provisioned for this workload.
-
-        ``jitter`` overrides the accelerator-level jitter for this one
-        executor (used by :meth:`executed_model_schedule` to give every
-        encoder layer an independent jitter stream).
-        """
-        return self.resources.executor(
-            workload,
-            jitter=jitter or self.jitter,
-            streams=self._attention_streams(workload),
-        )
+    def attention_executor(self, workload: BertWorkload) -> PipelineExecutor:
+        """The pipeline executor provisioned for this workload."""
+        return self.resources.executor(workload, streams=self._attention_streams(workload))
 
     def executed_attention_schedule(
         self, workload: BertWorkload, granularity: str | None = None
@@ -453,34 +428,18 @@ class STARAccelerator:
         ``granularity`` overrides the configured pipeline granularity for
         this one execution (``None`` keeps the configured one).
         """
-        executor = self.attention_executor(workload)
-        timing = self.native_attention_stage_timing(workload)
-        if granularity == "vector":
-            return executor.execute_vector(timing)
-        if granularity == "operand":
-            return executor.execute_operand(timing)
-        if granularity is not None:
-            raise ValueError(
-                f"granularity must be 'vector', 'operand' or None, got {granularity!r}"
-            )
-        return executor.execute(timing)
-
-    def attention_pipeline_schedule(self, workload: BertWorkload) -> PipelineSchedule:
-        """Attention-pipeline latency under the configured schedule source."""
-        if self.schedule == "executed":
-            return self.executed_attention_schedule(workload).as_pipeline_schedule()
-        return self.pipeline.latency(self.attention_stage_timing(workload))
+        return self.attention_executor(workload).execute(
+            self.native_attention_stage_timing(workload), granularity
+        )
 
     def layer_latency_breakdown(self, workload: BertWorkload) -> LayerLatencyBreakdown:
         """Latency components of one encoder layer."""
         timing = self.attention_stage_timing(workload)
-        schedule = self.attention_pipeline_schedule(workload)
-        softmax_only = timing.softmax_row_s * timing.num_rows
         return LayerLatencyBreakdown(
             projection_s=self._projection_latency_s(workload),
-            attention_pipeline_s=schedule.total_latency_s,
+            attention_pipeline_s=self.pipeline.latency(timing).total_latency_s,
             ffn_s=self._ffn_latency_s(workload),
-            softmax_only_s=softmax_only,
+            softmax_only_s=timing.softmax_row_s * timing.num_rows,
             programming_s=self._programming_latency_s(workload),
         )
 
@@ -502,12 +461,9 @@ class STARAccelerator:
         """Execute the attention chain of **every** encoder layer.
 
         This replaces the single analytically-scaled attention stage with
-        one executed pipeline schedule per layer.  Without jitter the layers
-        are identical, so one execution is reused for all of them (the
-        totals stay bit-identical to ``num_layers`` independent runs);
-        with jitter each layer draws an independent per-row stream
-        (``seed + layer``), which is exactly the variation the one-stage
-        model cannot express.
+        an executed pipeline schedule per layer.  The layers are identical,
+        so one execution serves all of them (the totals are bit-identical
+        to ``num_layers`` independent runs).
 
         The projection and FFN GEMMs are executed too: their batched row
         streams run through the event-driven
@@ -516,45 +472,26 @@ class STARAccelerator:
         taken from the closed forms (at batch 1 the two coincide exactly —
         equal task durations over the bank complete in full waves).
         """
-        native = self.native_attention_stage_timing(workload)
         timing = self.attention_stage_timing(workload)
-        projection_s = 4 * self.executed_gemm_schedule(
-            workload, workload.projection_shape()
-        ).streaming_makespan_s
-        ffn_s = (
-            self.executed_gemm_schedule(workload, workload.ffn_up_shape()).streaming_makespan_s
-            + self.executed_gemm_schedule(workload, workload.ffn_down_shape()).streaming_makespan_s
-        )
-        programming_s = self._programming_latency_s(workload)
-        softmax_only = timing.softmax_row_s * timing.num_rows
+        schedule = self.executed_attention_schedule(workload)
 
-        schedules: list[ExecutedSchedule] = []
-        num_layers = workload.config.num_layers
-        if self.jitter is None or self.jitter.sigma == 0.0:
-            # jitter-free layers are identical: one execution serves all
-            schedules = [self.attention_executor(workload).execute(native)] * num_layers
-        else:
-            for layer in range(num_layers):
-                jitter = replace(self.jitter, seed=self.jitter.seed + layer)
-                schedules.append(
-                    self.attention_executor(workload, jitter=jitter).execute(native)
-                )
-        layers = tuple(
-            LayerLatencyBreakdown(
-                projection_s=projection_s,
-                attention_pipeline_s=schedule.total_latency_s,
-                ffn_s=ffn_s,
-                softmax_only_s=softmax_only,
-                programming_s=programming_s,
-            )
-            for schedule in schedules
+        def gemm_s(shape: GEMMShape) -> float:
+            return self.executed_gemm_schedule(workload, shape).streaming_makespan_s
+
+        layer = LayerLatencyBreakdown(
+            projection_s=4 * gemm_s(workload.projection_shape()),
+            attention_pipeline_s=schedule.total_latency_s,
+            ffn_s=gemm_s(workload.ffn_up_shape()) + gemm_s(workload.ffn_down_shape()),
+            softmax_only_s=timing.softmax_row_s * timing.num_rows,
+            programming_s=self._programming_latency_s(workload),
         )
-        return ModelSchedule(layers=layers, attention_schedules=tuple(schedules))
+        num_layers = workload.config.num_layers
+        return ModelSchedule(
+            layers=(layer,) * num_layers, attention_schedules=(schedule,) * num_layers
+        )
 
     def inference_latency_s(self, workload: BertWorkload) -> float:
         """End-to-end latency of one BERT inference."""
-        if self.schedule == "executed":
-            return self.executed_model_schedule(workload).total_latency_s
         layer = self.layer_latency_breakdown(workload)
         return workload.config.num_layers * layer.total_s
 

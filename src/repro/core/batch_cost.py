@@ -109,20 +109,6 @@ class BatchCostModel:
         return self.weight_policy == "streamed"
 
     @classmethod
-    def legacy(cls) -> "BatchCostModel":
-        """The pre-batching pricing: every lever off except stream growth.
-
-        Reproduces the original model exactly at every batch size — batch
-        service time is linear in the streamed rows — and serves as the
-        "linear model" baseline the serving sweeps compare against.
-        """
-        return cls(
-            weight_policy="resident",
-            double_buffering=False,
-            inter_request_parallelism=True,
-        )
-
-    @classmethod
     def streamed(cls) -> "BatchCostModel":
         """The honest serving configuration: every batching lever on."""
         return cls(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.rram.noise import IDEAL_NOISE, NoiseConfig
 from repro.utils.fixed_point import CNEWS_FORMAT, FixedPointFormat
-from repro.utils.validation import require_non_negative
+from repro.utils.validation import require_finite, require_non_negative, require_positive_int
 
 __all__ = ["SoftmaxEngineConfig", "MatMulEngineConfig", "PipelineConfig", "STARConfig"]
 
@@ -147,8 +147,7 @@ class MatMulEngineConfig:
             raise ValueError("crossbar dimensions must be positive")
         if not 1 <= self.adc_bits <= 16:
             raise ValueError(f"adc_bits must be in [1, 16], got {self.adc_bits}")
-        if self.num_tiles < 1:
-            raise ValueError(f"num_tiles must be >= 1, got {self.num_tiles}")
+        require_positive_int(self.num_tiles, "num_tiles")
         if self.weight_bits < 1:
             raise ValueError(f"weight_bits must be >= 1, got {self.weight_bits}")
         if not 1 <= self.bits_per_cell <= 6:
@@ -179,6 +178,7 @@ class PipelineConfig:
                 f"granularity must be 'vector' or 'operand', got {self.granularity!r}"
             )
         require_non_negative(self.stage_handoff_s, "stage_handoff_s")
+        require_finite(self.stage_handoff_s, "stage_handoff_s")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.utils.validation import require_non_negative, require_positive
+from repro.utils.validation import require_finite, require_non_negative, require_positive
 
 __all__ = ["FREE", "ARRIVE", "EventLoop", "ServerPool", "StageJitter"]
 
@@ -174,6 +174,7 @@ class StageJitter:
 
     def __post_init__(self) -> None:
         require_non_negative(self.sigma, "sigma")
+        require_finite(self.sigma, "sigma")
 
     def factors(self, num_items: int, num_stages: int = 3) -> np.ndarray:
         """A ``(num_items, num_stages)`` matrix of service-time scale factors."""

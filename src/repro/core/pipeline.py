@@ -13,8 +13,8 @@ score row it is handed to the softmax engine while the next row is being
 computed, and finished attention rows immediately feed the context GEMM.
 
 These classes compute the end-to-end latency of both schedules from the
-per-row latencies of the stages, and the resulting speedup — the quantity
-the E7 ablation reports.
+per-row latencies of the stages; their ratio is the speedup the E7
+ablation reports.
 """
 
 from __future__ import annotations
@@ -144,13 +144,3 @@ class AttentionPipeline:
         if self.config.granularity == "vector":
             return self.vector_grained_latency(timing)
         return self.operand_grained_latency(timing)
-
-    def speedup(self, timing: StageTiming) -> float:
-        """Vector-grained speedup over the operand-grained schedule."""
-        coarse = self.operand_grained_latency(timing).total_latency_s
-        fine = self.vector_grained_latency(timing).total_latency_s
-        if fine == 0.0:
-            # all-zero stages with zero handoff: both schedules are free,
-            # which can only mean parity
-            return 1.0
-        return coarse / fine

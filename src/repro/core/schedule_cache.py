@@ -57,13 +57,13 @@ Fingerprint & rebuild conditions
 the executed timing: the accelerator type, the served
 :class:`~repro.nn.bert.BertConfig`, the chip's
 :class:`~repro.core.config.STARConfig`, its softmax-engine count, the
-system-overhead model and the batch-cost model.  ``schedule`` and
-``jitter`` are deliberately **excluded**: templates are always built
-jitter-free on the executed path, whatever the source accelerator was
-configured with, so an analytical-schedule fleet model and its executed
-twin share one template.  A template is rebuilt only when the fingerprint
-or the ``(batch_size, seq_len)`` shape changes — per-dispatch jitter
-never invalidates it.
+system-overhead model and the batch-cost model — the same key the
+analytic :class:`~repro.serving.fleet.PricingCache` slots use, so
+accelerators on one :class:`~repro.core.accelerator.ChipResources` and
+one batch cost share both.  Templates are always built jitter-free; a
+template is rebuilt only when the fingerprint or the
+``(batch_size, seq_len)`` shape changes — per-dispatch jitter never
+invalidates it.
 """
 
 from __future__ import annotations
@@ -204,11 +204,13 @@ class ScheduleTemplate:
 
 
 def chip_config_fingerprint(accelerator, bert_config) -> tuple:
-    """Hashable identity of everything that moves an executed schedule.
+    """Hashable identity of everything that moves an accelerator's timing.
 
-    Deliberately excludes ``schedule`` and ``jitter``: templates are
-    always built jitter-free on the executed path, so accelerators
-    differing only in those knobs share templates.
+    Keys both the executed-schedule templates and the analytic
+    :class:`~repro.serving.fleet.PricingCache` slots: the accelerator type
+    (a subclass may override the timing model), the served model, the
+    chip's configuration, softmax-engine count and system overhead (which
+    feeds ``power_w``, hence energy) and the batch-cost model.
     """
     return (
         type(accelerator),
@@ -220,50 +222,24 @@ def chip_config_fingerprint(accelerator, bert_config) -> tuple:
     )
 
 
-def _executed_jitter_free(accelerator):
-    """The accelerator re-cast onto the executed, jitter-free path."""
-    from repro.core.accelerator import STARAccelerator
-
-    if (
-        isinstance(accelerator, STARAccelerator)
-        and accelerator.schedule == "executed"
-        and (accelerator.jitter is None or accelerator.jitter.sigma == 0.0)
-    ):
-        return accelerator
-    return STARAccelerator(
-        resources=accelerator.resources,
-        schedule="executed",
-        batch_cost=accelerator.batch_cost,
-    )
-
-
 def build_schedule_template(accelerator, workload) -> ScheduleTemplate:
     """Run the executed schedule once, jitter-free, and freeze the result.
 
-    The cold run happens on a jitter-free executed twin of ``accelerator``
-    (sharing its :class:`~repro.core.accelerator.ChipResources` and batch
-    cost), so the captured ``base_latency_s`` is bit-exactly what
-    ``executed_model_schedule`` reports without jitter.  Energy comes from
-    the analytic :meth:`~repro.core.accelerator.STARAccelerator.request_timing`
+    The captured ``base_latency_s`` is bit-exactly what
+    ``accelerator.executed_model_schedule(workload)`` reports.  Energy
+    comes from :meth:`~repro.core.accelerator.STARAccelerator.request_timing`
     — active energy is charged at the serialized-equivalent conversion
     rate and is schedule-independent, so no second executed run is needed.
     """
-    from repro.core.accelerator import STARAccelerator
-
-    executed = _executed_jitter_free(accelerator)
-    schedule = executed.executed_model_schedule(workload)
-    timing = executed.attention_stage_timing(workload)
-    analytic = STARAccelerator(
-        resources=executed.resources, batch_cost=executed.batch_cost
-    )
-    energy_j = analytic.request_timing(workload).energy_j
+    schedule = accelerator.executed_model_schedule(workload)
+    timing = accelerator.attention_stage_timing(workload)
     return ScheduleTemplate(
         batch_size=workload.batch_size,
         seq_len=workload.seq_len,
         num_layers=workload.config.num_layers,
         num_rows=timing.num_rows,
         base_latency_s=schedule.total_latency_s,
-        energy_j=energy_j,
+        energy_j=accelerator.request_timing(workload).energy_j,
         steady_row_s=(
             timing.score_row_s,
             timing.softmax_row_s,

@@ -60,6 +60,7 @@ assumed.
 from __future__ import annotations
 
 import heapq
+import numbers
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
@@ -69,8 +70,13 @@ import numpy as np
 from repro.core.access_stats import AccessStats
 from repro.core.config import PipelineConfig
 from repro.core.events import StageJitter
-from repro.core.pipeline import PipelineSchedule, StageTiming, attention_streams
-from repro.utils.validation import require_finite, require_finite_array, require_positive
+from repro.core.pipeline import StageTiming, attention_streams
+from repro.utils.validation import (
+    require_finite,
+    require_finite_array,
+    require_positive,
+    require_positive_int,
+)
 
 if TYPE_CHECKING:
     from repro.core.matmul_engine import MatMulEngine
@@ -174,14 +180,6 @@ class ExecutedSchedule:
         if self.total_latency_s == 0.0:
             return 0.0
         return self.stage_busy_s[stage] / (servers * self.total_latency_s)
-
-    def as_pipeline_schedule(self) -> PipelineSchedule:
-        """This execution in the analytical result type (for comparisons)."""
-        return PipelineSchedule(
-            granularity=self.granularity,
-            total_latency_s=self.total_latency_s,
-            steady_state_interval_s=self.steady_state_interval_s,
-        )
 
 
 def _steady_interval(completions: np.ndarray, total: float) -> float:
@@ -371,8 +369,8 @@ class PipelineExecutor:
         jitter: StageJitter | None = None,
     ) -> None:
         self.config = config or PipelineConfig()
-        require_positive(streams, "streams")
-        require_positive(softmax_engines, "softmax_engines")
+        require_positive_int(streams, "streams")
+        require_positive_int(softmax_engines, "softmax_engines")
         self.streams = streams
         self.softmax_engines = softmax_engines
         if softmax_speedups is None:
@@ -389,7 +387,7 @@ class PipelineExecutor:
         self.jitter = jitter
 
     # ------------------------------------------------------------------ #
-    # StageTiming entry points
+    # StageTiming entry point
     # ------------------------------------------------------------------ #
     def _service_times(self, timing: StageTiming) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n = timing.num_rows
@@ -402,30 +400,16 @@ class PipelineExecutor:
             timing.context_row_s * factors[:, 2],
         )
 
-    def execute(self, timing: StageTiming) -> ExecutedSchedule:
-        """Execute ``timing.num_rows`` rows under the configured granularity."""
-        if self.config.granularity == "vector":
-            return self.execute_vector(timing)
-        return self.execute_operand(timing)
+    def execute(self, timing: StageTiming, granularity: str | None = None) -> ExecutedSchedule:
+        """Execute ``timing.num_rows`` rows of identical nominal service times.
 
-    def execute_vector(self, timing: StageTiming) -> ExecutedSchedule:
-        """STAR's schedule: every finished score row immediately moves on."""
+        ``granularity`` — ``"vector"`` (STAR's schedule: every finished
+        score row immediately moves on) or ``"operand"`` (prior work's
+        schedule: stage barriers between score, softmax and context) —
+        overrides the configured one for this execution.
+        """
         score, softmax, context = self._service_times(timing)
-        return self.execute_service_times(score, softmax, context, granularity="vector")
-
-    def execute_operand(self, timing: StageTiming) -> ExecutedSchedule:
-        """Prior work's schedule: stage barriers between score/softmax/context."""
-        score, softmax, context = self._service_times(timing)
-        return self.execute_service_times(score, softmax, context, granularity="operand")
-
-    def speedup(self, timing: StageTiming) -> float:
-        """Executed vector-grained speedup over the executed operand schedule."""
-        coarse = self.execute_operand(timing).total_latency_s
-        fine = self.execute_vector(timing).total_latency_s
-        if fine == 0.0:
-            # a zero-cost vector schedule implies a zero-cost operand one
-            return 1.0
-        return coarse / fine
+        return self.execute_service_times(score, softmax, context, granularity=granularity)
 
     # ------------------------------------------------------------------ #
     # service-time entry point (measured or synthetic)
@@ -442,8 +426,9 @@ class PipelineExecutor:
         """Execute rows whose per-row stage service times are given explicitly.
 
         This is the entry point :class:`AttentionExecutor` uses with
-        *measured* service times; ``stream_of`` optionally pins each row to
-        a head-stream (default round-robin).
+        *measured* service times; ``granularity`` overrides the configured
+        one and ``stream_of`` optionally pins each row to a head-stream
+        (default round-robin).
         """
         score_s = np.asarray(score_s, dtype=np.float64)
         softmax_s = np.asarray(softmax_s, dtype=np.float64)
@@ -481,7 +466,8 @@ class PipelineExecutor:
                     f"stream indices must lie in [0, {self.streams}), "
                     f"got [{stream_of.min()}, {stream_of.max()}]"
                 )
-        granularity = granularity or self.config.granularity
+        if granularity is None:
+            granularity = self.config.granularity
         if granularity == "vector":
             return self._run_vector(score_s, softmax_s, context_s, stream_of)
         if granularity == "operand":
@@ -716,16 +702,16 @@ class AttentionExecutor:
 
             matmul_engine = MatMulEngine()
         self.matmul_engine = matmul_engine
-        if isinstance(softmax_engines, int):
+        if isinstance(softmax_engines, numbers.Number):
             from repro.core.softmax_engine import RRAMSoftmaxEngine
 
-            require_positive(softmax_engines, "softmax_engines")
+            require_positive_int(softmax_engines, "softmax_engines")
             softmax_engines = [RRAMSoftmaxEngine() for _ in range(softmax_engines)]
         self.softmax_pool = list(softmax_engines)
         if not self.softmax_pool:
             raise ValueError("the softmax engine pool must not be empty")
         self.config = config or PipelineConfig()
-        require_positive(tiles_per_stream, "tiles_per_stream")
+        require_positive_int(tiles_per_stream, "tiles_per_stream")
         self.tiles_per_stream = tiles_per_stream
         self.jitter = jitter
         self.last_schedule: ExecutedSchedule | None = None

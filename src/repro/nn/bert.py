@@ -104,10 +104,6 @@ class BertEncoderModel:
         hidden = self.embedding(token_ids)
         return self.encoder(hidden, mask=mask)
 
-    def attention_scores(self) -> list[np.ndarray]:
-        """Attention scores captured during the most recent forward pass."""
-        return self.encoder.collect_attention_scores()
-
     def attention_schedules(self) -> "list[ExecutedSchedule]":
         """Per-layer executed schedules of the most recent forward pass.
 

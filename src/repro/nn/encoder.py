@@ -110,14 +110,6 @@ class TransformerEncoder:
                 totals[key] = totals.get(key, 0) + value
         return totals
 
-    def collect_attention_scores(self) -> list[np.ndarray]:
-        """Raw attention scores captured by each layer during the last forward."""
-        scores = []
-        for layer in self.layers:
-            if layer.attention.last_scores is not None:
-                scores.append(layer.attention.last_scores)
-        return scores
-
     def collect_attention_schedules(self) -> "list[ExecutedSchedule]":
         """Executed attention schedules captured by each layer (executor runs)."""
         schedules = []

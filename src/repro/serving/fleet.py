@@ -8,16 +8,17 @@ simulator and sharder ask of a model, with defaults for a plain chip.
 * :class:`StarServiceModel` — the real thing: a
   :class:`~repro.core.accelerator.STARAccelerator` (one
   :class:`~repro.core.accelerator.ChipResources` worth of tile banks,
-  softmax engines and overheads) prices a batch as a whole-model BERT
-  inference at the batch's padded sequence length, with energy charged at
-  the chip's active power.  Pricing is **batch-aware**: it defaults to
-  :meth:`~repro.core.batch_cost.BatchCostModel.streamed`, under which a
-  batch programs each stationary operand once and streams every request's
-  rows through it (double-buffered beyond the first request), so batch
-  service time is genuinely sublinear in batch size.  Timings are cached
-  per ``(batch, seq_len)`` shape in a bounded cache shared across all
-  identically-configured models — the chips of a fleet (and every fleet of
-  a sweep) price each shape exactly once.
+  softmax engines and overheads) prices a batch by its closed-form
+  whole-model BERT timing at the batch's padded sequence length, with
+  energy charged at the chip's active power.  Pricing is **batch-aware**:
+  it defaults to :meth:`~repro.core.batch_cost.BatchCostModel.streamed`,
+  under which a batch programs each stationary operand once and streams
+  every request's rows through it (double-buffered beyond the first
+  request), so batch service time is genuinely sublinear in batch size.
+  Timings are cached per ``(batch, seq_len)`` shape in a bounded cache
+  shared across all models of one
+  :func:`~repro.core.schedule_cache.chip_config_fingerprint` — the chips
+  of a fleet (and every fleet of a sweep) price each shape exactly once.
 * :class:`LinearServiceModel` — wraps any service model and prices a batch
   as ``batch_size x single_request``: the pre-batching behaviour, kept as
   the explicit baseline the amortisation sweeps compare against.
@@ -323,39 +324,33 @@ _SHARED_PRICING_CACHE = PricingCache()
 class StarServiceModel(ServiceModel):
     """Batch pricing by a STAR accelerator's whole-model timing.
 
-    ``accelerator`` defaults to a stock analytical-schedule
-    :class:`~repro.core.accelerator.STARAccelerator` built with
-    ``batch_cost`` (itself defaulting to the fully batch-aware
-    :meth:`~repro.core.batch_cost.BatchCostModel.streamed` pricing — pass
-    :meth:`~repro.core.batch_cost.BatchCostModel.legacy` to reproduce the
-    old linear behaviour); pass a ``schedule="executed"`` instance to
-    price batches with the executed schedule instead (slower, but
-    captures jitter and discrete pools).  ``bert_config`` sizes the served
-    model.  Results are cached per ``(batch_size, seq_len)`` in ``cache``
-    (the process-wide shared :class:`PricingCache` by default).
+    ``accelerator`` defaults to a stock
+    :class:`~repro.core.accelerator.STARAccelerator` with the fully
+    batch-aware :meth:`~repro.core.batch_cost.BatchCostModel.streamed`
+    pricing; pass one built with another ``batch_cost`` to price batches
+    otherwise.  Batches are priced by its analytic
+    :meth:`~repro.core.accelerator.STARAccelerator.request_timing`;
+    :class:`TieredServiceModel` adds the executed schedule on top.
+    ``bert_config`` sizes the served model.  Results are cached per
+    ``(batch_size, seq_len)`` in ``cache`` (the process-wide shared
+    :class:`PricingCache` by default), under a slot keyed by
+    :func:`~repro.core.schedule_cache.chip_config_fingerprint`.
     """
 
     def __init__(
         self,
         accelerator=None,
         bert_config=None,
-        batch_cost=None,
         cache: PricingCache | None = None,
         seq_len: int = 128,
     ) -> None:
         from repro.core.accelerator import STARAccelerator
         from repro.core.batch_cost import BatchCostModel
+        from repro.core.schedule_cache import chip_config_fingerprint
         from repro.nn.bert import BERT_BASE, BertWorkload
 
-        if accelerator is not None and batch_cost is not None:
-            raise ValueError(
-                "pass either an accelerator (whose batch_cost is used) or "
-                "batch_cost, not both"
-            )
         if accelerator is None:
-            accelerator = STARAccelerator(
-                batch_cost=batch_cost or BatchCostModel.streamed()
-            )
+            accelerator = STARAccelerator(batch_cost=BatchCostModel.streamed())
         self.accelerator = accelerator
         self.bert_config = bert_config or BERT_BASE
         # the model's home sequence length: the idle-power reference (and
@@ -365,16 +360,7 @@ class StarServiceModel(ServiceModel):
         self.cache = cache if cache is not None else _SHARED_PRICING_CACHE
         # the fingerprint is hashed once, here; lookups key by its int slot
         self._slot = self.cache.slot(
-            (
-                type(self.accelerator),  # subclasses may override the timing model
-                self.bert_config,
-                self.accelerator.config,
-                self.accelerator.schedule,
-                self.accelerator.num_softmax_engines,
-                self.accelerator.system_overhead,  # feeds power_w -> cached energy
-                self.accelerator.batch_cost,
-                self.accelerator.jitter,
-            )
+            chip_config_fingerprint(self.accelerator, self.bert_config)
         )
 
     @property

@@ -4,7 +4,8 @@ The hard guarantees of the refactor:
 
 * ``batch_size = 1`` pricing under the default cost model is bit-identical
   to the pre-refactor seed formulas (hex-recorded goldens);
-* the legacy cost model reproduces exact linear pricing at every batch;
+* the linear cost model (double buffering off) reproduces exact linear
+  pricing at every batch;
 * programming is charged exactly once per operand per batch under the
   streamed policy and never under the resident policy;
 * the event-driven :class:`~repro.core.batch_cost.BatchGEMMExecutor`
@@ -64,8 +65,6 @@ class TestBatchCostModel:
         assert not DEFAULT_BATCH_COST.charges_programming
         assert DEFAULT_BATCH_COST.double_buffering
         assert BatchCostModel.streamed().charges_programming
-        legacy = BatchCostModel.legacy()
-        assert not legacy.charges_programming and not legacy.double_buffering
 
 
 class TestBatchOneBitIdentity:
@@ -88,7 +87,11 @@ class TestBatchOneBitIdentity:
         shape = GEMMShape(64, 300, 200)
         eng = engine()
         base = eng.gemm_streaming_latency_s(shape, batch_size=1)
-        for model in (DEFAULT_BATCH_COST, BatchCostModel.streamed(), BatchCostModel.legacy()):
+        for model in (
+            DEFAULT_BATCH_COST,
+            BatchCostModel.streamed(),
+            BatchCostModel(double_buffering=False),
+        ):
             assert eng.gemm_streaming_latency_s(shape, 1, model) == base
 
 
@@ -96,7 +99,7 @@ class TestLegacyLinearity:
     def test_legacy_latency_is_exactly_linear_in_waves(self):
         eng = engine()
         shape = GEMMShape(m=128, k=768, n=768)
-        legacy = BatchCostModel.legacy()
+        legacy = BatchCostModel(double_buffering=False)
         single_waves = math.ceil(36 * 128 / 96)
         for batch in (1, 3, 8, 32):
             waves = math.ceil(36 * 128 * batch / 96)
@@ -161,7 +164,11 @@ class TestBatchGEMMExecutor:
     def test_exact_against_closed_form_when_tasks_divide_tiles(self):
         eng = engine()
         shape = GEMMShape(m=128, k=768, n=768)  # 36*128 tasks over 96 tiles
-        for model in (DEFAULT_BATCH_COST, BatchCostModel.streamed(), BatchCostModel.legacy()):
+        for model in (
+            DEFAULT_BATCH_COST,
+            BatchCostModel.streamed(),
+            BatchCostModel(double_buffering=False),
+        ):
             executor = BatchGEMMExecutor(eng, model)
             for batch in (1, 2, 8):
                 executed = executor.execute(shape, batch_size=batch)

@@ -34,8 +34,12 @@ SEED_REQUEST_HEX = {
 class TestBatchOneGoldens:
     @pytest.mark.parametrize("schedule,seq_len", sorted(SEED_INFERENCE_HEX))
     def test_inference_latency_bit_identical_to_seed(self, schedule, seq_len):
-        star = STARAccelerator(schedule=schedule)
-        value = star.inference_latency_s(BertWorkload(seq_len=seq_len))
+        star = STARAccelerator()
+        workload = BertWorkload(seq_len=seq_len)
+        if schedule == "executed":
+            value = star.executed_model_schedule(workload).total_latency_s
+        else:
+            value = star.inference_latency_s(workload)
         assert value.hex() == SEED_INFERENCE_HEX[(schedule, seq_len)]
 
     def test_request_timing_bit_identical_to_seed(self):
@@ -44,15 +48,17 @@ class TestBatchOneGoldens:
         assert timing.energy_j.hex() == SEED_REQUEST_HEX["energy"]
 
     def test_legacy_model_is_bit_identical_at_every_batch_to_old_formula(self):
-        # the legacy cost model IS the pre-refactor pricing: scaling the
-        # per-request shape by the batch reproduces it exactly
-        star = STARAccelerator(batch_cost=BatchCostModel.legacy())
+        # the linear cost model (resident weights, no double buffering) IS
+        # the pre-refactor pricing: scaling the per-request shape by the
+        # batch reproduces it exactly
+        linear = BatchCostModel(double_buffering=False)
+        star = STARAccelerator(batch_cost=linear)
         engine = star.matmul_engine
         for batch in BATCHES:
             workload = BertWorkload(seq_len=128, batch_size=batch)
             tokens = batch * 128
             old_projection = 4 * engine.gemm_latency_s(
-                GEMMShape(m=tokens, k=768, n=768), cost_model=BatchCostModel.legacy()
+                GEMMShape(m=tokens, k=768, n=768), cost_model=linear
             )
             breakdown = star.layer_latency_breakdown(workload)
             assert breakdown.projection_s == old_projection
@@ -97,17 +103,18 @@ class TestExecutedModelAgreesWithAnalytical:
         config = BertConfig(num_layers=2)
         workload = BertWorkload(config=config, seq_len=64, batch_size=batch)
         for model in (DEFAULT_BATCH_COST, BatchCostModel.streamed()):
-            analytical = STARAccelerator(batch_cost=model)
-            executed = STARAccelerator(schedule="executed", batch_cost=model)
-            a = analytical.inference_latency_s(workload)
-            e = executed.inference_latency_s(workload)
+            star = STARAccelerator(batch_cost=model)
+            a = star.inference_latency_s(workload)
+            e = star.executed_model_schedule(workload).total_latency_s
             assert e == pytest.approx(a, rel=0.05)
 
     def test_executed_batch_service_is_sublinear(self):
         config = BertConfig(num_layers=2)
-        star = STARAccelerator(schedule="executed", batch_cost=BatchCostModel.streamed())
-        single = star.inference_latency_s(BertWorkload(config=config, seq_len=64))
-        batched = star.inference_latency_s(
+        star = STARAccelerator(batch_cost=BatchCostModel.streamed())
+        single = star.executed_model_schedule(
+            BertWorkload(config=config, seq_len=64)
+        ).total_latency_s
+        batched = star.executed_model_schedule(
             BertWorkload(config=config, seq_len=64, batch_size=32)
-        )
+        ).total_latency_s
         assert batched <= 0.6 * 32 * single

@@ -148,7 +148,11 @@ class StubEngine:
         return 3.0 * self.full_s
 
 
-COST_MODELS = (DEFAULT_BATCH_COST, BatchCostModel.streamed(), BatchCostModel.legacy())
+COST_MODELS = (
+    DEFAULT_BATCH_COST,
+    BatchCostModel.streamed(),
+    BatchCostModel(double_buffering=False),
+)
 #: Per-request shapes small enough for the per-task oracle: 1 to 576 tile
 #: tasks per request, below, at and above every tile budget below.
 SHAPES = (
@@ -209,7 +213,7 @@ class TestAgainstPerTaskOracle:
     # which takes the next task (a full sub-block pushed after its
     # overlapped sibling fails the first, blocks ordered by size the second)
     @example(StubEngine(3, 1, 0.0009287206608122229, 0.00046436033040611147),
-             BatchCostModel.legacy(), 16)
+             BatchCostModel(double_buffering=False), 16)
     @example(StubEngine(9, 5, 0.0007377645553943815, 0.0003688822776971908),
              DEFAULT_BATCH_COST, 7)
     def test_stub_engines_bit_identical(self, engine, model, batch):

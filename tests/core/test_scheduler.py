@@ -27,7 +27,7 @@ def timing(score=100e-9, softmax=150e-9, context=100e-9, rows=64) -> StageTiming
 class TestPipelineExecutor:
     def test_single_row(self):
         config = PipelineConfig(stage_handoff_s=2e-9)
-        schedule = PipelineExecutor(config).execute_vector(timing(rows=1))
+        schedule = PipelineExecutor(config).execute(timing(rows=1))
         assert schedule.num_rows == 1
         assert schedule.total_latency_s == pytest.approx(350e-9 + 2 * 2e-9)
         record = schedule.records[0]
@@ -36,7 +36,7 @@ class TestPipelineExecutor:
         assert record.completion_s == pytest.approx(schedule.total_latency_s)
 
     def test_rows_flow_in_order_on_single_servers(self):
-        schedule = PipelineExecutor(PipelineConfig(stage_handoff_s=0.0)).execute_vector(
+        schedule = PipelineExecutor(PipelineConfig(stage_handoff_s=0.0)).execute(
             timing(rows=16)
         )
         starts = [r.softmax_start_s for r in schedule.records]
@@ -50,54 +50,63 @@ class TestPipelineExecutor:
         assert operand.granularity == "operand"
         assert vector.total_latency_s < operand.total_latency_s
 
-    def test_executed_speedup_positive(self):
-        assert PipelineExecutor().speedup(timing()) > 1.0
+    def test_granularity_overrides_the_configured_one(self):
+        t = timing()
+        executor = PipelineExecutor(PipelineConfig(granularity="vector"))
+        operand = executor.execute(t, "operand")
+        assert operand.granularity == "operand"
+        assert operand == PipelineExecutor(PipelineConfig(granularity="operand")).execute(t)
+        assert executor.execute(t).total_latency_s < operand.total_latency_s
+        with pytest.raises(ValueError, match="'vectr'"):
+            executor.execute(t, "vectr")
 
-    def test_executed_speedup_of_free_pipeline_is_parity(self):
+    def test_free_pipeline_executes_in_zero_time(self):
         executor = PipelineExecutor(PipelineConfig(stage_handoff_s=0.0))
-        assert executor.speedup(timing(0.0, 0.0, 0.0, rows=4)) == 1.0
+        free = timing(0.0, 0.0, 0.0, rows=4)
+        assert executor.execute(free).total_latency_s == 0.0
+        assert executor.execute(free, "operand").total_latency_s == 0.0
 
     def test_more_engines_reduce_latency_when_softmax_bound(self):
         t = timing(softmax=500e-9, rows=128)
-        one = PipelineExecutor(softmax_engines=1).execute_vector(t)
-        four = PipelineExecutor(softmax_engines=4).execute_vector(t)
+        one = PipelineExecutor(softmax_engines=1).execute(t)
+        four = PipelineExecutor(softmax_engines=4).execute(t)
         assert four.total_latency_s < one.total_latency_s
         assert sum(four.engine_rows) == 128
         assert all(count > 0 for count in four.engine_rows)
 
     def test_streams_parallelise_the_gemm_stages(self):
         t = timing(score=500e-9, softmax=10e-9, rows=128)
-        one = PipelineExecutor(streams=1).execute_vector(t)
-        four = PipelineExecutor(streams=4, softmax_engines=1).execute_vector(t)
+        one = PipelineExecutor(streams=1).execute(t)
+        four = PipelineExecutor(streams=4, softmax_engines=1).execute(t)
         assert four.total_latency_s < one.total_latency_s
 
     def test_faster_engine_serves_more_rows(self):
         t = timing(softmax=400e-9, rows=120)
         schedule = PipelineExecutor(
             softmax_engines=2, softmax_speedups=(1.0, 3.0)
-        ).execute_vector(t)
+        ).execute(t)
         assert schedule.engine_rows[1] > schedule.engine_rows[0]
         assert sum(schedule.engine_rows) == 120
 
     def test_jitter_is_deterministic_per_seed(self):
         t = timing(rows=32)
-        a = PipelineExecutor(jitter=StageJitter(sigma=0.2, seed=5)).execute_vector(t)
-        b = PipelineExecutor(jitter=StageJitter(sigma=0.2, seed=5)).execute_vector(t)
-        c = PipelineExecutor(jitter=StageJitter(sigma=0.2, seed=6)).execute_vector(t)
+        a = PipelineExecutor(jitter=StageJitter(sigma=0.2, seed=5)).execute(t)
+        b = PipelineExecutor(jitter=StageJitter(sigma=0.2, seed=5)).execute(t)
+        c = PipelineExecutor(jitter=StageJitter(sigma=0.2, seed=6)).execute(t)
         assert a.total_latency_s == b.total_latency_s
         assert a.total_latency_s != c.total_latency_s
 
     def test_zero_jitter_matches_no_jitter(self):
         t = timing(rows=32)
-        jittered = PipelineExecutor(jitter=StageJitter(sigma=0.0, seed=9)).execute_vector(t)
-        plain = PipelineExecutor().execute_vector(t)
+        jittered = PipelineExecutor(jitter=StageJitter(sigma=0.0, seed=9)).execute(t)
+        plain = PipelineExecutor().execute(t)
         assert jittered.total_latency_s == plain.total_latency_s
 
     def test_queue_peak_counts_softmax_backlog(self):
         # score is much faster than the lone softmax engine: finished score
         # rows pile up in the softmax queue
         t = timing(score=10e-9, softmax=500e-9, rows=64)
-        schedule = PipelineExecutor(PipelineConfig(stage_handoff_s=0.0)).execute_vector(t)
+        schedule = PipelineExecutor(PipelineConfig(stage_handoff_s=0.0)).execute(t)
         assert schedule.queue_peaks["softmax"] > 32
 
     def test_operand_phases_queue_every_row(self):
@@ -129,17 +138,11 @@ class TestPipelineExecutor:
         assert schedule.stage_busy_s["context"] == pytest.approx(context.sum())
 
     def test_utilization_bounds_and_unknown_stage(self):
-        schedule = PipelineExecutor().execute_vector(timing())
+        schedule = PipelineExecutor().execute(timing())
         for stage in ("score", "softmax", "context"):
             assert 0.0 < schedule.utilization(stage) <= 1.0
         with pytest.raises(ValueError):
             schedule.utilization("divider")
-
-    def test_as_pipeline_schedule_round_trip(self):
-        schedule = PipelineExecutor().execute_vector(timing())
-        analytical_view = schedule.as_pipeline_schedule()
-        assert analytical_view.granularity == "vector"
-        assert analytical_view.total_latency_s == schedule.total_latency_s
 
     def test_service_time_entry_point_with_explicit_streams(self):
         executor = PipelineExecutor(streams=2)
@@ -174,7 +177,7 @@ class TestPipelineExecutor:
         with pytest.raises(ValueError):
             PipelineExecutor(softmax_engines=2, softmax_speedups=(1.0,))
         with pytest.raises(ValueError):
-            PipelineExecutor(softmax_engines=1, softmax_speedups=(0.0,)).execute_vector(
+            PipelineExecutor(softmax_engines=1, softmax_speedups=(0.0,)).execute(
                 timing(rows=1)
             )
 

@@ -40,7 +40,7 @@ class TestExactSingleServer:
     def test_vector_grained_exact(self, stage_times, rows, handoff):
         timing = StageTiming(*stage_times, num_rows=rows)
         config = PipelineConfig(stage_handoff_s=handoff)
-        executed = PipelineExecutor(config).execute_vector(timing)
+        executed = PipelineExecutor(config).execute(timing)
         analytical = AttentionPipeline(config).vector_grained_latency(timing)
         assert executed.total_latency_s == pytest.approx(
             analytical.total_latency_s, rel=1e-12, abs=1e-18
@@ -52,7 +52,7 @@ class TestExactSingleServer:
     def test_operand_grained_exact(self, stage_times, rows, handoff):
         timing = StageTiming(*stage_times, num_rows=rows)
         config = PipelineConfig(stage_handoff_s=handoff)
-        executed = PipelineExecutor(config).execute_operand(timing)
+        executed = PipelineExecutor(config).execute(timing, "operand")
         analytical = AttentionPipeline(config).operand_grained_latency(timing)
         assert executed.total_latency_s == pytest.approx(
             analytical.total_latency_s, rel=1e-12, abs=1e-18
@@ -62,7 +62,7 @@ class TestExactSingleServer:
     def test_steady_interval_matches_formula(self, stage_times):
         timing = StageTiming(*stage_times, num_rows=512)
         config = PipelineConfig(stage_handoff_s=2e-9)
-        executed = PipelineExecutor(config).execute_vector(timing)
+        executed = PipelineExecutor(config).execute(timing)
         assert executed.steady_state_interval_s == pytest.approx(
             timing.bottleneck_row_s + 2e-9, rel=1e-9
         )
@@ -94,7 +94,7 @@ class TestPooledResources:
         config = PipelineConfig(stage_handoff_s=0.0)
         executed = PipelineExecutor(
             config, streams=streams, softmax_engines=engines
-        ).execute_vector(native)
+        ).execute(native)
         analytical = AttentionPipeline(config).vector_grained_latency(aggregate)
         assert executed.total_latency_s == pytest.approx(
             analytical.total_latency_s, rel=0.03
@@ -117,7 +117,7 @@ class TestPooledResources:
         config = PipelineConfig(stage_handoff_s=2e-9)
         executed = PipelineExecutor(
             config, streams=streams, softmax_engines=engines
-        ).execute_vector(native)
+        ).execute(native)
         analytical = AttentionPipeline(config).vector_grained_latency(aggregate)
         assert executed.total_latency_s == pytest.approx(
             analytical.total_latency_s, rel=0.05
@@ -137,7 +137,7 @@ class TestPooledResources:
         config = PipelineConfig(stage_handoff_s=2e-9)
         executed = PipelineExecutor(
             config, streams=streams, softmax_engines=engines
-        ).execute_operand(native)
+        ).execute(native, "operand")
         analytical = AttentionPipeline(config).operand_grained_latency(aggregate)
         assert executed.total_latency_s == pytest.approx(
             analytical.total_latency_s, rel=1e-12
@@ -152,7 +152,10 @@ class TestBertShapes:
         star = STARAccelerator()
         workload = BertWorkload(seq_len=seq_len)
         timing = star.attention_stage_timing(workload)
-        analytical_speedup = star.pipeline.speedup(timing)
+        analytical_speedup = (
+            star.pipeline.operand_grained_latency(timing).total_latency_s
+            / star.pipeline.vector_grained_latency(timing).total_latency_s
+        )
         vector = star.executed_attention_schedule(workload, granularity="vector")
         operand = star.executed_attention_schedule(workload, granularity="operand")
         executed_speedup = operand.total_latency_s / vector.total_latency_s

@@ -61,7 +61,7 @@ executors = st.builds(
 @given(timing=timings, executor=executors)
 def test_causality_no_stage_runs_ahead_of_its_input(timing, executor):
     handoff = executor.config.stage_handoff_s
-    schedule = executor.execute_vector(timing)
+    schedule = executor.execute(timing)
     for record in schedule.records:
         assert record.score_end_s >= record.score_start_s
         assert record.softmax_start_s >= record.score_end_s + handoff - _EPS
@@ -73,7 +73,7 @@ def test_causality_no_stage_runs_ahead_of_its_input(timing, executor):
 @settings(max_examples=60, deadline=None)
 @given(timing=timings, executor=executors)
 def test_rows_are_conserved(timing, executor):
-    schedule = executor.execute_vector(timing)
+    schedule = executor.execute(timing)
     assert schedule.num_rows == timing.num_rows
     assert sorted(record.row for record in schedule.records) == list(range(timing.num_rows))
     assert sum(schedule.engine_rows) == timing.num_rows
@@ -85,7 +85,7 @@ def test_rows_are_conserved(timing, executor):
 @given(timing=timings, executor=executors)
 def test_softmax_engines_never_overlap(timing, executor):
     handoff = executor.config.stage_handoff_s
-    schedule = executor.execute_vector(timing)
+    schedule = executor.execute(timing)
     by_engine: dict[int, list] = {}
     for record in schedule.records:
         by_engine.setdefault(record.engine, []).append(record)
@@ -99,7 +99,7 @@ def test_softmax_engines_never_overlap(timing, executor):
 @settings(max_examples=60, deadline=None)
 @given(timing=timings, executor=executors)
 def test_streams_process_their_rows_in_order(timing, executor):
-    schedule = executor.execute_vector(timing)
+    schedule = executor.execute(timing)
     by_stream: dict[int, list] = {}
     for record in sorted(schedule.records, key=lambda r: r.row):
         by_stream.setdefault(record.stream, []).append(record)
@@ -116,8 +116,8 @@ def test_vector_schedule_beats_operand_up_to_forwarding_cost(timing, executor):
     # schedule forwards every row at every stage.  (With near-zero stage
     # compute the forwards dominate and operand-grained genuinely wins —
     # the analytical formulas predict the same crossover.)
-    vector = executor.execute_vector(timing)
-    operand = executor.execute_operand(timing)
+    vector = executor.execute(timing)
+    operand = executor.execute(timing, "operand")
     forwarding_slack = (timing.num_rows - 1) * executor.config.stage_handoff_s
     packing_slack = 0.0
     if executor.jitter is not None:
@@ -144,7 +144,7 @@ def test_steady_state_interval_equals_bottleneck(timing, handoff):
     # single server per stage, no jitter: after the pipeline fills, rows
     # complete exactly one bottleneck interval (+ forward) apart
     executor = PipelineExecutor(PipelineConfig(stage_handoff_s=handoff))
-    schedule = executor.execute_vector(timing)
+    schedule = executor.execute(timing)
     expected = timing.bottleneck_row_s + handoff
     if timing.num_rows >= 8:
         np.testing.assert_allclose(
@@ -164,6 +164,6 @@ def test_uniformly_slower_stages_never_speed_things_up(timing, executor, factor)
         context_row_s=timing.context_row_s * factor,
         num_rows=timing.num_rows,
     )
-    base = executor.execute_vector(timing)
-    scaled = executor.execute_vector(slower)
+    base = executor.execute(timing)
+    scaled = executor.execute(slower)
     assert scaled.total_latency_s >= base.total_latency_s - _EPS

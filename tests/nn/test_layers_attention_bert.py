@@ -100,7 +100,9 @@ class TestEncoder:
         assert layer(x).shape == x.shape
         encoder = TransformerEncoder(3, 32, 4, 64, rng=rng)
         assert encoder(x).shape == x.shape
-        assert len(encoder.collect_attention_scores()) == 3
+        assert all(
+            layer.attention.last_scores.shape == (2, 4, 6, 6) for layer in encoder.layers
+        )
 
     def test_flops_aggregate_over_layers(self):
         encoder = TransformerEncoder(2, 32, 4, 64)
@@ -134,7 +136,9 @@ class TestBert:
         ids = rng.integers(0, 50, size=(2, 8))
         out = model(ids)
         assert out.shape == (2, 8, 32)
-        assert len(model.attention_scores()) == 2
+        layers = model.encoder.layers
+        assert len(layers) == 2
+        assert all(layer.attention.last_scores.shape == (2, 4, 8, 8) for layer in layers)
 
     def test_workload_counts_scale_quadratically_in_seq_for_softmax(self):
         short = BertWorkload(seq_len=128)

@@ -86,24 +86,36 @@ class TestTemplateExactness:
         from repro.core.accelerator import STARAccelerator
 
         workload = _workload(params)
-        accelerator = STARAccelerator(schedule="executed")
+        accelerator = STARAccelerator()
         template = build_schedule_template(accelerator, workload)
         cold = accelerator.executed_model_schedule(workload).total_latency_s
         assert template.base_latency_s == cold
 
     @given(tiny_workloads)
     @settings(max_examples=10, deadline=None)
-    def test_analytic_source_accelerator_builds_identical_template(self, params):
-        """Templates ignore the source schedule: analytic and executed agree."""
-        from repro.core.accelerator import STARAccelerator
+    def test_accelerators_on_one_chip_share_templates_and_pricing_slot(self, params):
+        """One ChipResources and one batch cost: identical templates, one slot."""
+        from repro.core.accelerator import ChipResources, STARAccelerator
+        from repro.core.batch_cost import BatchCostModel
+        from repro.serving import PricingCache, StarServiceModel
 
         workload = _workload(params)
-        from_analytic = build_schedule_template(STARAccelerator(), workload)
-        from_executed = build_schedule_template(
-            STARAccelerator(schedule="executed"), workload
-        )
-        assert from_analytic.base_latency_s == from_executed.base_latency_s
-        assert from_analytic.steady_row_s == from_executed.steady_row_s
+        resources, cost = ChipResources(), BatchCostModel.streamed()
+        first = STARAccelerator(resources=resources, batch_cost=cost)
+        second = STARAccelerator(resources=resources, batch_cost=cost)
+        a = build_schedule_template(first, workload)
+        b = build_schedule_template(second, workload)
+        assert a.base_latency_s == b.base_latency_s
+        assert a.steady_row_s == b.steady_row_s
+        assert a.energy_j == b.energy_j
+        cache = PricingCache()
+        slots = {
+            StarServiceModel(accelerator, workload.config, cache=cache)._slot
+            for accelerator in (first, second)
+        }
+        other = STARAccelerator(num_softmax_engines=16, batch_cost=cost)
+        assert len(slots) == 1
+        assert StarServiceModel(other, workload.config, cache=cache)._slot not in slots
 
 
 class TestJitterBounds:

@@ -156,12 +156,6 @@ class TestLinearServiceModel:
         single = base.batch_latency_s(1, 64)
         assert base.batch_latency_s(32, 64) <= 0.6 * 32 * single
 
-    def test_conflicting_accelerator_and_batch_cost_rejected(self):
-        with pytest.raises(ValueError):
-            StarServiceModel(
-                accelerator=STARAccelerator(), batch_cost=BatchCostModel.legacy()
-            )
-
     def test_system_overhead_is_part_of_the_cache_fingerprint(self):
         # energy rides the chip's power, which includes the system
         # overhead: models differing only there must never share entries

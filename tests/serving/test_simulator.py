@@ -180,9 +180,12 @@ class TestReportMetrics:
         assert twin.batch_latency_s(2, 128) == first
         assert len(cache) == 1 and cache.hits == 2
         # ...while a differently-configured one can never collide
+        from repro.core.accelerator import STARAccelerator
         from repro.core.batch_cost import BatchCostModel
 
-        other = StarServiceModel(cache=cache, batch_cost=BatchCostModel.legacy())
+        other = StarServiceModel(
+            STARAccelerator(batch_cost=BatchCostModel(double_buffering=False)), cache=cache
+        )
         assert other.batch_latency_s(2, 128) != first
         assert len(cache) == 2
 
