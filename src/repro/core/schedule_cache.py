@@ -68,11 +68,12 @@ invalidates it.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 
 import numpy as np
 
-from repro.utils.validation import require_non_negative, require_positive
+from repro.utils.validation import require_finite, require_non_negative, require_positive
 
 __all__ = [
     "NUM_STAGES",
@@ -124,8 +125,8 @@ class ScheduleTemplate:
         require_positive(seq_len, "seq_len")
         require_positive(num_layers, "num_layers")
         require_positive(num_rows, "num_rows")
-        require_positive(base_latency_s, "base_latency_s")
-        require_non_negative(energy_j, "energy_j")
+        require_finite(require_positive(base_latency_s, "base_latency_s"), "base_latency_s")
+        require_finite(require_non_negative(energy_j, "energy_j"), "energy_j")
         if len(steady_row_s) != NUM_STAGES:
             raise ValueError(
                 f"steady_row_s needs one interval per stage "
@@ -193,8 +194,11 @@ class ScheduleTemplate:
         re-running the event executor with per-layer jitter streams.
         ``sigma = 0`` returns the bit-exact jitter-free latency without
         touching the generator, so jitter-off runs stay bit-deterministic.
+        ``sigma`` must be finite and non-negative (NaN fails too); this runs
+        per dispatch, so the check is one chained scalar comparison.
         """
-        require_non_negative(sigma, "sigma")
+        if not 0.0 <= sigma < math.inf:
+            raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
         if sigma == 0.0:
             return self.base_latency_s
         factors = np.exp(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.utils.validation import require_non_negative, require_positive
+from repro.utils.validation import require_finite, require_non_negative, require_positive_int
 
 __all__ = ["BATCH_ORDERS", "DynamicBatcher", "NO_BATCHING"]
 
@@ -45,7 +45,8 @@ class DynamicBatcher:
         Largest batch one chip dispatch may contain.
     max_wait_s:
         Longest the oldest queued request may wait for co-batched company
-        before a partial batch is released anyway.
+        before a partial batch is released anyway.  Finite: an infinite
+        wait would hold a partial batch until the end of time.
     order:
         Queue-drain order: ``"fifo"`` (arrival) or ``"edf"`` (earliest
         absolute deadline first).
@@ -56,8 +57,8 @@ class DynamicBatcher:
     order: str = "fifo"
 
     def __post_init__(self) -> None:
-        require_positive(self.max_batch_size, "max_batch_size")
-        require_non_negative(self.max_wait_s, "max_wait_s")
+        require_positive_int(self.max_batch_size, "max_batch_size")
+        require_finite(require_non_negative(self.max_wait_s, "max_wait_s"), "max_wait_s")
         if self.order not in BATCH_ORDERS:
             raise ValueError(
                 f"order must be one of {BATCH_ORDERS}, got {self.order!r}"

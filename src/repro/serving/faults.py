@@ -44,6 +44,7 @@ from repro.utils.validation import (
     require_finite,
     require_non_negative,
     require_positive,
+    require_positive_int,
 )
 
 __all__ = [
@@ -87,7 +88,7 @@ class RetryPolicy:
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
-        require_positive(self.max_attempts, "max_attempts")
+        require_positive_int(self.max_attempts, "max_attempts")
         require_finite(self.backoff_base_s, "backoff_base_s")
         require_non_negative(self.backoff_base_s, "backoff_base_s")
         require_positive(self.backoff_multiplier, "backoff_multiplier")
@@ -149,9 +150,9 @@ class AdmissionController:
 
     def __post_init__(self) -> None:
         if self.max_queue_depth is not None:
-            require_positive(self.max_queue_depth, "max_queue_depth")
+            require_positive_int(self.max_queue_depth, "max_queue_depth")
         if self.degraded_max_batch is not None:
-            require_positive(self.degraded_max_batch, "degraded_max_batch")
+            require_positive_int(self.degraded_max_batch, "degraded_max_batch")
 
 
 #: Accept everything, serve everything: the pre-admission-control queue.
@@ -263,11 +264,13 @@ class FaultInjector:
         Solves ``downtime / (mtbf + downtime) = loss`` for the MTBF at the
         given per-failure downtime (detection plus repair), so sweeps can
         be parameterised directly in the quantity the degradation curves
-        plot.
+        plot.  The injector keeps ``repair_s`` as its repair override, so
+        every failure lasts the downtime solved for, whatever the chips'
+        own reprogramming time.
         """
         if not 0.0 < loss < 1.0:
             raise ValueError(f"loss must be in (0, 1), got {loss}")
         require_positive(detection_s + repair_s, "downtime (detection_s + repair_s)")
         downtime = detection_s + repair_s
         mtbf = downtime * (1.0 - loss) / loss
-        return cls(mtbf_s=mtbf, detection_s=detection_s, repair_s=None, seed=seed)
+        return cls(mtbf_s=mtbf, detection_s=detection_s, repair_s=repair_s, seed=seed)

@@ -184,19 +184,24 @@ class FixedServiceModel(ServiceModel):
     wake_energy_j: float = 0.0
 
     def __post_init__(self) -> None:
-        require_positive(self.request_latency_s, "request_latency_s")
-        require_non_negative(self.request_energy_j, "request_energy_j")
-        require_non_negative(self.idle_power_w, "idle_power_w")
-        require_non_negative(self.reprogram_latency_s, "reprogram_latency_s")
-        require_non_negative(self.sleep_power_w, "sleep_power_w")
+        require_finite(require_positive(self.request_latency_s, "request_latency_s"),
+                       "request_latency_s")
+        for name in (
+            "request_energy_j",
+            "idle_power_w",
+            "reprogram_latency_s",
+            "sleep_power_w",
+            "sleep_entry_latency_s",
+            "wake_latency_s",
+            "wake_energy_j",
+        ):
+            value = getattr(self, name)
+            require_finite(require_non_negative(value, name), name)
         if self.sleep_power_w > self.idle_power_w:
             raise ValueError(
                 f"deep sleep must not draw more than idle: "
                 f"{self.sleep_power_w} W > {self.idle_power_w} W"
             )
-        require_non_negative(self.sleep_entry_latency_s, "sleep_entry_latency_s")
-        require_non_negative(self.wake_latency_s, "wake_latency_s")
-        require_non_negative(self.wake_energy_j, "wake_energy_j")
 
     def batch_latency_s(self, batch_size: int, seq_len: int) -> float:
         return batch_size * self.request_latency_s
@@ -230,9 +235,10 @@ class ExponentialServiceModel(ServiceModel):
         idle_power_w: float = 0.0,
         seed: int | np.random.SeedSequence | None = 0,
     ) -> None:
-        require_positive(mean_s, "mean_s")
-        require_non_negative(request_energy_j, "request_energy_j")
-        require_non_negative(idle_power_w, "idle_power_w")
+        require_finite(require_positive(mean_s, "mean_s"), "mean_s")
+        require_finite(require_non_negative(request_energy_j, "request_energy_j"),
+                       "request_energy_j")
+        require_finite(require_non_negative(idle_power_w, "idle_power_w"), "idle_power_w")
         self.mean_s = float(mean_s)
         self.request_energy_j = float(request_energy_j)
         self.idle_power_w = float(idle_power_w)
@@ -634,7 +640,7 @@ class TieredServiceModel(WrappedCapabilities):
             raise ValueError(
                 f"sample_fraction must be within [0, 1], got {sample_fraction}"
             )
-        require_non_negative(jitter_sigma, "jitter_sigma")
+        require_finite(require_non_negative(jitter_sigma, "jitter_sigma"), "jitter_sigma")
         self.base = base
         self.sample_fraction = float(sample_fraction)
         self.jitter_sigma = float(jitter_sigma)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.serving.arrivals import Request
+from repro.serving.arrivals import Request, _trusted_request
 from repro.utils.validation import require_positive
 
 __all__ = ["SLOClass", "SLOPolicy"]
@@ -89,7 +89,9 @@ class SLOPolicy:
 
         Seeded and independent of the arrival process, so the same stream
         tagged twice gets identical classes — FIFO-vs-EDF comparisons run
-        the *same* tagged traffic through both policies.
+        the *same* tagged traffic through both policies.  The class ids are
+        one ``rng.choice`` array draw, and the result equals tagging each
+        request with :meth:`tag`, without re-validating each request.
         """
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (self.num_classes,):
@@ -102,7 +104,7 @@ class SLOPolicy:
         drawn = rng.choice(
             self.num_classes, size=len(requests), p=weights / weights.sum()
         )
-        return [self.tag(r, int(c)) for r, c in zip(requests, drawn)]
+        return self._tagged(requests, drawn)
 
     def tag_by_length(
         self, requests: Sequence[Request], boundaries: Sequence[int]
@@ -114,7 +116,10 @@ class SLOPolicy:
         class ``i``, anything longer in the last class.  Short requests
         land in the early (tight-deadline) classes, mirroring the serving
         reality that interactive traffic is short and latency-bound while
-        long analytical queries tolerate queueing.
+        long analytical queries tolerate queueing.  The class ids are one
+        ``np.searchsorted`` over the boundaries, and the result equals
+        tagging each request with :meth:`tag`, without re-validating each
+        request.
         """
         boundaries = [int(b) for b in boundaries]
         if len(boundaries) != self.num_classes - 1:
@@ -124,12 +129,22 @@ class SLOPolicy:
             )
         if boundaries != sorted(boundaries):
             raise ValueError(f"boundaries must be ascending, got {boundaries}")
-        tagged = []
-        for request in requests:
-            slo_class = self.num_classes - 1
-            for i, bound in enumerate(boundaries):
-                if request.seq_len <= bound:
-                    slo_class = i
-                    break
-            tagged.append(self.tag(request, slo_class))
-        return tagged
+        seq_lens = np.fromiter(
+            (r.seq_len for r in requests), dtype=np.float64, count=len(requests)
+        )
+        # the first boundary at or above each length; past the last, the last class
+        return self._tagged(requests, np.searchsorted(boundaries, seq_lens, side="left"))
+
+    def _tagged(self, requests: Sequence[Request], classes: np.ndarray) -> list[Request]:
+        """``[self.tag(r, c) for r, c in zip(requests, classes)]``, built in one pass.
+
+        Skips :class:`Request`'s per-instance validation, which has nothing
+        left to catch: index, arrival and length come from an already
+        constructed request, and the deadline from the validated
+        :class:`SLOClass` of each class id.
+        """
+        deadlines = [slo.deadline_s for slo in self.classes]
+        return [
+            _trusted_request(r.index, r.arrival_s, r.seq_len, c, deadlines[c])
+            for r, c in zip(requests, classes.tolist())
+        ]

@@ -119,43 +119,46 @@ class AttentionScoreGenerator:
         cluster of ``top_cluster_size - 1`` runner-up scores spaced by
         roughly ``top_cluster_spacing`` below it, and background scores
         spread across the remaining range with a negative bias (attention
-        rows are dominated by a few keys).
+        rows are dominated by a few keys), in a uniformly random order.
+
+        The whole block is drawn with array calls: one in-place normal
+        block whose first ``top_cluster_size`` columns are then overwritten
+        by the cluster, per-row maxima, cluster gaps, clip bounds and
+        forced minima, and one independent in-place permutation per row.
+        Rows are i.i.d. under the same per-row law as a row-by-row draw
+        (the loop kept in ``tests/score_law_reference.py``), but a seed
+        yields different rows than that loop, which consumes the stream
+        row by row.
         """
         if num_rows < 1:
             raise ValueError(f"num_rows must be >= 1, got {num_rows}")
         profile = self.profile
         length = seq_len if seq_len is not None else profile.typical_seq_len
-        if length < profile.top_cluster_size + 1:
+        cluster_size = profile.top_cluster_size
+        if length < cluster_size + 1:
             raise ValueError(
-                f"seq_len {length} too short for top cluster of "
-                f"{profile.top_cluster_size}"
+                f"seq_len {length} too short for top cluster of {cluster_size}"
             )
         rng = self._rng
         half_range = profile.score_range / 2.0
 
-        rows = np.empty((num_rows, length), dtype=np.float64)
-        for i in range(num_rows):
-            # the row maximum sits near +half_range with a little jitter
-            row_max = half_range * rng.uniform(0.88, 0.99)
-            cluster_size = profile.top_cluster_size
-            gaps = rng.uniform(0.6, 1.4, size=cluster_size - 1) * profile.top_cluster_spacing
-            cluster = row_max - np.concatenate(([0.0], np.cumsum(gaps)))
-
-            num_background = length - cluster_size
-            # background scores: mostly negative, spanning down to -half_range
-            background = rng.normal(
-                loc=-0.45 * profile.score_range,
-                scale=profile.background_std * profile.score_range,
-                size=num_background,
-            )
-            background = np.clip(background, -half_range * rng.uniform(0.9, 1.0), row_max - 1.0)
-            # guarantee the row minimum reaches close to the bottom of the range
-            background[0] = -half_range * rng.uniform(0.9, 0.99)
-
-            row = np.concatenate((cluster, background))
-            rng.shuffle(row)
-            rows[i] = row
-        return rows
+        # background scores: mostly negative, spanning down to -half_range
+        rows = rng.normal(
+            loc=-0.45 * profile.score_range,
+            scale=profile.background_std * profile.score_range,
+            size=(num_rows, length),
+        )
+        # the row maximum sits near +half_range with a little jitter
+        row_max = half_range * rng.uniform(0.88, 0.99, size=num_rows)
+        gaps = rng.uniform(0.6, 1.4, size=(num_rows, cluster_size - 1))
+        gaps *= profile.top_cluster_spacing
+        low = -half_range * rng.uniform(0.9, 1.0, size=num_rows)
+        np.clip(rows, low[:, None], (row_max - 1.0)[:, None], out=rows)
+        # guarantee the row minimum reaches close to the bottom of the range
+        rows[:, cluster_size] = -half_range * rng.uniform(0.9, 0.99, size=num_rows)
+        rows[:, 0] = row_max
+        rows[:, 1:cluster_size] = row_max[:, None] - np.cumsum(gaps, axis=1)
+        return rng.permuted(rows, axis=1, out=rows)
 
     def observed_range(self, num_rows: int = 2048, seq_len: int | None = None) -> float:
         """Empirical 99.9th-percentile row spread, used by the bit-width analysis."""

@@ -25,7 +25,8 @@ def update_goldens(request) -> bool:
 
 from repro.core import RRAMSoftmaxEngine, SoftmaxEngineConfig
 from repro.utils.fixed_point import CNEWS_FORMAT, COLA_FORMAT, MRPC_FORMAT
-from repro.workloads import CNEWS_PROFILE, COLA_PROFILE, MRPC_PROFILE, AttentionScoreGenerator
+from repro.workloads import CNEWS_PROFILE, COLA_PROFILE, MRPC_PROFILE
+from score_law_reference import PerRowScoreGenerator
 
 
 @pytest.fixture
@@ -42,9 +43,13 @@ def cnews_engine() -> RRAMSoftmaxEngine:
 
 @pytest.fixture
 def score_rows(rng) -> np.ndarray:
-    """A small batch of synthetic CNEWS-like attention-score rows."""
-    generator = AttentionScoreGenerator(CNEWS_PROFILE, seed=7)
-    return generator.rows(8, 32)
+    """A small batch of synthetic CNEWS-like attention-score rows.
+
+    Drawn row by row from the generator's law reference, so these are the
+    rows that two tests' 0.05 error bound was set on: the bound holds for
+    this seed's rows, not for every draw of the profile.
+    """
+    return PerRowScoreGenerator(CNEWS_PROFILE, seed=7).rows(8, 32)
 
 
 @pytest.fixture(params=["CNEWS", "MRPC", "CoLA"])

@@ -20,9 +20,19 @@ from hypothesis import strategies as st
 from repro.core.accelerator import ChipResources, PowerState, STARAccelerator
 from repro.core.config import MatMulEngineConfig, PipelineConfig
 from repro.core.matmul_engine import MatMulEngine
+from repro.core.schedule_cache import ScheduleTemplate
 from repro.core.scheduler import AttentionExecutor, PipelineExecutor, StageJitter
 from repro.core.softmax_engine import RRAMSoftmaxEngine
-from repro.serving import PricingCache, StarServiceModel
+from repro.serving import (
+    AdmissionController,
+    DynamicBatcher,
+    ExponentialServiceModel,
+    FixedServiceModel,
+    PricingCache,
+    RetryPolicy,
+    StarServiceModel,
+    TieredServiceModel,
+)
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 NEGATIVE = st.floats(max_value=-1e-300, allow_infinity=False) | st.integers(max_value=-1)
@@ -42,6 +52,17 @@ ENGINE = MatMulEngine()
 POOL = [RRAMSoftmaxEngine()]
 RESOURCES = ChipResources()
 ACCELERATOR = STARAccelerator(resources=RESOURCES)
+FIXED = FixedServiceModel(1e-3)
+
+
+def template(**fields) -> ScheduleTemplate:
+    """A one-layer template of four rows, with ``fields`` overriding its values."""
+    values = dict(
+        batch_size=1, seq_len=64, num_layers=1, num_rows=4,
+        base_latency_s=1e-3, energy_j=0.0, steady_row_s=(1e-6, 2e-6, 1e-6),
+    )
+    return ScheduleTemplate(**{**values, **fields})
+
 
 #: ``(constructor, field, kind, build)``: ``build(value)`` passes the value as that field.
 CASES = [
@@ -70,6 +91,32 @@ CASES = [
     ("StageJitter", "sigma", "time", lambda v: StageJitter(sigma=v)),
     ("StarServiceModel", "seq_len", "count",
      lambda v: StarServiceModel(ACCELERATOR, cache=PricingCache(), seq_len=v)),
+    ("DynamicBatcher", "max_batch_size", "count", lambda v: DynamicBatcher(max_batch_size=v)),
+    ("DynamicBatcher", "max_wait_s", "time", lambda v: DynamicBatcher(max_wait_s=v)),
+    ("AdmissionController", "max_queue_depth", "count",
+     lambda v: AdmissionController(max_queue_depth=v)),
+    ("AdmissionController", "degraded_max_batch", "count",
+     lambda v: AdmissionController(degraded_max_batch=v)),
+    ("RetryPolicy", "max_attempts", "count", lambda v: RetryPolicy(max_attempts=v)),
+    ("FixedServiceModel", "request_latency_s", "time", lambda v: FixedServiceModel(v)),
+    *[
+        ("FixedServiceModel", name, "time", lambda v, name=name: FixedServiceModel(1e-3, **{name: v}))
+        for name in (
+            "request_energy_j", "idle_power_w", "reprogram_latency_s", "sleep_power_w",
+            "sleep_entry_latency_s", "wake_latency_s", "wake_energy_j",
+        )
+    ],
+    ("ExponentialServiceModel", "mean_s", "time", lambda v: ExponentialServiceModel(v)),
+    ("ExponentialServiceModel", "request_energy_j", "time",
+     lambda v: ExponentialServiceModel(1e-3, request_energy_j=v)),
+    ("ExponentialServiceModel", "idle_power_w", "time",
+     lambda v: ExponentialServiceModel(1e-3, idle_power_w=v)),
+    ("TieredServiceModel", "jitter_sigma", "time",
+     lambda v: TieredServiceModel(FIXED, jitter_sigma=v)),
+    ("ScheduleTemplate", "base_latency_s", "time", lambda v: template(base_latency_s=v)),
+    ("ScheduleTemplate", "energy_j", "time", lambda v: template(energy_j=v)),
+    ("ScheduleTemplate.resample", "sigma", "time",
+     lambda v: template().resample(np.random.default_rng(0), sigma=v)),
 ]
 
 
@@ -100,6 +147,12 @@ def test_invalid_value_is_rejected_naming_field_and_value(field, kind, build, da
                      np.int64(2), id="AttentionExecutor.softmax_engines"),
         pytest.param(lambda v: PowerState(exit_latency_s=v, wake_energy_j=v).exit_latency_s,
                      0.0, id="PowerState.exit_latency_s"),
+        pytest.param(lambda v: DynamicBatcher(max_batch_size=v).max_batch_size,
+                     np.int64(4), id="DynamicBatcher.max_batch_size"),
+        pytest.param(lambda v: DynamicBatcher(max_wait_s=v).max_wait_s,
+                     0.0, id="DynamicBatcher.max_wait_s"),
+        pytest.param(lambda v: AdmissionController(max_queue_depth=v).max_queue_depth,
+                     np.int32(1), id="AdmissionController.max_queue_depth"),
     ],
 )
 def test_valid_boundary_values_build(build, value):
@@ -127,6 +180,27 @@ def test_valid_boundary_values_build(build, value):
         # failed later, naming "score service times" instead of sigma
         pytest.param(lambda: StageJitter(sigma=math.inf),
                      "sigma must be finite, got inf", id="sigma"),
+        # dispatched batches of 3 (50 requests at 5,000 rps on two chips)
+        pytest.param(lambda: DynamicBatcher(2.5),
+                     "max_batch_size must be an integer, got 2.5", id="batch-size"),
+        pytest.param(lambda: AdmissionController(max_queue_depth=2.5),
+                     "max_queue_depth must be an integer, got 2.5", id="queue-depth"),
+        # five Poisson requests "completed" with makespan inf and a NaN p50
+        pytest.param(lambda: DynamicBatcher(8, max_wait_s=math.inf),
+                     "max_wait_s must be finite, got inf", id="max-wait"),
+        # these failed only at dispatch, naming neither field
+        pytest.param(lambda: FixedServiceModel(math.inf),
+                     "request_latency_s must be finite, got inf", id="fixed-latency"),
+        pytest.param(lambda: FixedServiceModel(1e-3, request_energy_j=math.inf),
+                     "request_energy_j must be finite, got inf", id="fixed-energy"),
+        pytest.param(lambda: ExponentialServiceModel(math.inf),
+                     "mean_s must be finite, got inf", id="exponential-mean"),
+        pytest.param(lambda: TieredServiceModel(FIXED, jitter_sigma=math.inf),
+                     "jitter_sigma must be finite, got inf", id="jitter-sigma"),
+        pytest.param(lambda: template(base_latency_s=math.inf),
+                     "base_latency_s must be finite, got inf", id="template-latency"),
+        pytest.param(lambda: template().resample(np.random.default_rng(0), sigma=math.inf),
+                     "sigma must be finite and non-negative, got inf", id="resample-sigma"),
     ],
 )
 def test_reported_inputs_fail_at_construction(build, message):

@@ -114,6 +114,26 @@ class TestFaultInjector:
             )
             assert 1.0 - injector.steady_state_availability(4e-3) == pytest.approx(loss)
 
+    @pytest.mark.parametrize("loss", [0.05, 0.10, 0.20])
+    def test_long_run_availability_is_one_minus_loss(self, loss):
+        # renewal-reward: each chip alternates exponential up times (mean
+        # mtbf) with fixed downtimes d, so its long-run down fraction is
+        # d / (mtbf + d) = loss; over n cycles the estimate's standard error
+        # is loss (1 - loss) / sqrt(n) (delta method on the mean up time).
+        # The chips reprogram in zero time, so every failure must last the
+        # detection plus the repair the injector was solved for.
+        faults = FaultInjector.for_capacity_loss(
+            loss, repair_s=25e-3, detection_s=25e-3, seed=3
+        )
+        requests = PoissonArrivals(50.0, seq_len=128, seed=0).generate(20_000)
+        report = ServingSimulator(
+            ChipFleet(FixedServiceModel(1e-3), num_chips=2), DynamicBatcher(), faults=faults
+        ).run(requests)
+        cycles = len(report.failures)
+        standard_error = loss * (1.0 - loss) / np.sqrt(cycles)
+        assert cycles > 500
+        assert abs(report.fleet_availability - (1.0 - loss)) <= 4.0 * standard_error
+
     def test_for_capacity_loss_validation(self):
         with pytest.raises(ValueError):
             FaultInjector.for_capacity_loss(0.0, repair_s=1e-3)

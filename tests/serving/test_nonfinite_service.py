@@ -41,7 +41,8 @@ class LengthPricedModel(ServiceModel):
 
 
 def test_infinite_service_time_names_chip_batch_and_seq_len():
-    fleet = ChipFleet(FixedServiceModel(math.inf), num_chips=2)
+    # FixedServiceModel rejects inf at construction; this model prices it at dispatch
+    fleet = ChipFleet(LengthPricedModel(64, math.inf), num_chips=2)
     requests = PoissonArrivals(100.0, seq_len=64, seed=0).generate(5)
     with pytest.raises(ValueError, match=r"chip 0: a batch of 1 at seq_len 64 .* got inf"):
         ServingSimulator(fleet).run(requests)

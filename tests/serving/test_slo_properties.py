@@ -24,6 +24,7 @@ from repro.serving import (
     FixedServiceModel,
     NO_BATCHING,
     PoissonArrivals,
+    Request,
     ServingSimulator,
     SLOClass,
     SLOPolicy,
@@ -232,3 +233,72 @@ class TestSLOProperties:
         np.testing.assert_allclose(
             fifo_report.requests.completion_s, edf_report.requests.completion_s
         )
+
+
+#: Streams the taggers must handle: empty, arbitrary indices, already tagged.
+request_streams = st.lists(
+    st.builds(
+        Request,
+        index=st.integers(min_value=0, max_value=10**9),
+        arrival_s=st.floats(min_value=0.0, max_value=1e6),
+        seq_len=st.integers(min_value=1, max_value=2048),
+        slo_class=st.integers(min_value=0, max_value=7),
+        deadline_s=st.floats(min_value=1e-6, max_value=1e3) | st.just(float("inf")),
+    ),
+    max_size=40,
+)
+policies = st.lists(
+    st.floats(min_value=1e-4, max_value=10.0) | st.just(float("inf")), min_size=1, max_size=4
+).map(lambda deadlines: SLOPolicy(
+    tuple(SLOClass(f"c{i}", deadline_s=d) for i, d in enumerate(deadlines))
+))
+
+
+class TestTaggersMatchPerRequestTagging:
+    """The array-pass taggers equal tagging each request with ``tag``."""
+
+    @given(
+        requests=request_streams,
+        policy=policies,
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tag_random(self, requests, policy, data, seed):
+        weights = data.draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=1.0),
+                min_size=policy.num_classes,
+                max_size=policy.num_classes,
+            ).filter(lambda w: sum(w) > 0),
+            label="weights",
+        )
+        tagged = policy.tag_random(requests, weights, seed=seed)
+        p = np.asarray(weights) / np.sum(weights)
+        drawn = np.random.default_rng(seed).choice(policy.num_classes, size=len(requests), p=p)
+        assert tagged == [policy.tag(r, int(c)) for r, c in zip(requests, drawn)]
+        assert all(type(r.slo_class) is int for r in tagged)
+
+    @given(requests=request_streams, policy=policies, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tag_by_length(self, requests, policy, data):
+        boundaries = sorted(
+            data.draw(
+                st.lists(
+                    st.integers(min_value=1, max_value=2048),
+                    min_size=policy.num_classes - 1,
+                    max_size=policy.num_classes - 1,
+                ),
+                label="boundaries",
+            )
+        )
+
+        def slo_class(request):
+            for i, bound in enumerate(boundaries):
+                if request.seq_len <= bound:
+                    return i
+            return policy.num_classes - 1
+
+        tagged = policy.tag_by_length(requests, boundaries)
+        assert tagged == [policy.tag(r, slo_class(r)) for r in requests]
+        assert all(type(r.slo_class) is int for r in tagged)
