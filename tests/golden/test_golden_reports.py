@@ -1,13 +1,12 @@
 """Golden regression tests for the experiment-runner reports.
 
-Each deterministic experiment report (E4 bit-widths, E7 pipeline
-ablation, E8 precision sweep, E9 noise corners, E10 serving, E11
-fault-injected serving, E12 SLO control plane, E13 tiered-fidelity
-serving, E14 topology-aware routing) is compared line-for-line against a
-committed golden file.  One more golden pins a composed serving run —
-diurnal traffic with faults, retries, admission control, EDF, the
-autoscaler and a shortest-expected-delay router with stealing — every
-hook of the one serving loop at once.  E10's golden pins the plain global
+Every experiment report (one per id in
+:data:`repro.experiments.EXPERIMENTS`, E1 latency breakdown through E14
+topology-aware routing) is compared line-for-line against a committed
+golden file.  One more golden pins a composed serving run — diurnal
+traffic with faults, retries, admission control, EDF, the autoscaler and
+a shortest-expected-delay router with stealing — every hook of the one
+serving loop at once.  E10's golden pins the plain global
 FIFO queue with no hooks (see also ``test_tier_identity.py`` for the
 explicit ``sample_fraction=0`` guard).  The reports are fully
 deterministic (seeded generators, ideal devices or seeded noise), so any
@@ -28,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import run_experiment
+from repro.experiments import EXPERIMENTS, run_experiment
 from repro.serving import (
     AdmissionController,
     Autoscaler,
@@ -46,7 +45,7 @@ from repro.serving import (
 )
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
-GOLDEN_EXPERIMENTS = ("e4", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14")
+GOLDEN_EXPERIMENTS = tuple(EXPERIMENTS)
 COMPOSED_RUN = "composed_run"
 
 
@@ -121,6 +120,12 @@ def composed_run_report() -> str:
 
 def test_composed_run_matches_golden(update_goldens):
     check_golden("run", COMPOSED_RUN, composed_run_report(), update_goldens)
+
+
+def test_every_experiment_has_a_golden():
+    """A new report cannot land unpinned."""
+    missing = [name for name in GOLDEN_EXPERIMENTS if not golden_path(name).exists()]
+    assert not missing, f"experiments without a committed golden: {missing}"
 
 
 def test_goldens_directory_has_no_strays():
