@@ -65,13 +65,14 @@ class ReTransformerModel:
     """Architectural cost model of the ReTransformer accelerator."""
 
     name = "ReTransformer"
+    config_type = ReTransformerConfig
 
     def __init__(
         self,
         config: ReTransformerConfig | None = None,
         system_overhead: SystemOverheadModel = DEFAULT_SYSTEM_OVERHEAD,
     ) -> None:
-        self.config = config or ReTransformerConfig()
+        self.config = config or self.config_type()
         self.matmul_engine = MatMulEngine(self.config.matmul)
         self.system_overhead = system_overhead
         self.pipeline = AttentionPipeline(PipelineConfig(granularity="operand"))
@@ -91,6 +92,15 @@ class ReTransformerModel:
     # ------------------------------------------------------------------ #
     # latency
     # ------------------------------------------------------------------ #
+    def operand_write_latency_s(self, workload: BertWorkload) -> float:
+        """Per-layer time spent rewriting the dynamic ``K^T`` / ``V`` operands.
+
+        Zero here: matrix decomposition keeps both products off freshly
+        written crossbars.  :class:`~repro.baselines.pipelayer.PipeLayerModel`
+        prices the rewrite.
+        """
+        return 0.0
+
     def _projection_latency_s(self, workload: BertWorkload) -> float:
         cfg = workload.config
         tokens = workload.batch_size * workload.seq_len
@@ -129,7 +139,10 @@ class ReTransformerModel:
         timing = self.attention_stage_timing(workload)
         attention = self.pipeline.latency(timing).total_latency_s
         per_layer = (
-            self._projection_latency_s(workload) + attention + self._ffn_latency_s(workload)
+            self._projection_latency_s(workload)
+            + self.operand_write_latency_s(workload)
+            + attention
+            + self._ffn_latency_s(workload)
         )
         return workload.config.num_layers * per_layer
 
