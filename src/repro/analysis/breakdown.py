@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from repro.baselines.gpu import GPUModel
 from repro.core.accelerator import STARAccelerator
 from repro.nn.bert import BertConfig, BERT_BASE, BertWorkload
-from repro.workloads.sweeps import INTRO_SEQUENCE_SWEEP, SequenceLengthSweep
 
 __all__ = [
     "BreakdownRow",
@@ -31,6 +30,9 @@ __all__ = [
     "StarScheduleRow",
     "StarScheduleAnalyzer",
 ]
+
+#: The sequence lengths of the E1 observation: softmax share vs length.
+INTRO_SEQ_LENS = (64, 128, 256, 384, 512, 768, 1024)
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ class LatencyBreakdownAnalyzer:
         self,
         gpu: GPUModel | None = None,
         bert_config: BertConfig = BERT_BASE,
-        sweep: SequenceLengthSweep = INTRO_SEQUENCE_SWEEP,
+        sweep: tuple[int, ...] = INTRO_SEQ_LENS,
     ) -> None:
         self.gpu = gpu or GPUModel()
         self.bert_config = bert_config
@@ -115,7 +117,7 @@ class StarScheduleAnalyzer:
         self,
         accelerator: STARAccelerator | None = None,
         bert_config: BertConfig = BERT_BASE,
-        sweep: SequenceLengthSweep | tuple[int, ...] = (128, 256, 512),
+        sweep: tuple[int, ...] = (128, 256, 512),
         batch_size: int = 1,
     ) -> None:
         self.accelerator = accelerator or STARAccelerator()

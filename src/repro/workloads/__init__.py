@@ -1,4 +1,4 @@
-"""Synthetic workloads: attention-score distributions, classification task, sweeps."""
+"""Synthetic workloads: attention-score distributions and a classification task."""
 
 from repro.workloads.classification import ClassificationResult, ClassificationTask
 from repro.workloads.scores import (
@@ -8,12 +8,6 @@ from repro.workloads.scores import (
     MRPC_PROFILE,
     AttentionScoreGenerator,
     ScoreProfile,
-)
-from repro.workloads.sweeps import (
-    INTRO_SEQUENCE_SWEEP,
-    PRECISION_SWEEP,
-    BitwidthSweep,
-    SequenceLengthSweep,
 )
 
 __all__ = [
@@ -25,8 +19,4 @@ __all__ = [
     "DATASET_PROFILES",
     "ClassificationTask",
     "ClassificationResult",
-    "SequenceLengthSweep",
-    "BitwidthSweep",
-    "INTRO_SEQUENCE_SWEEP",
-    "PRECISION_SWEEP",
 ]

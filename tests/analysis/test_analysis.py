@@ -13,7 +13,6 @@ from repro.analysis.efficiency import EfficiencyComparison
 from repro.nn.softmax_models import FixedPointSoftmax, ReferenceSoftmax
 from repro.utils.fixed_point import CNEWS_FORMAT, FixedPointFormat
 from repro.workloads import CNEWS_PROFILE, COLA_PROFILE, DATASET_PROFILES, MRPC_PROFILE
-from repro.workloads.sweeps import SequenceLengthSweep
 
 
 class TestBitwidthAnalysis:
@@ -85,12 +84,17 @@ class TestLatencyBreakdown:
         assert row.softmax_share > 0.5
         assert row.softmax_s > row.matmul_s
 
+    def test_default_sweep_includes_paper_lengths(self):
+        lengths = LatencyBreakdownAnalyzer().sweep
+        assert 128 in lengths and 512 in lengths
+        assert list(lengths) == sorted(lengths)
+
     def test_custom_sweep(self):
-        analyzer = LatencyBreakdownAnalyzer(sweep=SequenceLengthSweep(lengths=(64, 128)))
+        analyzer = LatencyBreakdownAnalyzer(sweep=(64, 128))
         assert len(analyzer.sweep_rows()) == 2
 
     def test_format_table(self):
-        text = LatencyBreakdownAnalyzer(sweep=SequenceLengthSweep(lengths=(128,))).format_table()
+        text = LatencyBreakdownAnalyzer(sweep=(128,)).format_table()
         assert "128" in text and "%" in text
 
 

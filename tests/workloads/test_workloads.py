@@ -1,4 +1,4 @@
-"""Tests for repro.workloads: score profiles, classification task, sweeps."""
+"""Tests for repro.workloads: score profiles and the classification task."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from repro.workloads.scores import (
     AttentionScoreGenerator,
     ScoreProfile,
 )
-from repro.workloads.sweeps import BitwidthSweep, INTRO_SEQUENCE_SWEEP, PRECISION_SWEEP, SequenceLengthSweep
 
 
 class TestScoreProfiles:
@@ -102,28 +101,3 @@ class TestClassificationTask:
             ClassificationTask(CNEWS_PROFILE, num_examples=0)
         with pytest.raises(ValueError):
             ClassificationTask(CNEWS_PROFILE, num_classes=1)
-
-
-class TestSweeps:
-    def test_intro_sweep_includes_paper_lengths(self):
-        lengths = list(INTRO_SEQUENCE_SWEEP)
-        assert 128 in lengths and 512 in lengths
-        assert lengths == sorted(lengths)
-
-    def test_precision_sweep_contains_paper_formats(self):
-        formats = list(PRECISION_SWEEP)
-        assert (6, 2) in formats  # CNEWS
-        assert (6, 3) in formats  # MRPC
-        assert (5, 2) in formats  # CoLA
-        assert PRECISION_SWEEP.total_bits() == tuple(i + f for i, f in formats)
-
-    def test_invalid_sweeps(self):
-        with pytest.raises(ValueError):
-            SequenceLengthSweep(lengths=())
-        with pytest.raises(ValueError):
-            SequenceLengthSweep(lengths=(0,))
-        with pytest.raises(ValueError):
-            BitwidthSweep(formats=((0, 1),))
-
-    def test_len(self):
-        assert len(SequenceLengthSweep(lengths=(64, 128))) == 2
