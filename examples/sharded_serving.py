@@ -72,7 +72,7 @@ def main() -> None:
 
     # 4. the scaling table (wall-clock, so machine-dependent)
     print("scaling sweep (per-shard work held constant):")
-    print(ShardedScalingAnalyzer(num_requests=100_000).format_table((1, 2, 4, 8)))
+    print(ShardedScalingAnalyzer().format_table())
 
 
 if __name__ == "__main__":

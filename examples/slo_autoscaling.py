@@ -39,7 +39,7 @@ from repro.serving import (
 
 
 def main() -> None:
-    star = sleep_capable_star_model(seq_len=128)
+    star = sleep_capable_star_model()
 
     # 1. two SLO classes on one bursty stream, FIFO vs EDF
     print("--- EDF vs FIFO on bursty two-class traffic (2 chips) ---")

@@ -1,5 +1,10 @@
 """Serving-level analysis: load sweeps, fault injection and queueing theory.
 
+Each analyzer states one experiment: its fleet, traffic and sweep points
+are constants of the experiment, so the constructors take no arguments.
+Every serving experiment (E10–E14) dispatches through the same batch-8,
+2 ms :data:`BATCHER`.
+
 :class:`ServingAnalyzer` drives the request-level simulator
 (:mod:`repro.serving`) over a sweep of offered loads on a STAR chip fleet
 and tabulates what a capacity planner needs — sustained throughput, tail
@@ -54,7 +59,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.serving.arrivals import (
     ClosedLoopClients,
@@ -81,9 +86,9 @@ from repro.serving.simulator import ServingSimulator
 from repro.serving.slo import SLOClass, SLOPolicy
 from repro.serving.theory import MachineRepairQueue, MD1Queue
 from repro.utils.stats import relative_error
-from repro.utils.validation import require_positive
 
 __all__ = [
+    "BATCHER",
     "ServingSweepRow",
     "BatchAmortisationRow",
     "BatchCapRow",
@@ -103,6 +108,10 @@ __all__ = [
     "RoutingServingAnalyzer",
     "sleep_capable_star_model",
 ]
+
+#: The dispatch policy of every serving experiment: batches of up to 8,
+#: released once the oldest request has waited 2 ms.
+BATCHER = DynamicBatcher(max_batch_size=8, max_wait_s=2e-3)
 
 
 @dataclass(frozen=True)
@@ -164,76 +173,51 @@ class MD1ValidationRow:
 
 
 class ServingAnalyzer:
-    """Load sweep + M/D/1 validation of a STAR serving fleet.
+    """Load sweep + M/D/1 validation of a STAR serving fleet (E10).
 
-    Parameters
-    ----------
-    service_model:
-        Batch pricing; defaults to the analytical-schedule STAR accelerator
-        serving BERT-base.
-    num_chips:
-        Fleet size for the load sweep.
-    batcher:
-        Dispatch policy for the load sweep (the M/D/1 validation always
-        runs single-chip, no-batching).
-    seq_len:
-        Served sequence length.
-    num_requests:
-        Requests per simulated load point.
-    seed:
-        Seed of the Poisson arrival streams.
+    BERT-base at L=128 on a 4-chip fleet behind :data:`BATCHER`; every
+    point serves the same seeded Poisson process (2,000 requests, seed 0).
+    The M/D/1 validation always runs single-chip, no-batching.
     """
 
-    def __init__(
-        self,
-        service_model: ServiceModel | None = None,
-        num_chips: int = 4,
-        batcher: DynamicBatcher = NO_BATCHING,
-        seq_len: int = 128,
-        num_requests: int = 2000,
-        seed: int = 0,
-    ) -> None:
-        require_positive(num_chips, "num_chips")
-        require_positive(num_requests, "num_requests")
-        self.service_model = service_model or StarServiceModel(seq_len=seq_len)
-        self.num_chips = num_chips
-        self.batcher = batcher
-        self.seq_len = seq_len
-        self.num_requests = num_requests
-        self.seed = seed
+    NUM_CHIPS = 4
+    SEQ_LEN = 128
+
+    def __init__(self) -> None:
+        self.service_model = StarServiceModel(seq_len=self.SEQ_LEN)
 
     # ------------------------------------------------------------------ #
     # capacity and sweeps
     # ------------------------------------------------------------------ #
     def request_service_s(self) -> float:
         """Single-request service time of one chip at the analyzer's length."""
-        return self.service_model.batch_latency_s(1, self.seq_len)
+        return self.service_model.batch_latency_s(1, self.SEQ_LEN)
 
     def fleet_capacity_rps(self) -> float:
         """Upper-bound completion rate of the fleet at batch size 1."""
-        return self.num_chips / self.request_service_s()
+        return self.NUM_CHIPS / self.request_service_s()
 
-    def row_for(self, load_factor: float) -> ServingSweepRow:
-        """Simulate one offered load, expressed as a fraction of capacity."""
-        require_positive(load_factor, "load_factor")
-        rate = load_factor * self.fleet_capacity_rps()
-        arrivals = PoissonArrivals(rate, seq_len=self.seq_len, seed=self.seed)
-        fleet = ChipFleet(self.service_model, num_chips=self.num_chips)
-        report = ServingSimulator(fleet, self.batcher).run(
-            arrivals.generate(self.num_requests)
+    def _requests(self, rate_rps: float, num_requests: int):
+        return PoissonArrivals(rate_rps, seq_len=self.SEQ_LEN, seed=0).generate(
+            num_requests
         )
-        return ServingSweepRow(offered_rate_rps=rate, load_factor=load_factor, report=report)
 
-    def sweep_rows(self, load_factors: tuple[float, ...] = (0.3, 0.6, 0.9)) -> list[ServingSweepRow]:
-        """The load sweep at several fractions of fleet capacity."""
-        return [self.row_for(factor) for factor in load_factors]
+    def sweep_rows(self) -> list[ServingSweepRow]:
+        """The load sweep at 30%, 60% and 90% of batch-1 fleet capacity."""
+        rows = []
+        for load_factor in (0.3, 0.6, 0.9):
+            rate = load_factor * self.fleet_capacity_rps()
+            fleet = ChipFleet(self.service_model, num_chips=self.NUM_CHIPS)
+            report = ServingSimulator(fleet, BATCHER).run(self._requests(rate, 2000))
+            rows.append(
+                ServingSweepRow(offered_rate_rps=rate, load_factor=load_factor, report=report)
+            )
+        return rows
 
     # ------------------------------------------------------------------ #
     # batch amortisation
     # ------------------------------------------------------------------ #
-    def amortisation_rows(
-        self, batch_sizes: tuple[int, ...] = (1, 4, 16, 32)
-    ) -> list[BatchAmortisationRow]:
+    def amortisation_rows(self) -> list[BatchAmortisationRow]:
         """Batch service times against the linear ``batch x single`` price.
 
         Under batch-aware pricing a dispatched batch programs each
@@ -241,11 +225,10 @@ class ServingAnalyzer:
         request, so the ratio falls below 1 as the batch grows; the legacy
         linear model would sit at exactly 1.0 everywhere.
         """
-        single = self.service_model.batch_latency_s(1, self.seq_len)
+        single = self.service_model.batch_latency_s(1, self.SEQ_LEN)
         rows = []
-        for batch in batch_sizes:
-            require_positive(batch, "batch size")
-            service = self.service_model.batch_latency_s(batch, self.seq_len)
+        for batch in (1, 4, 16, 32):
+            service = self.service_model.batch_latency_s(batch, self.SEQ_LEN)
             rows.append(
                 BatchAmortisationRow(
                     batch_size=batch,
@@ -256,36 +239,28 @@ class ServingAnalyzer:
             )
         return rows
 
-    def batch_cap_rows(
-        self,
-        caps: tuple[int, ...] = (1, 8, 32),
-        load_factor: float = 0.8,
-    ) -> list[BatchCapRow]:
-        """Raise the ``DynamicBatcher`` cap at one fixed offered load.
+    def batch_cap_rows(self) -> list[BatchCapRow]:
+        """Raise the ``DynamicBatcher`` cap (1, 8, 32) at one offered load.
 
-        The offered rate is ``load_factor`` of the *batch-32 amortised*
-        fleet capacity — a load the unbatched fleet cannot sustain — and
-        every cap is simulated twice: once on the batch-aware service
-        model and once on its :class:`~repro.serving.fleet.LinearServiceModel`
-        wrapper, so the table shows what amortised pricing buys at equal
-        hardware and equal traffic.
+        The offered rate is 80% of the *batch-32 amortised* fleet capacity
+        — a load the unbatched fleet cannot sustain — and every cap is
+        simulated twice: once on the batch-aware service model and once on
+        its :class:`~repro.serving.fleet.LinearServiceModel` wrapper, so
+        the table shows what amortised pricing buys at equal hardware and
+        equal traffic.
         """
-        require_positive(load_factor, "load_factor")
-        amortised_capacity = self.num_chips * 32 / self.service_model.batch_latency_s(
-            32, self.seq_len
+        amortised_capacity = self.NUM_CHIPS * 32 / self.service_model.batch_latency_s(
+            32, self.SEQ_LEN
         )
-        rate = load_factor * amortised_capacity
-        arrivals = PoissonArrivals(rate, seq_len=self.seq_len, seed=self.seed)
-        requests = arrivals.generate(self.num_requests)
+        requests = self._requests(0.8 * amortised_capacity, 2000)
         rows = []
-        for cap in caps:
-            require_positive(cap, "batcher cap")
-            batcher = DynamicBatcher(max_batch_size=cap, max_wait_s=self.batcher.max_wait_s)
+        for cap in (1, 8, 32):
+            batcher = replace(BATCHER, max_batch_size=cap)
             report = ServingSimulator(
-                ChipFleet(self.service_model, num_chips=self.num_chips), batcher
+                ChipFleet(self.service_model, num_chips=self.NUM_CHIPS), batcher
             ).run(requests)
             linear_report = ServingSimulator(
-                ChipFleet(LinearServiceModel(self.service_model), num_chips=self.num_chips),
+                ChipFleet(LinearServiceModel(self.service_model), num_chips=self.NUM_CHIPS),
                 batcher,
             ).run(requests)
             rows.append(
@@ -296,15 +271,13 @@ class ServingAnalyzer:
     # ------------------------------------------------------------------ #
     # M/D/1 cross-validation
     # ------------------------------------------------------------------ #
-    def md1_validation(
-        self, utilization: float = 0.7, num_requests: int = 30000
-    ) -> MD1ValidationRow:
-        """Single-chip no-batching run vs the Pollaczek–Khinchine formula."""
+    def md1_validation(self) -> MD1ValidationRow:
+        """Single-chip no-batching run at rho=0.7 vs the Pollaczek–Khinchine formula."""
+        utilization = 0.7
         service = self.request_service_s()
         rate = utilization / service
-        arrivals = PoissonArrivals(rate, seq_len=self.seq_len, seed=self.seed)
         fleet = ChipFleet(self.service_model, num_chips=1)
-        report = ServingSimulator(fleet, NO_BATCHING).run(arrivals.generate(num_requests))
+        report = ServingSimulator(fleet, NO_BATCHING).run(self._requests(rate, 30000))
         theory = MD1Queue(arrival_rate_rps=rate, service_s=service)
         return MD1ValidationRow(
             arrival_rate_rps=rate,
@@ -316,15 +289,13 @@ class ServingAnalyzer:
     # ------------------------------------------------------------------ #
     # presentation
     # ------------------------------------------------------------------ #
-    def format_amortisation_table(
-        self, batch_sizes: tuple[int, ...] = (1, 4, 16, 32)
-    ) -> str:
+    def format_amortisation_table(self) -> str:
         """Printable batch-amortisation table."""
         lines = [
             f"{'batch':>6} {'service (ms)':>13} {'per-req (ms)':>13} "
             f"{'linear (ms)':>12} {'x linear':>9}"
         ]
-        for row in self.amortisation_rows(batch_sizes):
+        for row in self.amortisation_rows():
             lines.append(
                 f"{row.batch_size:>6d} {row.service_s * 1e3:>13.3f} "
                 f"{row.per_request_s * 1e3:>13.3f} {row.linear_s * 1e3:>12.3f} "
@@ -332,15 +303,13 @@ class ServingAnalyzer:
             )
         return "\n".join(lines)
 
-    def format_cap_table(
-        self, caps: tuple[int, ...] = (1, 8, 32), load_factor: float = 0.8
-    ) -> str:
+    def format_cap_table(self) -> str:
         """Printable batcher-cap sweep: batch-aware vs linear pricing."""
         lines = [
             f"{'cap':>5} {'served (r/s)':>13} {'p99 (ms)':>9} {'batch':>6} "
             f"{'util':>6} {'mJ/query':>9} | {'linear r/s':>11} {'linear p99':>11}"
         ]
-        for row in self.batch_cap_rows(caps, load_factor):
+        for row in self.batch_cap_rows():
             report, linear = row.report, row.linear_report
             lines.append(
                 f"{row.max_batch_size:>5d} {report.throughput_rps:>13.1f} "
@@ -351,13 +320,13 @@ class ServingAnalyzer:
             )
         return "\n".join(lines)
 
-    def format_table(self, load_factors: tuple[float, ...] = (0.3, 0.6, 0.9)) -> str:
+    def format_table(self) -> str:
         """Printable sweep table plus the M/D/1 validation line."""
         lines = [
             f"{'load':>6} {'rate (r/s)':>11} {'served':>8} {'p50 (ms)':>9} "
             f"{'p95 (ms)':>9} {'p99 (ms)':>9} {'batch':>6} {'util':>6} {'mJ/query':>9}"
         ]
-        for row in self.sweep_rows(load_factors):
+        for row in self.sweep_rows():
             report = row.report
             lines.append(
                 f"{row.load_factor:>6.2f} {row.offered_rate_rps:>11.1f} "
@@ -395,58 +364,39 @@ class FaultSweepRow:
 class FaultServingAnalyzer:
     """Graceful-degradation sweep of a fault-injected STAR fleet (E11).
 
-    The offered load is held at ``load_factor`` of the fleet's amortised
-    capacity at the batcher's cap; the sweep raises the steady-state
-    capacity loss of a per-chip MTBF/MTTR fault process whose repair cost
-    is the chip's full-model operand reprogramming time plus a fixed
-    detection/drain overhead.  Each point is simulated twice on identical
+    E10's fleet (4 chips, BERT-base at L=128, :data:`BATCHER`) takes 3,000
+    Poisson requests (seed 0) at 95% of its amortised capacity at the
+    batcher's cap; the sweep raises the steady-state capacity loss
+    (5%, 10%, 20%) of a per-chip MTBF/MTTR fault process whose repair
+    cost is the chip's full-model operand reprogramming time plus 50 ms
+    of detection/drain.  Each point is simulated twice on identical
     traffic and failure seeds:
 
-    * *shed* — :class:`~repro.serving.faults.RetryPolicy` with a
-      per-request deadline, deadline-based queue shedding, a bounded queue
-      sized to the deadline (requests deeper than ``deadline x rate``
-      cannot make it anyway) and a degraded-mode batch cap;
+    * *shed* — :class:`~repro.serving.faults.RetryPolicy` with a 250 ms
+      per-request deadline, deadline-based queue shedding, a bounded
+      queue sized to the deadline (requests deeper than
+      ``deadline x rate`` cannot make it anyway) and a degraded-mode
+      batch cap;
     * *queue* — retries without deadlines on an unbounded queue: the
       policy-free baseline whose backlog and tail latency blow up once the
       surviving capacity drops below the offered load.
-
-    Parameters mirror :class:`ServingAnalyzer`; ``detection_s`` is the
-    non-reprogramming share of each repair and ``deadline_s`` the
-    per-request completion SLO of the shedding arm.
     """
 
-    def __init__(
-        self,
-        service_model: ServiceModel | None = None,
-        num_chips: int = 4,
-        batcher: DynamicBatcher | None = None,
-        seq_len: int = 128,
-        num_requests: int = 3000,
-        seed: int = 0,
-        load_factor: float = 0.95,
-        detection_s: float = 0.05,
-        deadline_s: float = 0.25,
-    ) -> None:
-        require_positive(num_chips, "num_chips")
-        require_positive(num_requests, "num_requests")
-        require_positive(load_factor, "load_factor")
-        require_positive(deadline_s, "deadline_s")
-        self.service_model = service_model or StarServiceModel(seq_len=seq_len)
-        self.num_chips = num_chips
-        self.batcher = batcher or DynamicBatcher(max_batch_size=8, max_wait_s=2e-3)
-        self.seq_len = seq_len
-        self.num_requests = num_requests
-        self.seed = seed
-        self.load_factor = load_factor
-        self.detection_s = detection_s
-        self.deadline_s = deadline_s
+    NUM_CHIPS = 4
+    SEQ_LEN = 128
+    LOAD_FACTOR = 0.95
+    DETECTION_S = 0.05
+    DEADLINE_S = 0.25
+
+    def __init__(self) -> None:
+        self.service_model = StarServiceModel(seq_len=self.SEQ_LEN)
 
     # ------------------------------------------------------------------ #
     # derived quantities
     # ------------------------------------------------------------------ #
     def fleet(self) -> ChipFleet:
         """The simulated fleet (fresh per run; pricing is cached anyway)."""
-        return ChipFleet(self.service_model, num_chips=self.num_chips)
+        return ChipFleet(self.service_model, num_chips=self.NUM_CHIPS)
 
     def repair_s(self) -> float:
         """Per-failure tile-bank reprogramming time of one chip."""
@@ -454,80 +404,68 @@ class FaultServingAnalyzer:
 
     def downtime_s(self) -> float:
         """Total downtime of one failure: detection/drain plus reprogram."""
-        return self.detection_s + self.repair_s()
+        return self.DETECTION_S + self.repair_s()
 
     def amortised_capacity_rps(self) -> float:
         """Fleet completion-rate bound at the batcher's full batch size."""
-        cap = self.batcher.max_batch_size
-        return self.num_chips * cap / self.service_model.batch_latency_s(
-            cap, self.seq_len
+        cap = BATCHER.max_batch_size
+        return self.NUM_CHIPS * cap / self.service_model.batch_latency_s(
+            cap, self.SEQ_LEN
         )
 
     def offered_rate_rps(self) -> float:
         """The sweep's fixed offered load."""
-        return self.load_factor * self.amortised_capacity_rps()
+        return self.LOAD_FACTOR * self.amortised_capacity_rps()
 
     def _requests(self):
         return PoissonArrivals(
-            self.offered_rate_rps(), seq_len=self.seq_len, seed=self.seed
-        ).generate(self.num_requests)
-
-    def _shed_policies(self) -> tuple[RetryPolicy, AdmissionController]:
-        retry = RetryPolicy(
-            max_attempts=3,
-            backoff_base_s=2e-3,
-            backoff_multiplier=2.0,
-            jitter=0.25,
-            deadline_s=self.deadline_s,
-        )
-        admission = AdmissionController(
-            max_queue_depth=max(1, math.ceil(self.deadline_s * self.offered_rate_rps())),
-            shed_expired=True,
-            degraded_max_batch=max(1, self.batcher.max_batch_size // 2),
-        )
-        return retry, admission
-
-    def _queue_policies(self) -> tuple[RetryPolicy, None]:
-        retry = RetryPolicy(
-            max_attempts=6,
-            backoff_base_s=2e-3,
-            backoff_multiplier=2.0,
-            jitter=0.25,
-            deadline_s=None,
-        )
-        return retry, None
+            self.offered_rate_rps(), seq_len=self.SEQ_LEN, seed=0
+        ).generate(3000)
 
     # ------------------------------------------------------------------ #
     # runs
     # ------------------------------------------------------------------ #
     def baseline(self) -> ServingReport:
         """The fault-free run every degradation curve is measured against."""
-        return ServingSimulator(self.fleet(), self.batcher).run(self._requests())
+        return ServingSimulator(self.fleet(), BATCHER).run(self._requests())
 
     def row_for(self, capacity_loss: float) -> FaultSweepRow:
         """Both policy arms at one steady-state capacity-loss level."""
         injector = FaultInjector.for_capacity_loss(
             capacity_loss,
             repair_s=self.repair_s(),
-            detection_s=self.detection_s,
-            seed=self.seed + 1,
+            detection_s=self.DETECTION_S,
+            seed=1,
         )
         requests = self._requests()
-        shed_retry, shed_admission = self._shed_policies()
         shed_report = ServingSimulator(
             self.fleet(),
-            self.batcher,
+            BATCHER,
             faults=injector,
-            retry=shed_retry,
-            admission=shed_admission,
+            retry=RetryPolicy(
+                max_attempts=3,
+                backoff_base_s=2e-3,
+                backoff_multiplier=2.0,
+                jitter=0.25,
+                deadline_s=self.DEADLINE_S,
+            ),
+            admission=AdmissionController(
+                max_queue_depth=math.ceil(self.DEADLINE_S * self.offered_rate_rps()),
+                shed_expired=True,
+                degraded_max_batch=BATCHER.max_batch_size // 2,
+            ),
         ).run(requests)
-        queue_retry, queue_admission = self._queue_policies()
         queue_report = ServingSimulator(
             self.fleet(),
-            self.batcher,
+            BATCHER,
             faults=injector,
-            retry=queue_retry,
-            admission=queue_admission,
+            retry=RetryPolicy(
+                max_attempts=6,
+                backoff_base_s=2e-3,
+                backoff_multiplier=2.0,
+                jitter=0.25,
+                deadline_s=None,
+            ),
         ).run(requests)
         return FaultSweepRow(
             capacity_loss=capacity_loss,
@@ -536,25 +474,23 @@ class FaultServingAnalyzer:
             queue_report=queue_report,
         )
 
-    def sweep_rows(
-        self, losses: tuple[float, ...] = (0.05, 0.10, 0.20)
-    ) -> list[FaultSweepRow]:
+    def sweep_rows(self) -> list[FaultSweepRow]:
         """The graceful-degradation curve over rising capacity loss."""
-        return [self.row_for(loss) for loss in losses]
+        return [self.row_for(loss) for loss in (0.05, 0.10, 0.20)]
 
     # ------------------------------------------------------------------ #
     # presentation
     # ------------------------------------------------------------------ #
-    def format_table(self, losses: tuple[float, ...] = (0.05, 0.10, 0.20)) -> str:
+    def format_table(self) -> str:
         """Printable degradation curve: shed vs unprotected queue."""
         baseline = self.baseline()
         lines = [
             f"offered load            : {self.offered_rate_rps():.0f} req/s "
-            f"({self.load_factor:.2f} of amortised batch-"
-            f"{self.batcher.max_batch_size} capacity "
+            f"({self.LOAD_FACTOR:.2f} of amortised batch-"
+            f"{BATCHER.max_batch_size} capacity "
             f"{self.amortised_capacity_rps():.0f} req/s)",
             f"repair cost per failure : {self.repair_s() * 1e3:.3f} ms tile-bank "
-            f"reprogram + {self.detection_s * 1e3:.0f} ms detection/drain = "
+            f"reprogram + {self.DETECTION_S * 1e3:.0f} ms detection/drain = "
             f"{self.downtime_s() * 1e3:.1f} ms",
             f"baseline (no faults)    : goodput {baseline.goodput_rps:.1f} req/s, "
             f"p99 {baseline.p99_latency_s * 1e3:.2f} ms, "
@@ -564,7 +500,7 @@ class FaultServingAnalyzer:
             f"{'p99(ms)':>8} {'shed':>5} {'aband':>6} {'avail':>6} | "
             f"{'queue goodput':>13} {'p99(ms)':>8} {'qpeak':>6}",
         ]
-        for row in self.sweep_rows(losses):
+        for row in self.sweep_rows():
             shed, queue = row.shed_report, row.queue_report
             lines.append(
                 f"{row.capacity_loss:>5.2f} {row.mtbf_s:>8.3f} | "
@@ -605,79 +541,55 @@ class ShardScalingRow:
 
 
 class ShardedScalingAnalyzer:
-    """Wall-clock scaling of the sharded simulator over shard counts.
+    """Wall-clock scaling of the sharded simulator over 1, 2, 4 and 8 shards.
 
     Holds the *per-chip* load fixed while growing the fleet with the shard
-    count (``chips_per_shard`` chips and ``rate_per_chip`` offered load
-    per shard), so every shard simulates the same amount of work and the
+    count (one 1 ms chip per shard at 70% load, 100,000 requests per
+    point), so every shard simulates the same amount of work and the
     measurement isolates parallel overhead.  Results are wall-clock and
     machine-dependent — this analyzer backs the README scaling table and
     the demo, not a golden report.
     """
 
-    def __init__(
-        self,
-        service_model: ServiceModel | None = None,
-        chips_per_shard: int = 1,
-        load_factor: float = 0.7,
-        num_requests: int = 100_000,
-        seq_len: int = 128,
-        seed: int = 0,
-    ) -> None:
-        require_positive(chips_per_shard, "chips_per_shard")
-        require_positive(load_factor, "load_factor")
-        require_positive(num_requests, "num_requests")
-        self.service_model = service_model or FixedServiceModel(1e-3, request_energy_j=1e-4)
-        self.chips_per_shard = chips_per_shard
-        self.load_factor = load_factor
-        self.num_requests = num_requests
-        self.seq_len = seq_len
-        self.seed = seed
+    LOAD_FACTOR = 0.7
+    NUM_REQUESTS = 100_000
 
-    def _arrivals(self, num_shards: int) -> PoissonArrivals:
-        per_chip = self.load_factor / self.service_model.batch_latency_s(1, self.seq_len)
-        rate = per_chip * self.chips_per_shard * num_shards
-        return PoissonArrivals(rate, seq_len=self.seq_len, seed=self.seed)
+    def __init__(self) -> None:
+        self.service_model = FixedServiceModel(1e-3, request_energy_j=1e-4)
 
-    def row_for(
-        self, num_shards: int, baseline_wall_s: float | None = None
-    ) -> ShardScalingRow:
-        """Measure one shard count (``baseline_wall_s`` from the 1-shard row)."""
-        require_positive(num_shards, "num_shards")
-        fleet = ChipFleet(self.service_model, num_chips=num_shards * self.chips_per_shard)
+    def _timed_run(self, num_shards: int) -> tuple[float, ServingReport]:
+        """Wall time and merged report of one shard count."""
+        rate = self.LOAD_FACTOR / self.service_model.batch_latency_s(1, 128) * num_shards
         simulator = ShardedServingSimulator(
-            fleet, num_shards=num_shards, parallel=num_shards > 1
+            ChipFleet(self.service_model, num_chips=num_shards),
+            num_shards=num_shards,
+            parallel=num_shards > 1,
         )
         start = time.perf_counter()
-        report = simulator.run_poisson(self._arrivals(num_shards), self.num_requests)
-        wall = time.perf_counter() - start
-        return ShardScalingRow(
-            num_shards=num_shards,
-            wall_s=wall,
-            baseline_wall_s=wall if baseline_wall_s is None else baseline_wall_s,
-            report=report,
+        report = simulator.run_poisson(
+            PoissonArrivals(rate, seq_len=128, seed=0), self.NUM_REQUESTS
         )
+        return time.perf_counter() - start, report
 
-    def sweep_rows(
-        self, shard_counts: tuple[int, ...] = (1, 2, 4, 8)
-    ) -> list[ShardScalingRow]:
-        """The scaling curve, anchored at the first (baseline) count."""
+    def sweep_rows(self) -> list[ShardScalingRow]:
+        """The scaling curve, anchored at the one-shard run."""
         rows: list[ShardScalingRow] = []
-        for count in shard_counts:
-            baseline = rows[0].wall_s if rows else None
-            rows.append(self.row_for(count, baseline_wall_s=baseline))
+        for count in (1, 2, 4, 8):
+            wall, report = self._timed_run(count)
+            baseline = rows[0].wall_s if rows else wall
+            rows.append(ShardScalingRow(count, wall, baseline, report))
         return rows
 
-    def format_table(self, shard_counts: tuple[int, ...] = (1, 2, 4, 8)) -> str:
+    def format_table(self) -> str:
         """Printable scaling table (wall-clock; machine-dependent)."""
         lines = [
             f"machine: {os.cpu_count()} CPU(s); "
-            f"{self.num_requests} requests per point, "
-            f"{self.chips_per_shard} chip(s)/shard at load {self.load_factor:.2f}",
+            f"{self.NUM_REQUESTS} requests per point, "
+            f"1 chip(s)/shard at load {self.LOAD_FACTOR:.2f}",
             f"{'shards':>7} {'wall (s)':>9} {'sim req/s':>10} {'speedup':>8} "
             f"{'efficiency':>11} {'p50 (ms)':>9} {'p99 (ms)':>9}",
         ]
-        for row in self.sweep_rows(shard_counts):
+        for row in self.sweep_rows():
             lines.append(
                 f"{row.num_shards:>7d} {row.wall_s:>9.2f} {row.simulated_rps:>10.0f} "
                 f"{row.speedup:>8.2f} {row.efficiency:>11.2f} "
@@ -687,8 +599,8 @@ class ShardedScalingAnalyzer:
         return "\n".join(lines)
 
 
-def sleep_capable_star_model(seq_len: int = 128) -> StarServiceModel:
-    """A stock STAR service model whose chip has a deep-sleep power state.
+def sleep_capable_star_model() -> StarServiceModel:
+    """A stock L=128 STAR service model whose chip has a deep-sleep power state.
 
     The default :class:`~repro.core.accelerator.ChipResources` carries no
     :class:`~repro.core.accelerator.PowerState`, so parking a chip saves
@@ -704,7 +616,7 @@ def sleep_capable_star_model(seq_len: int = 128) -> StarServiceModel:
     accelerator = STARAccelerator(
         resources=resources, batch_cost=BatchCostModel.streamed()
     )
-    return StarServiceModel(accelerator=accelerator, seq_len=seq_len)
+    return StarServiceModel(accelerator=accelerator)
 
 
 @dataclass(frozen=True)
@@ -789,129 +701,69 @@ class AutoscaleComparisonRow:
 class SLOServingAnalyzer:
     """The serving control plane end to end (E12).
 
-    Three sections, all on the same sleep-capable STAR fleet:
+    Three sections, all on :func:`sleep_capable_star_model` chips serving
+    BERT-base at L=128:
 
     * **EDF vs FIFO under bursty skewed traffic** — two SLO classes
-      (interactive with a tight deadline, batch with a loose one) tagged
-      i.i.d. onto one on/off-MMPP stream, served twice per load point
-      with only the batcher's drain order changed.  Bursts pile up a
-      backlog; FIFO makes interactive requests queue through it while
-      EDF lifts them past the batch class, so attainment separates as
-      load grows.
-    * **Closed-loop cross-validation** — ``num_clients`` think-time
-      clients on one chip with exponential service is exactly the
-      machine-repair M/M/1//N queue; the simulated throughput and
-      response time answer to the closed form.
-    * **Diurnal autoscaling** — a stylized day curve over a fleet sized
-      for peak, served with and without the hysteresis autoscaler.  The
-      energy ledger splits what parking into non-volatile deep sleep
+      (interactive with a 60 ms deadline, batch with 1 s) tagged
+      i.i.d. half and half onto one on/off-MMPP stream of 3,000 requests
+      (bursts at 1.6x the mean rate lasting ~200 ms, quiet periods at
+      0.2x, duty cycle solved so the long-run mean is exact), served on
+      2 chips twice per load point with only the batcher's drain order
+      changed.  Bursts pile up a backlog; FIFO makes interactive requests
+      queue through it while EDF lifts them past the batch class, so
+      attainment separates as load grows.  The interactive deadline
+      clears the full-batch service time — non-preemptive batch-EDF
+      cannot save a request whose own batch already overruns it.
+    * **Closed-loop cross-validation** — 8 think-time clients on one chip
+      with exponential service is exactly the machine-repair M/M/1//N
+      queue; the simulated throughput and response time answer to the
+      closed form.
+    * **Diurnal autoscaling** — a stylized day curve over a 4-chip fleet
+      sized for peak, served with and without the hysteresis autoscaler.
+      The energy ledger splits what parking into non-volatile deep sleep
       saves (idle leakage becomes retention power) from what traffic
       pins (active compute).
-
-    Parameters
-    ----------
-    service_model:
-        Batch pricing; defaults to :func:`sleep_capable_star_model`.
-    num_chips:
-        Fleet size of the skew sweep (the closed-loop check is always
-        single-chip; the autoscale section uses ``autoscale_chips``).
-    interactive_deadline_s / batch_deadline_s:
-        Relative completion deadlines of the two SLO classes.  The
-        interactive deadline must clear the full-batch service time —
-        non-preemptive batch-EDF cannot save a request whose own batch
-        already overruns it.
-    interactive_share:
-        Fraction of traffic tagged interactive.
-    burst_ratio / base_ratio / burst_s:
-        The on/off MMPP: bursts at ``burst_ratio`` times the mean rate
-        lasting ``burst_s`` on average, quiet periods at ``base_ratio``
-        times the mean, duty cycle solved so the long-run mean is exact.
     """
 
-    def __init__(
-        self,
-        service_model: ServiceModel | None = None,
-        num_chips: int = 2,
-        seq_len: int = 128,
-        num_requests: int = 3000,
-        seed: int = 0,
-        max_batch_size: int = 8,
-        max_wait_s: float = 2e-3,
-        interactive_deadline_s: float = 0.06,
-        batch_deadline_s: float = 1.0,
-        interactive_share: float = 0.5,
-        burst_ratio: float = 1.6,
-        base_ratio: float = 0.2,
-        burst_s: float = 0.2,
-    ) -> None:
-        require_positive(num_chips, "num_chips")
-        require_positive(num_requests, "num_requests")
-        require_positive(interactive_deadline_s, "interactive_deadline_s")
-        require_positive(batch_deadline_s, "batch_deadline_s")
-        if not 0.0 < interactive_share < 1.0:
-            raise ValueError(
-                f"interactive_share must lie strictly in (0, 1), got "
-                f"{interactive_share}"
-            )
-        if not base_ratio < 1.0 < burst_ratio:
-            raise ValueError(
-                f"need base_ratio < 1 < burst_ratio for an on/off burst "
-                f"process, got ({base_ratio}, {burst_ratio})"
-            )
-        require_positive(burst_s, "burst_s")
-        self.service_model = service_model or sleep_capable_star_model(seq_len)
-        self.num_chips = num_chips
-        self.seq_len = seq_len
-        self.num_requests = num_requests
-        self.seed = seed
-        self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_s
-        self.interactive_deadline_s = interactive_deadline_s
-        self.batch_deadline_s = batch_deadline_s
-        self.interactive_share = interactive_share
-        self.burst_ratio = burst_ratio
-        self.base_ratio = base_ratio
-        self.burst_s = burst_s
+    NUM_CHIPS = 2
+    SEQ_LEN = 128
+    INTERACTIVE_SHARE = 0.5
+    BURST_RATIO = 1.6
+    BURST_S = 0.2
+    POLICY = SLOPolicy(
+        (SLOClass("interactive", deadline_s=0.06), SLOClass("batch", deadline_s=1.0))
+    )
+
+    def __init__(self) -> None:
+        self.service_model = sleep_capable_star_model()
 
     # ------------------------------------------------------------------ #
     # derived quantities
     # ------------------------------------------------------------------ #
-    def policy(self) -> SLOPolicy:
-        """The two-class SLO policy: interactive (tight), batch (loose)."""
-        return SLOPolicy(
-            (
-                SLOClass("interactive", deadline_s=self.interactive_deadline_s),
-                SLOClass("batch", deadline_s=self.batch_deadline_s),
-            )
-        )
-
     def amortised_capacity_rps(self) -> float:
         """Fleet completion-rate bound at the batcher's full batch size."""
-        cap = self.max_batch_size
-        return self.num_chips * cap / self.service_model.batch_latency_s(
-            cap, self.seq_len
-        )
-
-    def _arrivals(self, mean_rate_rps: float) -> MMPPArrivals:
-        """The on/off burst process with an exact long-run mean rate."""
-        burst = self.burst_ratio * mean_rate_rps
-        base = self.base_ratio * mean_rate_rps
-        duty = (mean_rate_rps - base) / (burst - base)
-        return MMPPArrivals.on_off(
-            burst_rate_rps=burst,
-            base_rate_rps=base,
-            burst_s=self.burst_s,
-            duty=duty,
-            seq_len=self.seq_len,
-            seed=self.seed,
+        cap = BATCHER.max_batch_size
+        return self.NUM_CHIPS * cap / self.service_model.batch_latency_s(
+            cap, self.SEQ_LEN
         )
 
     def _tagged_requests(self, mean_rate_rps: float):
-        requests = self._arrivals(mean_rate_rps).generate(self.num_requests)
-        return self.policy().tag_random(
-            requests,
-            weights=(self.interactive_share, 1.0 - self.interactive_share),
-            seed=self.seed + 1,
+        """The on/off burst process with an exact long-run mean rate, tagged."""
+        burst = self.BURST_RATIO * mean_rate_rps
+        base = 0.2 * mean_rate_rps
+        arrivals = MMPPArrivals.on_off(
+            burst_rate_rps=burst,
+            base_rate_rps=base,
+            burst_s=self.BURST_S,
+            duty=(mean_rate_rps - base) / (burst - base),
+            seq_len=self.SEQ_LEN,
+            seed=0,
+        )
+        return self.POLICY.tag_random(
+            arrivals.generate(3000),
+            weights=(self.INTERACTIVE_SHARE, 1.0 - self.INTERACTIVE_SHARE),
+            seed=1,
         )
 
     # ------------------------------------------------------------------ #
@@ -919,57 +771,37 @@ class SLOServingAnalyzer:
     # ------------------------------------------------------------------ #
     def row_for(self, load_factor: float) -> SLOSweepRow:
         """Both drain orders at one offered load on identical traffic."""
-        require_positive(load_factor, "load_factor")
         rate = load_factor * self.amortised_capacity_rps()
         requests = self._tagged_requests(rate)
-        fifo = DynamicBatcher(
-            max_batch_size=self.max_batch_size, max_wait_s=self.max_wait_s
-        )
-        edf = DynamicBatcher.edf(
-            max_batch_size=self.max_batch_size, max_wait_s=self.max_wait_s
-        )
-        fifo_report = ServingSimulator(
-            ChipFleet(self.service_model, num_chips=self.num_chips), fifo
-        ).run(requests)
-        edf_report = ServingSimulator(
-            ChipFleet(self.service_model, num_chips=self.num_chips), edf
-        ).run(requests)
+
+        def serve(batcher: DynamicBatcher) -> ServingReport:
+            fleet = ChipFleet(self.service_model, num_chips=self.NUM_CHIPS)
+            return ServingSimulator(fleet, batcher).run(requests)
+
         return SLOSweepRow(
             load_factor=load_factor,
             offered_rate_rps=rate,
-            fifo_report=fifo_report,
-            edf_report=edf_report,
+            fifo_report=serve(BATCHER),
+            edf_report=serve(replace(BATCHER, order="edf")),
         )
 
-    def sweep_rows(
-        self, load_factors: tuple[float, ...] = (0.6, 0.8, 0.9)
-    ) -> list[SLOSweepRow]:
+    def sweep_rows(self) -> list[SLOSweepRow]:
         """The skew sweep over rising offered load."""
-        return [self.row_for(factor) for factor in load_factors]
+        return [self.row_for(factor) for factor in (0.6, 0.8, 0.9)]
 
     # ------------------------------------------------------------------ #
     # closed-loop cross-validation
     # ------------------------------------------------------------------ #
-    def closed_loop_validation(
-        self,
-        num_clients: int = 8,
-        think_s: float = 0.010,
-        service_s: float = 0.001,
-        num_requests: int = 15000,
-    ) -> ClosedLoopValidationRow:
-        """Single-chip closed loop vs the machine-repair M/M/1//N form."""
+    def closed_loop_validation(self) -> ClosedLoopValidationRow:
+        """8 clients (Z=10 ms) on one 1 ms chip vs the machine-repair M/M/1//N form."""
+        num_clients, think_s, service_s = 8, 0.010, 0.001
         clients = ClosedLoopClients(
-            num_clients=num_clients,
-            think_s=think_s,
-            seq_len=self.seq_len,
-            seed=self.seed + 2,
+            num_clients=num_clients, think_s=think_s, seq_len=self.SEQ_LEN, seed=2
         )
-        model = ExponentialServiceModel(
-            mean_s=service_s, request_energy_j=1e-4, seed=self.seed + 3
-        )
+        model = ExponentialServiceModel(mean_s=service_s, request_energy_j=1e-4, seed=3)
         report = ServingSimulator(
             ChipFleet(model, num_chips=1), NO_BATCHING
-        ).run_closed_loop(clients, num_requests)
+        ).run_closed_loop(clients, 15000)
         theory = MachineRepairQueue(
             num_clients=num_clients, think_s=think_s, service_s=service_s
         )
@@ -986,47 +818,30 @@ class SLOServingAnalyzer:
     # ------------------------------------------------------------------ #
     # diurnal autoscaling
     # ------------------------------------------------------------------ #
-    def autoscaler(self) -> Autoscaler:
-        """The hysteresis controller of the diurnal comparison."""
-        return Autoscaler(
+    def autoscale_comparison(self) -> AutoscaleComparisonRow:
+        """One compressed day on 4 chips with and without the autoscaler.
+
+        A 12 s period compresses the 24-hour curve so 6,000 requests at a
+        500 req/s mean span whole day-night swings; the fleet is sized for
+        the peak, so the trough leaves most of it idle — the autoscaler's
+        whole opportunity.
+        """
+        arrivals = DayCurveArrivals(
+            mean_rate_rps=500.0, period_s=12.0, seq_len=self.SEQ_LEN, seed=4
+        )
+        requests = arrivals.generate(6000)
+        autoscaler = Autoscaler(
             interval_s=0.05,
             scale_up_above=0.85,
             scale_down_below=0.55,
             scale_up_queue_depth=64,
             min_chips=1,
         )
-
-    def autoscale_comparison(
-        self,
-        mean_rate_rps: float = 500.0,
-        period_s: float = 12.0,
-        num_chips: int = 4,
-        num_requests: int = 6000,
-    ) -> AutoscaleComparisonRow:
-        """One compressed day with and without the autoscaler.
-
-        ``period_s`` compresses the 24-hour curve so a few thousand
-        requests span whole day-night swings; the fleet is sized for the
-        peak, so the trough leaves most of it idle — the autoscaler's
-        whole opportunity.
-        """
-        arrivals = DayCurveArrivals(
-            mean_rate_rps=mean_rate_rps,
-            period_s=period_s,
-            seq_len=self.seq_len,
-            seed=self.seed + 4,
-        )
-        requests = arrivals.generate(num_requests)
-        batcher = DynamicBatcher(
-            max_batch_size=self.max_batch_size, max_wait_s=self.max_wait_s
-        )
         autoscaled = ServingSimulator(
-            ChipFleet(self.service_model, num_chips=num_chips),
-            batcher,
-            autoscaler=self.autoscaler(),
+            ChipFleet(self.service_model, num_chips=4), BATCHER, autoscaler=autoscaler
         ).run(requests)
         always_on = ServingSimulator(
-            ChipFleet(self.service_model, num_chips=num_chips), batcher
+            ChipFleet(self.service_model, num_chips=4), BATCHER
         ).run(requests)
         return AutoscaleComparisonRow(
             autoscaled_report=autoscaled, always_on_report=always_on
@@ -1035,16 +850,14 @@ class SLOServingAnalyzer:
     # ------------------------------------------------------------------ #
     # presentation
     # ------------------------------------------------------------------ #
-    def format_table(
-        self, load_factors: tuple[float, ...] = (0.6, 0.8, 0.9)
-    ) -> str:
+    def format_table(self) -> str:
         """Printable control-plane report: sweep, crossval, autoscale."""
-        policy = self.policy()
+        policy = self.POLICY
         lines = [
-            f"traffic : on/off MMPP bursts at {self.burst_ratio:.1f}x mean "
-            f"(~{self.burst_s * 1e3:.0f} ms), "
-            f"{self.interactive_share * 100:.0f}% interactive, "
-            f"{self.num_chips} chip(s), batch cap {self.max_batch_size}",
+            f"traffic : on/off MMPP bursts at {self.BURST_RATIO:.1f}x mean "
+            f"(~{self.BURST_S * 1e3:.0f} ms), "
+            f"{self.INTERACTIVE_SHARE * 100:.0f}% interactive, "
+            f"{self.NUM_CHIPS} chip(s), batch cap {BATCHER.max_batch_size}",
             f"classes : interactive {policy.deadline_of(0) * 1e3:.0f} ms, "
             f"batch {policy.deadline_of(1) * 1e3:.0f} ms "
             f"(amortised capacity {self.amortised_capacity_rps():.0f} req/s)",
@@ -1053,7 +866,7 @@ class SLOServingAnalyzer:
             f"{'batch':>6} {'p99(ms)':>8} | {'edf att':>8} {'inter':>6} "
             f"{'batch':>6} {'p99(ms)':>8}",
         ]
-        for row in self.sweep_rows(load_factors):
+        for row in self.sweep_rows():
             fifo, edf = row.fifo_report, row.edf_report
             lines.append(
                 f"{row.load_factor:>5.2f} {row.offered_rate_rps:>11.1f} | "
@@ -1106,60 +919,37 @@ class TieredFidelityRow:
 class TieredServingAnalyzer:
     """Fidelity tiering on one fleet and one request stream (E13).
 
-    Serves the *same* Poisson stream once per sampling fraction: the
-    analytic-only baseline (``sample_fraction = 0``, bit-identical to a
-    plain :class:`~repro.serving.fleet.StarServiceModel` fleet), then
-    growing Bernoulli fractions of dispatches priced on cached
-    executed-schedule templates (:mod:`repro.core.schedule_cache`) with
-    per-layer lognormal jitter.  Because the executed tier's draws are
-    bounded below by the jitter-free critical path while the analytic tier
-    never moves, the sampled runs' p50/p99 rise with the fraction — the
-    pipeline-level tail variation the analytic model cannot see
-    propagating into request-level percentiles.
+    Serves the *same* Poisson stream (2,000 BERT-base requests at L=256,
+    seed 0, at half the amortised capacity of 2 chips behind
+    :data:`BATCHER`) once per sampling fraction: the analytic-only
+    baseline (``sample_fraction = 0``, bit-identical to a plain
+    :class:`~repro.serving.fleet.StarServiceModel` fleet), then 5%, 25%
+    and 100% of dispatches priced on cached executed-schedule templates
+    (:mod:`repro.core.schedule_cache`) with per-layer lognormal jitter of
+    sigma 0.3.  Because the executed tier's draws are bounded below by
+    the jitter-free critical path while the analytic tier never moves,
+    the sampled runs' p50/p99 rise with the fraction — the pipeline-level
+    tail variation the analytic model cannot see propagating into
+    request-level percentiles.
 
     Deterministic by construction (seeded arrivals, seeded sampling
     streams, no wall-clock content), so its table is golden-pinned as e13.
     """
 
-    def __init__(
-        self,
-        service_model: ServiceModel | None = None,
-        num_chips: int = 2,
-        seq_len: int = 256,
-        num_requests: int = 2000,
-        seed: int = 0,
-        load_factor: float = 0.5,
-        max_batch_size: int = 8,
-        max_wait_s: float = 2e-3,
-        jitter_sigma: float = 0.3,
-    ) -> None:
-        require_positive(num_chips, "num_chips")
-        require_positive(num_requests, "num_requests")
-        require_positive(load_factor, "load_factor")
-        require_positive(jitter_sigma, "jitter_sigma")
-        self.service_model = service_model or StarServiceModel(seq_len=seq_len)
-        self.num_chips = num_chips
-        self.seq_len = seq_len
-        self.num_requests = num_requests
-        self.seed = seed
-        self.load_factor = load_factor
-        self.batcher = DynamicBatcher(
-            max_batch_size=max_batch_size, max_wait_s=max_wait_s
-        )
-        self.jitter_sigma = jitter_sigma
+    NUM_CHIPS = 2
+    SEQ_LEN = 256
+
+    def __init__(self) -> None:
+        self.service_model = StarServiceModel(seq_len=self.SEQ_LEN)
 
     def _requests(self):
         capacity = (
-            self.num_chips
-            * self.batcher.max_batch_size
-            / self.service_model.batch_latency_s(
-                self.batcher.max_batch_size, self.seq_len
-            )
+            self.NUM_CHIPS
+            * BATCHER.max_batch_size
+            / self.service_model.batch_latency_s(BATCHER.max_batch_size, self.SEQ_LEN)
         )
-        arrivals = PoissonArrivals(
-            self.load_factor * capacity, seq_len=self.seq_len, seed=self.seed
-        )
-        return arrivals.generate(self.num_requests)
+        arrivals = PoissonArrivals(0.5 * capacity, seq_len=self.SEQ_LEN, seed=0)
+        return arrivals.generate(2000)
 
     def row_for(self, sample_fraction: float) -> TieredFidelityRow:
         """Serve the stream with ``sample_fraction`` of dispatches executed."""
@@ -1169,26 +959,22 @@ class TieredServingAnalyzer:
             model: ServiceModel = TieredServiceModel(
                 self.service_model,
                 sample_fraction=sample_fraction,
-                jitter_sigma=self.jitter_sigma,
-                seed=self.seed,
+                jitter_sigma=0.3,
+                seed=0,
             )
         else:
             # the analytic-only arm is the *unwrapped* base model — the
             # wrapped fraction-0 form is pinned bit-identical elsewhere
             model = self.service_model
-        fleet = ChipFleet(model, num_chips=self.num_chips)
-        report = ServingSimulator(fleet, self.batcher).run(self._requests())
+        fleet = ChipFleet(model, num_chips=self.NUM_CHIPS)
+        report = ServingSimulator(fleet, BATCHER).run(self._requests())
         return TieredFidelityRow(sample_fraction=sample_fraction, report=report)
 
-    def sweep_rows(
-        self, fractions: tuple[float, ...] = (0.0, 0.05, 0.25, 1.0)
-    ) -> list[TieredFidelityRow]:
+    def sweep_rows(self) -> list[TieredFidelityRow]:
         """The fidelity sweep over growing sampled fractions."""
-        return [self.row_for(fraction) for fraction in fractions]
+        return [self.row_for(fraction) for fraction in (0.0, 0.05, 0.25, 1.0)]
 
-    def format_table(
-        self, fractions: tuple[float, ...] = (0.0, 0.05, 0.25, 1.0)
-    ) -> str:
+    def format_table(self) -> str:
         """Printable fidelity sweep: tail metrics per sampled fraction.
 
         ``x base`` is each run's p99 over the first (analytic-only) row's
@@ -1196,7 +982,7 @@ class TieredServingAnalyzer:
         the executed-tier requests alone (small-sample noisy at low
         fractions; ``-`` when the tier is empty).
         """
-        rows = self.sweep_rows(fractions)
+        rows = self.sweep_rows()
         baseline_p99 = rows[0].report.p99_latency_s
         lines = [
             f"{'sampled':>8} {'executed':>9} {'p50 (ms)':>9} {'p95 (ms)':>9} "
@@ -1235,17 +1021,19 @@ class RoutingPolicyRow:
 class RoutingServingAnalyzer:
     """Topology-aware routing on a mixed-tile fleet (E14).
 
-    The fleet is one big-tile chip plus several small-tile chips serving a
-    skewed trace — mostly short interactive sequences with a heavy
-    minority of long ones, tagged with a tight/loose SLO split by length.
-    Each arm serves the *same* tagged Poisson stream:
+    The fleet is one 96-tile chip plus three 16-tile chips, each serving a
+    2-layer BERT.  The trace is 4,000 Poisson requests at 1,000 req/s
+    (seed 11), 17 in 20 of them short (L=64, interactive, 20 ms deadline)
+    and 3 in 20 long (L=512, batch, 200 ms).  Each arm serves the *same*
+    tagged stream behind :data:`BATCHER`:
 
     * ``global fifo`` — the fleet-wide queue (the pre-routing simulator):
       any idle chip takes the head batch, so long sequences routinely land
       on small-tile chips and mixed batches pad to 512;
     * per-chip queues under ``round_robin`` / ``join_shortest_queue`` /
       ``shortest_expected_delay`` routing, the latter with and without
-      work stealing, all behind the same front-end→chip network stage.
+      work stealing, all behind the same front-end→chip network stage
+      (20 µs links, 10 µs steals).
 
     The offered load is chosen beyond the length-blind policies' capacity
     but within the cost-oracle router's: SED keeps long sequences on the
@@ -1257,49 +1045,12 @@ class RoutingServingAnalyzer:
     wall-clock content), so its table is golden-pinned as e14.
     """
 
-    def __init__(
-        self,
-        num_small_chips: int = 3,
-        big_tiles: int = 96,
-        small_tiles: int = 16,
-        short_len: int = 64,
-        long_len: int = 512,
-        long_weight: int = 3,
-        short_weight: int = 17,
-        rate_rps: float = 1000.0,
-        num_requests: int = 4000,
-        seed: int = 11,
-        max_batch_size: int = 8,
-        max_wait_s: float = 2e-3,
-        short_deadline_s: float = 20e-3,
-        long_deadline_s: float = 200e-3,
-        link_latency_s: float = 20e-6,
-        steal_latency_s: float = 10e-6,
-    ) -> None:
-        require_positive(num_small_chips, "num_small_chips")
-        require_positive(rate_rps, "rate_rps")
-        require_positive(num_requests, "num_requests")
-        self.num_small_chips = num_small_chips
-        self.big_tiles = big_tiles
-        self.small_tiles = small_tiles
-        self.short_len = short_len
-        self.long_len = long_len
-        self.seq_lens = (short_len,) * short_weight + (long_len,) * long_weight
-        self.rate_rps = rate_rps
-        self.num_requests = num_requests
-        self.seed = seed
-        self.batcher = DynamicBatcher(
-            max_batch_size=max_batch_size, max_wait_s=max_wait_s
-        )
-        self.slo = SLOPolicy(
-            (
-                SLOClass("interactive", short_deadline_s),
-                SLOClass("batch", long_deadline_s),
-            )
-        )
-        self.network = NetworkModel(
-            link_latency_s=link_latency_s, steal_latency_s=steal_latency_s
-        )
+    SHORT_LEN = 64
+    SEQ_LENS = (SHORT_LEN,) * 17 + (512,) * 3
+    SLO = SLOPolicy((SLOClass("interactive", 20e-3), SLOClass("batch", 200e-3)))
+    NETWORK = NetworkModel(link_latency_s=20e-6, steal_latency_s=10e-6)
+
+    def __init__(self) -> None:
         # one cache for every arm: each (tiles, batch, seq_len) shape is
         # priced exactly once across the whole experiment
         self._cache = PricingCache()
@@ -1322,53 +1073,41 @@ class RoutingServingAnalyzer:
 
     def _fleet(self) -> ChipFleet:
         """A fresh mixed fleet: chip 0 big-tile, the rest small-tile."""
-        models = [self._star_model(self.big_tiles)]
-        models.extend(
-            self._star_model(self.small_tiles) for _ in range(self.num_small_chips)
-        )
+        models = [self._star_model(96)]
+        models.extend(self._star_model(16) for _ in range(3))
         return ChipFleet(service_models=models)
 
     def _requests(self):
-        arrivals = PoissonArrivals(
-            self.rate_rps, seq_len=self.seq_lens, seed=self.seed
-        )
-        return self.slo.tag_by_length(
-            arrivals.generate(self.num_requests),
-            boundaries=(self.short_len,),
+        arrivals = PoissonArrivals(1000.0, seq_len=self.SEQ_LENS, seed=11)
+        return self.SLO.tag_by_length(
+            arrivals.generate(4000), boundaries=(self.SHORT_LEN,)
         )
 
     def arms(self) -> tuple[tuple[str, Router | None], ...]:
         """The compared (label, router) arms, baseline first."""
+        sed = "shortest_expected_delay"
         return (
             ("global fifo", None),
-            ("round robin", Router(policy="round_robin", network=self.network)),
+            ("round robin", Router(policy="round_robin", network=self.NETWORK)),
             (
                 "join shortest queue",
-                Router(policy="join_shortest_queue", network=self.network),
+                Router(policy="join_shortest_queue", network=self.NETWORK),
             ),
-            (
-                "sed, no stealing",
-                Router(
-                    policy="shortest_expected_delay",
-                    network=self.network,
-                    stealing=False,
-                ),
-            ),
-            (
-                "sed + stealing",
-                Router(policy="shortest_expected_delay", network=self.network),
-            ),
+            ("sed, no stealing", Router(policy=sed, network=self.NETWORK, stealing=False)),
+            ("sed + stealing", Router(policy=sed, network=self.NETWORK)),
         )
 
-    def row_for(self, label: str, router: Router | None) -> RoutingPolicyRow:
-        """Serve the trace through one routing arm on a fresh fleet."""
-        requests = self._requests()
-        simulator = ServingSimulator(self._fleet(), self.batcher, router=router)
-        return RoutingPolicyRow(label=label, report=simulator.run(requests))
-
     def sweep_rows(self) -> list[RoutingPolicyRow]:
-        """All arms over the identical tagged trace."""
-        return [self.row_for(label, router) for label, router in self.arms()]
+        """All arms over the identical tagged trace, each on a fresh fleet."""
+        return [
+            RoutingPolicyRow(
+                label=label,
+                report=ServingSimulator(self._fleet(), BATCHER, router=router).run(
+                    self._requests()
+                ),
+            )
+            for label, router in self.arms()
+        ]
 
     def format_table(self) -> str:
         """Printable arm comparison: goodput/tails per routing policy.

@@ -210,11 +210,8 @@ def report_e10_serving() -> str:
     no-batching limit against the M/D/1 Pollaczek–Khinchine mean wait.
     """
     from repro.analysis.serving import ServingAnalyzer
-    from repro.serving import DynamicBatcher
 
-    analyzer = ServingAnalyzer(
-        num_chips=4, batcher=DynamicBatcher(max_batch_size=8, max_wait_s=2e-3)
-    )
+    analyzer = ServingAnalyzer()
     lines = [_header("E10  Request-level serving (BERT-base, L=128, 4-chip STAR fleet)")]
     lines.append(
         f"chip service time       : {analyzer.request_service_s() * 1e3:.3f} ms/request, "
@@ -223,11 +220,11 @@ def report_e10_serving() -> str:
     lines.append("")
     lines.append("batch amortisation (streamed weights: programming once per batch,")
     lines.append("double-buffered streaming beyond the first request):")
-    lines.append(analyzer.format_amortisation_table((1, 4, 16, 32)))
+    lines.append(analyzer.format_amortisation_table())
     lines.append("")
     lines.append("batcher-cap sweep at 80% of amortised batch-32 capacity,")
     lines.append("batch-aware pricing vs the linear batch x single baseline:")
-    lines.append(analyzer.format_cap_table((1, 8, 32)))
+    lines.append(analyzer.format_cap_table())
     lines.append("")
     lines.append(analyzer.format_table())
     lines.append(
