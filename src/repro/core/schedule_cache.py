@@ -73,7 +73,12 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.utils.validation import require_finite, require_non_negative, require_positive
+from repro.utils.validation import (
+    require_finite,
+    require_non_negative,
+    require_positive,
+    require_positive_int,
+)
 
 __all__ = [
     "NUM_STAGES",
@@ -121,10 +126,10 @@ class ScheduleTemplate:
         energy_j: float,
         steady_row_s: tuple[float, float, float],
     ) -> None:
-        require_positive(batch_size, "batch_size")
-        require_positive(seq_len, "seq_len")
-        require_positive(num_layers, "num_layers")
-        require_positive(num_rows, "num_rows")
+        require_positive_int(batch_size, "batch_size")
+        require_positive_int(seq_len, "seq_len")
+        require_positive_int(num_layers, "num_layers")
+        require_positive_int(num_rows, "num_rows")
         require_finite(require_positive(base_latency_s, "base_latency_s"), "base_latency_s")
         require_finite(require_non_negative(energy_j, "energy_j"), "energy_j")
         if len(steady_row_s) != NUM_STAGES:
@@ -132,6 +137,9 @@ class ScheduleTemplate:
                 f"steady_row_s needs one interval per stage "
                 f"({NUM_STAGES}), got {len(steady_row_s)}"
             )
+        for stage, interval in enumerate(steady_row_s):
+            name = f"steady_row_s[{stage}]"
+            require_finite(require_non_negative(interval, name), name)
         self.batch_size = int(batch_size)
         self.seq_len = int(seq_len)
         self.num_layers = int(num_layers)

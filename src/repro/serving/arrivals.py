@@ -37,8 +37,11 @@ from repro.utils.stats import spawn_seeds
 from repro.utils.validation import (
     require_finite,
     require_finite_array,
+    require_int_array,
     require_non_negative,
+    require_non_negative_int,
     require_positive,
+    require_positive_int,
 )
 
 __all__ = [
@@ -72,11 +75,11 @@ class Request:
     deadline_s: float = math.inf
 
     def __post_init__(self) -> None:
+        require_non_negative_int(self.index, "index")
         require_finite(self.arrival_s, "arrival_s")
         require_non_negative(self.arrival_s, "arrival_s")
-        require_finite(self.seq_len, "seq_len")
-        require_positive(self.seq_len, "seq_len")
-        require_non_negative(self.slo_class, "slo_class")
+        require_positive_int(self.seq_len, "seq_len")
+        require_non_negative_int(self.slo_class, "slo_class")
         require_positive(self.deadline_s, "deadline_s")  # inf allowed
 
     @property
@@ -117,10 +120,10 @@ def requests_from_arrays(
     """Build a request list from timestamp/length arrays, validated once.
 
     The arrays are validated in one vectorized pass (finite, non-negative
-    times; positive lengths) and the :class:`Request` objects are then
-    assembled without the per-instance validation the array pass already
-    performed.  Output is bit-identical to calling
-    ``Request(i, float(times[i]), int(lens[i]))`` in a loop.
+    times; positive integer lengths; non-negative integer classes) and the
+    :class:`Request` objects are then assembled without the per-instance
+    validation the array pass already performed.  Output is bit-identical
+    to calling ``Request(i, float(times[i]), int(lens[i]))`` in a loop.
 
     ``indices`` overrides the default ``0 .. n-1`` request indices, which
     shard splitters use to preserve the original stream's identities.
@@ -135,11 +138,7 @@ def requests_from_arrays(
             f"arrival timestamps must be non-negative, got {times[index]} "
             f"at index {index}"
         )
-    if lens.size and lens.min() < 1:
-        index = int(np.argmin(lens >= 1))
-        raise ValueError(
-            f"sequence lengths must be positive, got {lens[index]} at index {index}"
-        )
+    lens = require_int_array(lens, "lens", 1)
     if lens.shape != times.shape:
         raise ValueError(f"got {lens.size} sequence lengths for {times.size} arrivals")
     if slo_classes is not None:
@@ -147,8 +146,7 @@ def requests_from_arrays(
             raise ValueError(
                 f"got {slo_classes.size} SLO classes for {times.size} arrivals"
             )
-        if slo_classes.size and slo_classes.min() < 0:
-            raise ValueError("SLO classes must be non-negative")
+        slo_classes = require_int_array(slo_classes, "slo_classes", 0)
     if deadlines is not None:
         if deadlines.shape != times.shape:
             raise ValueError(
@@ -171,19 +169,26 @@ def requests_from_arrays(
     ]
 
 
+def _require_seq_len(seq_len: int | Sequence[int]) -> None:
+    """One positive integer length, or a non-empty sequence of them."""
+    if np.ndim(seq_len) == 0:
+        require_positive_int(seq_len, "seq_len")
+        return
+    choices = require_int_array(list(seq_len), "seq_len", 1)
+    if choices.size == 0:
+        raise ValueError("seq_len choices must not be empty")
+
+
 def _draw_seq_lens(
     seq_len: int | Sequence[int], count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Fixed length, or a uniform draw over the given choices, per request."""
+    """Fixed length, or a uniform draw over the given choices, per request.
+
+    ``seq_len`` was checked by :func:`_require_seq_len` at construction.
+    """
     if isinstance(seq_len, (int, np.integer)):
-        require_positive(int(seq_len), "seq_len")
         return np.full(count, int(seq_len), dtype=np.int64)
-    choices = np.asarray(list(seq_len), dtype=np.int64)
-    if choices.size == 0:
-        raise ValueError("seq_len choices must not be empty")
-    if choices.min() < 1:
-        raise ValueError(f"sequence lengths must be positive, got {choices.min()}")
-    return rng.choice(choices, size=count)
+    return rng.choice(np.asarray(list(seq_len), dtype=np.int64), size=count)
 
 
 class PoissonArrivals:
@@ -205,6 +210,7 @@ class PoissonArrivals:
     ) -> None:
         require_finite(rate_rps, "rate_rps")
         require_positive(rate_rps, "rate_rps")
+        _require_seq_len(seq_len)
         self.rate_rps = float(rate_rps)
         self.seq_len = seq_len
         self.seed = seed
@@ -216,8 +222,8 @@ class PoissonArrivals:
         n - 1``) without touching any draw — the sharded simulator uses it
         to keep indices globally unique across per-shard streams.
         """
-        require_positive(num_requests, "num_requests")
-        require_non_negative(index_offset, "index_offset")
+        require_positive_int(num_requests, "num_requests")
+        require_non_negative_int(index_offset, "index_offset")
         rng = np.random.default_rng(self.seed)
         gaps = rng.exponential(1.0 / self.rate_rps, size=num_requests)
         times = np.cumsum(gaps)
@@ -237,7 +243,7 @@ class PoissonArrivals:
         stream's seed, so results are reproducible for any shard count and
         shards never share draws.
         """
-        require_positive(num_shards, "num_shards")
+        require_positive_int(num_shards, "num_shards")
         return [
             PoissonArrivals(self.rate_rps / num_shards, seq_len=self.seq_len, seed=child)
             for child in spawn_seeds(self.seed, num_shards)
@@ -276,31 +282,27 @@ class TraceArrivals:
                 f"arrival timestamps must be non-decreasing, got {times[index]} "
                 f"after {times[index - 1]} at index {index}"
             )
-        if per_request_lens is not None:
+        if per_request_lens is None:
+            _require_seq_len(seq_len)
+        else:
             if len(per_request_lens) != times.size:
                 raise ValueError(
                     f"per_request_lens has {len(per_request_lens)} entries for "
                     f"{times.size} arrivals"
                 )
-            lens = np.asarray(list(per_request_lens), dtype=np.float64)
+            lens = np.asarray(list(per_request_lens))
             require_finite_array(lens, "per_request_lens")
-            if lens.min() < 1:
-                index = int(np.argmin(lens >= 1))
-                raise ValueError(
-                    f"per_request_lens must be positive, got {lens[index]} "
-                    f"at index {index}"
-                )
+            per_request_lens = require_int_array(lens, "per_request_lens", 1)
         self.times_s = times
         self.seq_len = seq_len
         self.seed = seed
-        self.per_request_lens = (
-            None if per_request_lens is None else np.asarray(per_request_lens, dtype=np.int64)
-        )
+        self.per_request_lens = per_request_lens
 
     def generate(self, num_requests: int | None = None) -> list[Request]:
         """The trace's requests (optionally truncated to ``num_requests``)."""
-        count = self.times_s.size if num_requests is None else min(num_requests, self.times_s.size)
-        require_positive(count, "num_requests")
+        count = self.times_s.size
+        if num_requests is not None:
+            count = min(require_positive_int(num_requests, "num_requests"), count)
         if self.per_request_lens is not None:
             lens = self.per_request_lens[:count]
         else:
@@ -394,7 +396,9 @@ class MMPPArrivals:
                 "every state needs a positive exit rate (strictly negative "
                 "diagonal); an absorbing state has no stationary statistics"
             )
-        if not 0 <= initial_state < rates.size:
+        _require_seq_len(seq_len)
+        require_non_negative_int(initial_state, "initial_state")
+        if not initial_state < rates.size:
             raise ValueError(
                 f"initial_state must name one of {rates.size} states, "
                 f"got {initial_state}"
@@ -457,8 +461,8 @@ class MMPPArrivals:
 
     def generate(self, num_requests: int, index_offset: int = 0) -> list[Request]:
         """The first ``num_requests`` arrivals of the modulated stream."""
-        require_positive(num_requests, "num_requests")
-        require_non_negative(index_offset, "index_offset")
+        require_positive_int(num_requests, "num_requests")
+        require_non_negative_int(index_offset, "index_offset")
         rng = np.random.default_rng(self.seed)
         state = self.initial_state
         exit_rates = -np.diagonal(self.transitions)
@@ -526,6 +530,7 @@ class DayCurveArrivals:
             raise ValueError(f"curve multipliers must be non-negative, got {shape.min()}")
         if shape.max() <= 0:
             raise ValueError("the day curve must have at least one positive bin")
+        _require_seq_len(seq_len)
         self.mean_rate_rps = float(mean_rate_rps)
         self.curve = shape / shape.mean()  # normalized: mean multiplier == 1
         self.period_s = float(period_s)
@@ -544,8 +549,8 @@ class DayCurveArrivals:
 
     def generate(self, num_requests: int, index_offset: int = 0) -> list[Request]:
         """The first ``num_requests`` arrivals of the diurnal stream."""
-        require_positive(num_requests, "num_requests")
-        require_non_negative(index_offset, "index_offset")
+        require_positive_int(num_requests, "num_requests")
+        require_non_negative_int(index_offset, "index_offset")
         rng = np.random.default_rng(self.seed)
         pieces: list[np.ndarray] = []
         count = 0
@@ -609,7 +614,7 @@ class ClosedLoopClients:
         deadline_s: float | Sequence[float] = math.inf,
         seed: int | np.random.SeedSequence = 0,
     ) -> None:
-        require_positive(num_clients, "num_clients")
+        require_positive_int(num_clients, "num_clients")
         require_finite(think_s, "think_s")
         require_positive(think_s, "think_s")
         if think_distribution not in THINK_DISTRIBUTIONS:
@@ -618,16 +623,15 @@ class ClosedLoopClients:
                 f"got {think_distribution!r}"
             )
         require_positive(think_sigma, "think_sigma")
+        _require_seq_len(seq_len)
         self.num_clients = int(num_clients)
         self.think_s = float(think_s)
         self.think_distribution = think_distribution
         self.think_sigma = float(think_sigma)
         self.seq_len = seq_len
-        self.slo_classes = _per_client(slo_class, self.num_clients, "slo_class").astype(
-            np.int64
+        self.slo_classes = require_int_array(
+            _per_client(slo_class, self.num_clients, "slo_class"), "slo_class", 0
         )
-        if self.slo_classes.min() < 0:
-            raise ValueError("SLO classes must be non-negative")
         self.deadlines_s = _per_client(
             deadline_s, self.num_clients, "deadline_s"
         ).astype(np.float64)
@@ -660,8 +664,6 @@ class ClientSession:
         self._deadlines: list[float] = clients.deadlines_s.tolist()
         fixed = isinstance(clients.seq_len, (int, np.integer))
         self._fixed_len = int(clients.seq_len) if fixed else None
-        if self._fixed_len is not None:
-            require_positive(self._fixed_len, "seq_len")
 
     def next_think_s(self) -> float:
         """One think-time draw (exponential or mean-preserving lognormal)."""

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_positive, require_positive_int
 
 __all__ = ["Autoscaler"]
 
@@ -76,21 +76,23 @@ class Autoscaler:
 
     def __post_init__(self) -> None:
         require_positive(self.interval_s, "interval_s")
-        require_positive(self.step, "step")
-        require_positive(self.min_chips, "min_chips")
+        require_positive_int(self.step, "step")
+        require_positive_int(self.min_chips, "min_chips")
         if not 0.0 < self.scale_down_below < self.scale_up_above <= 1.0:
             raise ValueError(
                 f"need 0 < scale_down_below < scale_up_above <= 1, got "
                 f"({self.scale_down_below}, {self.scale_up_above})"
             )
         if self.scale_up_queue_depth is not None:
-            require_positive(self.scale_up_queue_depth, "scale_up_queue_depth")
-        if self.max_chips is not None and self.max_chips < self.min_chips:
-            raise ValueError(
-                f"max_chips {self.max_chips} below min_chips {self.min_chips}"
-            )
+            require_positive_int(self.scale_up_queue_depth, "scale_up_queue_depth")
+        if self.max_chips is not None:
+            require_positive_int(self.max_chips, "max_chips")
+            if self.max_chips < self.min_chips:
+                raise ValueError(
+                    f"max_chips {self.max_chips} below min_chips {self.min_chips}"
+                )
         if self.initial_chips is not None:
-            require_positive(self.initial_chips, "initial_chips")
+            require_positive_int(self.initial_chips, "initial_chips")
 
     def initial(self, num_chips: int) -> int:
         """Chips awake at time zero, clamped to the policy's bounds."""

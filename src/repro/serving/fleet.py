@@ -48,7 +48,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.utils.stats import spawn_seeds
-from repro.utils.validation import require_finite, require_non_negative, require_positive
+from repro.utils.validation import (
+    require_finite,
+    require_non_negative,
+    require_positive,
+    require_positive_int,
+)
 
 __all__ = [
     "ServiceModel",
@@ -793,7 +798,7 @@ class ChipFleet:
                 )
             num_chips = len(self.models)
         else:
-            require_positive(num_chips, "num_chips")
+            require_positive_int(num_chips, "num_chips")
             self.models = (service_model,) * num_chips
         for model in self.models:
             if not isinstance(model, ServiceModel):

@@ -67,7 +67,7 @@ from repro.serving.report import ServingReport
 from repro.serving.routing import Router
 from repro.serving.simulator import ServingSimulator
 from repro.utils.stats import spawn_seeds
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_positive_int
 
 __all__ = ["SPLIT_POLICIES", "ShardedServingSimulator"]
 
@@ -165,14 +165,14 @@ class ShardedServingSimulator:
         parallel: bool = True,
         max_workers: int | None = None,
     ) -> None:
-        require_positive(num_shards, "num_shards")
+        require_positive_int(num_shards, "num_shards")
         if fleet.num_chips < num_shards:
             raise ValueError(
                 f"cannot shard {fleet.num_chips} chip(s) across {num_shards} "
                 f"shards; need at least one chip per shard"
             )
         if max_workers is not None:
-            require_positive(max_workers, "max_workers")
+            require_positive_int(max_workers, "max_workers")
         self.fleet = fleet
         self.batcher = batcher
         self.num_shards = num_shards
@@ -364,7 +364,7 @@ class ShardedServingSimulator:
         ``num_requests / num_shards`` requests (the first shards take the
         remainder), with globally unique request indices.
         """
-        require_positive(num_requests, "num_requests")
+        require_positive_int(num_requests, "num_requests")
         if num_requests < self.num_shards:
             raise ValueError(
                 f"cannot split {num_requests} request(s) across "

@@ -107,7 +107,7 @@ from repro.serving.report import (
     StealTable,
 )
 from repro.serving.routing import Router, front_end
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_positive_int
 
 __all__ = ["ServingSimulator"]
 
@@ -307,7 +307,7 @@ class ServingSimulator:
         this is the machine-repair closed queue the theory module
         cross-validates.
         """
-        require_positive(num_requests, "num_requests")
+        require_positive_int(num_requests, "num_requests")
         return self._profiled(label, (), clients, num_requests)
 
     def _profiled(

@@ -14,6 +14,8 @@ import numpy as np
 __all__ = [
     "require_positive",
     "require_positive_int",
+    "require_non_negative_int",
+    "require_int_array",
     "require_non_negative",
     "require_in_range",
     "require_power_of_two",
@@ -40,6 +42,40 @@ def require_positive_int(value: int, name: str) -> int:
     if not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return require_positive(value, name)
+
+
+def require_non_negative_int(value: int, name: str) -> int:
+    """Raise ``ValueError`` unless ``value`` is an integer ``>= 0``.
+
+    For indices and ids, where 0 is meaningful; floats fail as in
+    :func:`require_positive_int`.
+    """
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return require_non_negative(value, name)
+
+
+def require_int_array(values: Any, name: str, minimum: int) -> np.ndarray:
+    """``values`` as an integer array with every entry ``>= minimum``.
+
+    An integer array passes unchanged; any other array must hold finite,
+    integral values and comes back as ``int64``.  Otherwise ``ValueError``
+    names the first offending entry and its index, so a fractional length
+    or class is never silently truncated.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind in "iu":
+        valid = array >= minimum
+    else:
+        floats = array.astype(np.float64)
+        valid = np.isfinite(floats) & (floats == np.floor(floats)) & (floats >= minimum)
+    if not valid.all():
+        index = int(np.argmin(valid))
+        raise ValueError(
+            f"{name} must be integers >= {minimum}, got {array.flat[index]} "
+            f"at index {index}"
+        )
+    return array if array.dtype.kind in "iu" else floats.astype(np.int64)
 
 
 def require_finite(value: float, name: str) -> float:

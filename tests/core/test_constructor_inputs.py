@@ -1,11 +1,12 @@
 """Bad constructor values fail loudly, naming the field and the value.
 
-Fractional counts used to be priced (two and a half softmax engines) or
-to crash later with a ``TypeError``, and infinite times built silently
-and surfaced as NaN schedule fields or infinite energies.  One hypothesis
-sweep draws NaN, ±inf, negative, zero and fractional values wherever they
-are invalid and requires each constructor to reject them at once with a
-``ValueError`` whose message names the field and the value.
+Fractional counts used to be priced (two and a half softmax engines),
+truncated (a 12.5-token request served as 12 tokens) or to crash later
+with a ``TypeError``, and infinite times built silently and surfaced as
+NaN schedule fields or infinite energies.  One hypothesis sweep draws NaN,
+±inf, negative, zero and fractional values wherever they are invalid and
+requires each constructor, generator and run entry point to reject them
+at once with a ``ValueError`` whose message names the field and the value.
 """
 
 from __future__ import annotations
@@ -24,15 +25,27 @@ from repro.core.schedule_cache import ScheduleTemplate
 from repro.core.scheduler import AttentionExecutor, PipelineExecutor, StageJitter
 from repro.core.softmax_engine import RRAMSoftmaxEngine
 from repro.serving import (
+    NO_BATCHING,
     AdmissionController,
+    Autoscaler,
+    ChipFleet,
+    ClosedLoopClients,
+    DayCurveArrivals,
     DynamicBatcher,
     ExponentialServiceModel,
     FixedServiceModel,
+    MMPPArrivals,
+    PoissonArrivals,
     PricingCache,
+    Request,
     RetryPolicy,
+    ServingSimulator,
+    ShardedServingSimulator,
     StarServiceModel,
     TieredServiceModel,
+    TraceArrivals,
 )
+from repro.serving.arrivals import requests_from_arrays
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 NEGATIVE = st.floats(max_value=-1e-300, allow_infinity=False) | st.integers(max_value=-1)
@@ -42,6 +55,8 @@ FRACTIONAL = st.floats(min_value=0.0, max_value=1e6).filter(lambda x: not x.is_i
 INVALID = {
     # a count of servers, tiles or tokens: a positive integer
     "count": NON_FINITE | NEGATIVE | st.sampled_from([0, 0.0]) | FRACTIONAL,
+    # an index or class id: a non-negative integer
+    "index": NON_FINITE | NEGATIVE | FRACTIONAL,
     # a time, energy or spread: finite and non-negative
     "time": NON_FINITE | NEGATIVE,
     # a power fraction: within [0, 1]
@@ -53,6 +68,11 @@ POOL = [RRAMSoftmaxEngine()]
 RESOURCES = ChipResources()
 ACCELERATOR = STARAccelerator(resources=RESOURCES)
 FIXED = FixedServiceModel(1e-3)
+SIMULATOR = ServingSimulator(ChipFleet(FIXED), NO_BATCHING)
+CLIENTS = ClosedLoopClients(2, 0.01)
+SHARDED = ShardedServingSimulator(ChipFleet(FIXED, num_chips=2), parallel=False)
+POISSON = PoissonArrivals(100.0)
+MMPP = MMPPArrivals.on_off(100.0)
 
 
 def template(**fields) -> ScheduleTemplate:
@@ -117,6 +137,59 @@ CASES = [
     ("ScheduleTemplate", "energy_j", "time", lambda v: template(energy_j=v)),
     ("ScheduleTemplate.resample", "sigma", "time",
      lambda v: template().resample(np.random.default_rng(0), sigma=v)),
+    ("ScheduleTemplate", "steady_row_s", "time",
+     lambda v: template(steady_row_s=(1e-6, v, 1e-6))),
+    *[
+        ("ScheduleTemplate", name, "count", lambda v, name=name: template(**{name: v}))
+        for name in ("batch_size", "seq_len", "num_layers", "num_rows")
+    ],
+    ("Request", "index", "index", lambda v: Request(v, 0.0, 64)),
+    ("Request", "seq_len", "count", lambda v: Request(0, 0.0, v)),
+    ("Request", "slo_class", "index", lambda v: Request(0, 0.0, 64, slo_class=v)),
+    ("requests_from_arrays", "lens", "count",
+     lambda v: requests_from_arrays(np.zeros(2), np.array([64, v]))),
+    ("requests_from_arrays", "slo_classes", "index",
+     lambda v: requests_from_arrays(np.zeros(2), np.full(2, 64), slo_classes=np.array([0, v]))),
+    ("PoissonArrivals", "seq_len", "count", lambda v: PoissonArrivals(100.0, seq_len=v)),
+    ("PoissonArrivals[choices]", "seq_len", "count",
+     lambda v: PoissonArrivals(100.0, seq_len=(64, v))),
+    ("PoissonArrivals.generate", "num_requests", "count", lambda v: POISSON.generate(v)),
+    ("PoissonArrivals.generate", "index_offset", "index",
+     lambda v: POISSON.generate(1, index_offset=v)),
+    ("PoissonArrivals.shards", "num_shards", "count", lambda v: POISSON.shards(v)),
+    ("TraceArrivals", "seq_len", "count", lambda v: TraceArrivals([0.0], seq_len=v)),
+    ("TraceArrivals", "per_request_lens", "count",
+     lambda v: TraceArrivals([0.0, 1.0], per_request_lens=[64, v])),
+    ("TraceArrivals.generate", "num_requests", "count",
+     lambda v: TraceArrivals([0.0, 1.0]).generate(v)),
+    ("MMPPArrivals", "seq_len", "count", lambda v: MMPPArrivals.on_off(100.0, seq_len=v)),
+    ("MMPPArrivals", "initial_state", "index",
+     lambda v: MMPPArrivals((100.0, 0.0), ((-1.0, 1.0), (1.0, -1.0)), initial_state=v)),
+    ("MMPPArrivals.generate", "num_requests", "count", lambda v: MMPP.generate(v)),
+    ("MMPPArrivals.generate", "index_offset", "index",
+     lambda v: MMPP.generate(1, index_offset=v)),
+    ("DayCurveArrivals", "seq_len", "count", lambda v: DayCurveArrivals(100.0, seq_len=v)),
+    ("DayCurveArrivals.generate", "num_requests", "count",
+     lambda v: DayCurveArrivals(100.0).generate(v)),
+    ("DayCurveArrivals.generate", "index_offset", "index",
+     lambda v: DayCurveArrivals(100.0).generate(1, index_offset=v)),
+    ("ClosedLoopClients", "num_clients", "count", lambda v: ClosedLoopClients(v, 0.01)),
+    ("ClosedLoopClients", "seq_len", "count", lambda v: ClosedLoopClients(2, 0.01, seq_len=v)),
+    ("ClosedLoopClients", "slo_class", "index",
+     lambda v: ClosedLoopClients(2, 0.01, slo_class=[0, v])),
+    ("ChipFleet", "num_chips", "count", lambda v: ChipFleet(FIXED, num_chips=v)),
+    *[
+        ("Autoscaler", name, "count", lambda v, name=name: Autoscaler(**{name: v}))
+        for name in ("min_chips", "max_chips", "step", "initial_chips", "scale_up_queue_depth")
+    ],
+    ("ShardedServingSimulator", "num_shards", "count",
+     lambda v: ShardedServingSimulator(ChipFleet(FIXED, num_chips=2), num_shards=v)),
+    ("ShardedServingSimulator", "max_workers", "count",
+     lambda v: ShardedServingSimulator(ChipFleet(FIXED, num_chips=2), max_workers=v)),
+    ("ShardedServingSimulator.run_poisson", "num_requests", "count",
+     lambda v: SHARDED.run_poisson(POISSON, v)),
+    ("ServingSimulator.run_closed_loop", "num_requests", "count",
+     lambda v: SIMULATOR.run_closed_loop(CLIENTS, v)),
 ]
 
 
@@ -153,6 +226,15 @@ def test_invalid_value_is_rejected_naming_field_and_value(field, kind, build, da
                      0.0, id="DynamicBatcher.max_wait_s"),
         pytest.param(lambda v: AdmissionController(max_queue_depth=v).max_queue_depth,
                      np.int32(1), id="AdmissionController.max_queue_depth"),
+        pytest.param(lambda v: Request(v, 0.0, 64, slo_class=v).slo_class,
+                     np.int64(0), id="Request.slo_class"),
+        pytest.param(lambda v: POISSON.generate(2, index_offset=v)[0].index,
+                     0, id="PoissonArrivals.generate.index_offset"),
+        # an integral float in a length array is exact, so it is accepted
+        pytest.param(lambda v: TraceArrivals([0.0], per_request_lens=[v]).generate()[0].seq_len,
+                     64.0, id="TraceArrivals.per_request_lens"),
+        pytest.param(lambda v: Autoscaler(max_chips=v).max_chips,
+                     np.int64(2), id="Autoscaler.max_chips"),
     ],
 )
 def test_valid_boundary_values_build(build, value):
@@ -201,6 +283,46 @@ def test_valid_boundary_values_build(build, value):
                      "base_latency_s must be finite, got inf", id="template-latency"),
         pytest.param(lambda: template().resample(np.random.default_rng(0), sigma=math.inf),
                      "sigma must be finite and non-negative, got inf", id="resample-sigma"),
+        # built; resample then failed on NumPy's "invalid value encountered"
+        pytest.param(lambda: template(steady_row_s=(math.inf, 1e-6, 1e-6)),
+                     r"steady_row_s\[0\] must be finite, got inf", id="template-steady-inf"),
+        pytest.param(lambda: template(steady_row_s=(math.nan, 1e-6, 1e-6)),
+                     r"steady_row_s\[0\] must be non-negative, got nan", id="template-steady-nan"),
+        # built as a batch of 2
+        pytest.param(lambda: template(batch_size=2.5),
+                     "batch_size must be an integer, got 2.5", id="template-batch"),
+        # built, and the report recorded a length of 12
+        pytest.param(lambda: Request(0, 0.0, 12.5),
+                     "seq_len must be an integer, got 12.5", id="request-seq-len"),
+        # these truncated 12.5 to 12, or passed it through
+        pytest.param(lambda: TraceArrivals([0.0, 1.0], per_request_lens=[12.5, 64]),
+                     r"per_request_lens must be integers >= 1, got 12.5 at index 0",
+                     id="trace-lens"),
+        pytest.param(lambda: PoissonArrivals(100.0, seq_len=(12.5, 64)),
+                     r"seq_len must be integers >= 1, got 12.5 at index 0", id="poisson-choices"),
+        pytest.param(lambda: requests_from_arrays(np.zeros(2), np.array([12.5, 64.0])),
+                     r"lens must be integers >= 1, got 12.5 at index 0", id="array-lens"),
+        # failed as "'float' object is not iterable"
+        pytest.param(lambda: PoissonArrivals(100.0, seq_len=12.5),
+                     "seq_len must be an integer, got 12.5", id="poisson-seq-len"),
+        # built two clients; served three requests; built
+        pytest.param(lambda: ClosedLoopClients(2.5, 0.01),
+                     "num_clients must be an integer, got 2.5", id="clients"),
+        pytest.param(lambda: SIMULATOR.run_closed_loop(CLIENTS, 2.5),
+                     "num_requests must be an integer, got 2.5", id="closed-loop-requests"),
+        pytest.param(lambda: Autoscaler(min_chips=1.5),
+                     "min_chips must be an integer, got 1.5", id="min-chips"),
+        # these failed with TypeErrors naming no field
+        pytest.param(lambda: ChipFleet(FIXED, num_chips=2.5),
+                     "num_chips must be an integer, got 2.5", id="fleet-chips"),
+        pytest.param(lambda: ShardedServingSimulator(ChipFleet(FIXED, num_chips=2), num_shards=1.5),
+                     "num_shards must be an integer, got 1.5", id="shards"),
+        pytest.param(lambda: POISSON.generate(2.5),
+                     "num_requests must be an integer, got 2.5", id="poisson-generate"),
+        pytest.param(lambda: DayCurveArrivals(100.0).generate(2.5),
+                     "num_requests must be an integer, got 2.5", id="day-curve-generate"),
+        pytest.param(lambda: SHARDED.run_poisson(POISSON, 10.5),
+                     "num_requests must be an integer, got 10.5", id="run-poisson"),
     ],
 )
 def test_reported_inputs_fail_at_construction(build, message):
