@@ -291,7 +291,7 @@ class TraceArrivals:
                     f"{times.size} arrivals"
                 )
             lens = np.asarray(list(per_request_lens))
-            require_finite_array(lens, "per_request_lens")
+            require_finite_array(lens.astype(np.float64), "per_request_lens")
             per_request_lens = require_int_array(lens, "per_request_lens", 1)
         self.times_s = times
         self.seq_len = seq_len
