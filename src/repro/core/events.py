@@ -9,10 +9,9 @@ attention-pipeline executor (:mod:`repro.core.scheduler`) draws:
   events.  Events at equal time are ordered by ``kind`` first (lower kind
   wins — e.g. a server *freeing* is processed before a simultaneous
   *arrival*, so the arrival sees the idle server directly) and then by
-  insertion order, which keeps every simulation bit-deterministic.
-  :meth:`EventLoop.pop_before` pops the next event only if it is due
-  before a given ``(time, kind)``, so a client can merge a pre-sorted
-  stream of its own into the heap's order.
+  insertion order, which keeps every simulation bit-deterministic.  A
+  client that merges pre-sorted streams of its own into that order peeks
+  at :attr:`EventLoop.heap`'s top and pops only when the top is due first.
 * :class:`ServerPool` — the chips: which are idle and which are online,
   and their aggregate busy time.
 * :class:`StageJitter` — seeded log-normal service-time perturbation,
@@ -52,17 +51,25 @@ class EventLoop:
     :attr:`events_popped` — so simulations built on it get first-party
     hot-path numbers (surfaced by the serving profiler) at the cost of one
     integer increment per event.
+
+    :attr:`heap` holds the pending ``(time, kind, order, data)`` entries
+    as a binary heap.  A client may read ``heap[0]`` to decide whether the
+    next event is due before an item of its own: an entry equal to that
+    item in ``(time, kind)`` is the longer tuple, so it compares greater,
+    and ``heap[0] < (time, kind)`` holds exactly when the event is due
+    first.  Events are added and removed only through :meth:`schedule` and
+    :meth:`pop`.
     """
 
-    __slots__ = ("_heap", "_counter", "events_popped")
+    __slots__ = ("heap", "_counter", "events_popped")
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, tuple[Any, ...]]] = []
+        self.heap: list[tuple[float, int, int, tuple[Any, ...]]] = []
         self._counter = 0
         self.events_popped = 0
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self.heap)
 
     @property
     def events_scheduled(self) -> int:
@@ -76,30 +83,14 @@ class EventLoop:
         # event matters
         if not time >= 0:
             raise ValueError(f"event time must be non-negative, got {time}")
-        heapq.heappush(self._heap, (time, kind, self._counter, data))
+        heapq.heappush(self.heap, (time, kind, self._counter, data))
         self._counter += 1
-
-    def pop_before(self, time: float, kind: int) -> tuple[float, int, tuple[Any, ...]] | None:
-        """Pop the next event if it sorts strictly before ``(time, kind)``, else ``None``.
-
-        This merges a client's own pre-sorted stream into the heap's order:
-        an item of that stream, ordered before every event of its own
-        ``(time, kind)`` as if it had been scheduled first, is due before
-        every remaining event exactly when this returns ``None``.
-        """
-        heap = self._heap
-        # an entry equal in (time, kind) is the longer tuple, so not less
-        if heap and heap[0] < (time, kind):
-            time, kind, _, data = heapq.heappop(heap)
-            self.events_popped += 1
-            return time, kind, data
-        return None
 
     def pop(self) -> tuple[float, int, tuple[Any, ...]]:
         """Pop the next event."""
-        if not self._heap:
+        if not self.heap:
             raise IndexError("pop from an empty event loop")
-        time, kind, _, data = heapq.heappop(self._heap)
+        time, kind, _, data = heapq.heappop(self.heap)
         self.events_popped += 1
         return time, kind, data
 

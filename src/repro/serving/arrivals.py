@@ -622,7 +622,8 @@ class ClosedLoopClients:
                 f"think_distribution must be one of {THINK_DISTRIBUTIONS}, "
                 f"got {think_distribution!r}"
             )
-        require_positive(think_sigma, "think_sigma")
+        # an infinite sigma draws NaN think times
+        require_finite(require_positive(think_sigma, "think_sigma"), "think_sigma")
         _require_seq_len(seq_len)
         self.num_clients = int(num_clients)
         self.think_s = float(think_s)

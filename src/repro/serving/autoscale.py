@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.utils.validation import require_positive, require_positive_int
+from repro.utils.validation import require_finite, require_positive, require_positive_int
 
 __all__ = ["Autoscaler"]
 
@@ -75,7 +75,8 @@ class Autoscaler:
     initial_chips: int | None = None
 
     def __post_init__(self) -> None:
-        require_positive(self.interval_s, "interval_s")
+        # an infinite period never ticks: the controller would silently hold
+        require_finite(require_positive(self.interval_s, "interval_s"), "interval_s")
         require_positive_int(self.step, "step")
         require_positive_int(self.min_chips, "min_chips")
         if not 0.0 < self.scale_down_below < self.scale_up_above <= 1.0:

@@ -33,9 +33,12 @@ class RunProfile:
     routing counters (front-end route decisions, batches stolen by idle
     peers, deepest single chip queue) stay zero for global-queue runs.
 
-    ``events_scheduled`` and ``events_popped`` count heap events only: the
-    open-loop arrivals the simulator reads from its sorted request list
-    never enter the heap and are not counted.
+    ``events_scheduled`` and ``events_popped`` count heap events only.
+    Open-loop arrivals, which the simulator reads from its sorted request
+    list, never enter the heap and are not counted; network hops, which
+    land from per-latency FIFO lanes, are not counted either.  A plain
+    dispatch sweep run in place is counted in ``dispatch_calls`` but is no
+    event.
     """
 
     label: str

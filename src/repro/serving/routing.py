@@ -57,6 +57,8 @@ from repro.utils.validation import require_finite, require_non_negative
 
 __all__ = ["ROUTING_POLICIES", "NetworkModel", "Router", "front_end"]
 
+_INF = math.inf
+
 #: Front-end request-to-queue routing policies.
 ROUTING_POLICIES = ("round_robin", "join_shortest_queue", "shortest_expected_delay")
 
@@ -127,6 +129,9 @@ class Router:
             raise ValueError(
                 f"policy must be one of {ROUTING_POLICIES}, got {self.policy!r}"
             )
+        # any other value would be read by truth: stealing="no" steals
+        if not isinstance(self.stealing, bool):
+            raise ValueError(f"stealing must be a bool, got {self.stealing!r}")
 
     def for_chips(self, chips: slice) -> "Router":
         """This router restricted to one shard's contiguous chip slice."""
@@ -167,7 +172,7 @@ def front_end(
 
         def route(request: Request, usable: Sequence[int]) -> int:
             best = -1
-            best_cost = math.inf
+            best_cost = _INF
             for c in usable:
                 cost = len(queues[c]) + in_service[c]
                 if cost < best_cost:
@@ -199,11 +204,12 @@ def front_end(
     def route(request: Request, usable: Sequence[int]) -> int:
         # shortest expected delay: network hop plus the chip's outstanding
         # work priced at the candidate's amortized full-batch cost
-        costs = cost_rows.get(request.seq_len)
-        if costs is None:
+        try:
+            costs = cost_rows[request.seq_len]
+        except KeyError:
             costs = cost_rows[request.seq_len] = cost_row(request.seq_len)
         best = -1
-        best_cost = math.inf
+        best_cost = _INF
         for c in usable:
             cost = links[c] + (len(queues[c]) + in_service[c] + 1) * costs[c]
             if cost < best_cost:

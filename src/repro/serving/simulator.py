@@ -53,21 +53,42 @@ The hooks compose under a few rules:
   ``max(now, arrival_s + max_wait_s)``: a dispatch sweep forced for that
   request, skipped if the request has left the queue by then.
 * A *plain sweep* (one forced for no request) sheds expired queue heads
-  and hands ready batches to chips that can take work.  One is scheduled
-  only when it could act: when a request lands in the global queue and
-  either some chip can take work and the queue is ready, or shedding is
-  on and the head has expired; when a request lands in a per-chip queue
-  while some chip can take work; when a chip frees while requests are
-  queued; and at every repair and wake.  What a skipped sweep would have
-  released or shed, a kept sweep of the same instant does before anything
-  else happens, so while every batch takes a positive time the rule
-  changes no result.
-* Open-loop arrivals are not pushed onto the event heap: a cursor reads
-  the arrival-sorted request list, and its next request goes before the
-  heap's next event iff ``(arrival_s, ARRIVE) <= (time, kind)`` of that
-  event — the order they had when all were scheduled before the run, so
-  ahead of any retry arriving at the same instant.  Closed-loop arrivals
-  and retries are heap events.
+  and hands ready batches to chips that can take work.  One is asked for
+  only when it could act:
+
+  - when a request lands in the global queue and either some chip can
+    take work and the queue is ready, or shedding is on and the head has
+    expired;
+  - when a request lands in a per-chip queue while some chip can take
+    work, and either the landed queue can release (its head is ready,
+    and its home chip can take work or stealing is on), or the landed
+    request is already mature, or a request whose maturity timer has
+    fired is still queued, or shedding is on and the time is past a
+    lower bound on the queue heads' expiries;
+  - when a chip frees while requests are queued;
+  - at every repair and wake.
+
+  What a skipped sweep would have released or shed, a kept sweep of the
+  same instant does before anything else happens, so while every batch
+  takes a positive time the rule changes no result.  (A maturity timer's
+  force can be spent on another queue's head, leaving its own request
+  unreleased beside an idle chip; the timer clause keeps the sweeps that
+  request used to be picked up by.)
+* A plain sweep asked for at a landing or a chip release runs in place
+  when nothing else is due at its instant: the heap's next event, the
+  cursor's next arrival and the next hop all come strictly later, so it
+  would be the next event popped anyway.  Otherwise it is scheduled.
+* Open-loop arrivals and network hops are not heap events.  A cursor
+  reads the arrival-sorted request list, and its next request goes
+  before the heap's next event iff ``(arrival_s, ARRIVE) <= (time, kind)``
+  of that event — the order they had when all were scheduled before the
+  run, so ahead of any retry arriving at the same instant.  A link's
+  latency is fixed, so the hops over links of one latency land in the
+  order they were sent: each distinct latency keeps one FIFO lane, and
+  the earliest lane head, keyed ``(land_s, HOP)`` and by send order
+  within an instant, is the next hop.  One merge takes the earliest of
+  heap, cursor and hops.  A hop over a zero-latency link lands inside
+  its arrival event; closed-loop arrivals and retries are heap events.
 * Records are written once, when a batch completes; a killed batch writes
   none.  The report lists batches in dispatch order, so fault-free runs
   list requests in dispatch order too.
@@ -75,15 +96,18 @@ The hooks compose under a few rules:
 Results accumulate as one tuple per completed batch; the report's
 columnar tables are built from them by one vectorized gather at the end.
 ``tests/serving/test_serving_loop_oracle.py`` keeps the loop that pushed
-every arrival onto the heap and swept at every landing and completion as
-the exact reference of the last two rules.
+every arrival and hop onto the heap and swept at every landing and
+completion as the exact reference of the sweep, in-place and merge rules.
 """
 
 from __future__ import annotations
 
 import time as _time
+from collections import deque
+from functools import reduce
 from heapq import heappop, heappush
-from operator import itemgetter
+from itertools import repeat
+from operator import add, itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -120,7 +144,7 @@ __all__ = ["ServingSimulator"]
 #: timer is a dispatch sweep forced for its request.  Sweeps of one
 #: instant run in the order they were scheduled, so a timer set when its
 #: request landed, earlier, sweeps before those the instant's own events
-#: ask for.
+#: ask for.  Hops never enter the heap; ``_HOP`` ranks them in the merge.
 _FAIL, _REPAIR, _WAKE = FREE - 3, FREE - 2, FREE - 1
 _HOP, _DISPATCH, _TICK = ARRIVE + 1, ARRIVE + 2, ARRIVE + 3
 
@@ -133,7 +157,9 @@ _AWAKE, _WAKING, _SLEEPING = 0, 1, 2
 # by the steal hop when the chip served a peer's queue.
 
 # Sorts after every queue entry (drain key, arrival order, request): the
-# arrival order breaks ties between equal keys, even infinite ones.
+# arrival order breaks ties between equal keys, even infinite ones.  It
+# also sorts after every event key (time, kind, ...), even at time inf, so
+# it stands for a merge source with nothing left.
 _INF = float("inf")
 _LAST = (_INF, _INF)
 
@@ -200,18 +226,18 @@ def _routing_stats(
 ) -> RoutingStats:
     """The per-queue ledger of a routed run, from its completed batches."""
     num_queues = len(queue_peaks)
-    queue = np.fromiter((batch[8] for batch in completed), dtype=np.int64, count=len(completed))
+    queue = np.fromiter(map(itemgetter(8), completed), dtype=np.int64, count=len(completed))
+    decided_s = np.fromiter(map(itemgetter(9), completed), dtype=np.float64, count=len(completed))
     queue_of_request = queue[requests.batch_index]
     stolen = np.flatnonzero(queue != batches.chip)
     steals = StealTable(
         batch_index=stolen,
         queue=queue[stolen],
         chip=batches.chip[stolen],
-        decided_s=[completed[row][9] for row in stolen.tolist()],
+        decided_s=decided_s[stolen],
     )
-    steal_network_s = 0.0
-    for _ in range(len(steals)):
-        steal_network_s += router.network.steal_latency_s
+    # summed one steal hop at a time, as the hops accrued
+    steal_network_s = reduce(add, repeat(router.network.steal_latency_s, len(steals)), 0.0)
     return RoutingStats(
         policy=router.policy,
         stealing=router.stealing,
@@ -373,6 +399,8 @@ class ServingSimulator:
 
         loop = EventLoop()
         schedule = loop.schedule
+        pop = loop.pop
+        events = loop.heap  # peeked by the merge below, popped through pop()
         chips = ServerPool(num_chips)
         idle = chips.idle
         online = chips.online
@@ -395,6 +423,13 @@ class ServingSimulator:
         backlog = 0  # requests queued over all queues
         queue_peak = 0
         queued: set[int] = set()  # indexes awaiting dispatch (timer liveness)
+        # routed: indexes whose maturity timer fired while they waited,
+        # pruned of those that left when read or when it outgrows the queues
+        overdue: set[int] = set()
+        # routed shedding: a lower bound on every queue head's expiry
+        # (arrival_s + deadline_s), so no head is past its deadline while
+        # time <= expiry_floor_s; _INF without shedding
+        expiry_floor_s = _INF
         arrivals = 0  # admitted arrivals: the FIFO key, and routes taken
         dispatch_calls = 0
 
@@ -422,14 +457,28 @@ class ServingSimulator:
         issued = 0
         client_of: dict[int, int] = {}
 
-        # routing
+        # routing: the hops over links of one latency land in the order they
+        # were sent, so each distinct latency has one FIFO lane of
+        # (land_s, _HOP, arrival order, request, queue) entries
+        lanes: tuple[deque, ...] = ()
         if routed:
             route = front_end(router, fleet, batcher.max_batch_size, queues, in_service)
             links = router.network.links(num_chips)
+            lane_of_latency = {hop: deque() for hop in links if hop > 0.0}
+            lanes = tuple(lane_of_latency.values())
+            lane_of = [lane_of_latency.get(hop) for hop in links]
             steal_latency_s = router.network.steal_latency_s
             stealing = router.stealing
-        hops_to = [0] * num_chips  # requests on a network hop to each chip
         route_network_s = 0.0
+
+        # the merge's sources besides the heap, as (time, kind, ...) keys:
+        # the cursor's next open-loop arrival and the next hop to land,
+        # each _LAST when there is none (module docstring)
+        cursor = 0
+        num_ordered = len(ordered)
+        arrival_key = (ordered[0].arrival_s, ARRIVE) if ordered else _LAST
+        hop_key: tuple = _LAST
+        next_lane: deque | None = None  # the lane hop_key heads
 
         # autoscaler
         sleep_start = [0.0] * num_chips  # meaningful while _SLEEPING
@@ -473,9 +522,23 @@ class ServingSimulator:
             queued.discard(request.index)
             drop(shed, request, time, "deadline", attempts.get(request.index, 0))
 
+        def sweep(time: float) -> None:
+            """Run a plain sweep now if nothing else is due at ``time``, else schedule it."""
+            nonlocal dispatch_calls
+            if (events and events[0][0] <= time) or arrival_key[0] <= time or hop_key[0] <= time:
+                schedule(time, _DISPATCH)
+            else:
+                dispatch_calls += 1
+                dispatch(time, None)
+
+        def still_overdue() -> bool:
+            """Whether a request whose maturity timer fired is still queued."""
+            overdue.intersection_update(queued)
+            return bool(overdue)
+
         def land(time: float, request: Request, order: int, queue: int) -> None:
             """Join a queue: at arrival, or when the network hop completes."""
-            nonlocal backlog, queue_peak
+            nonlocal backlog, queue_peak, expiry_floor_s
             heap = queues[queue]
             heappush(heap, (queue_key(request, order), order, request))
             backlog += 1
@@ -484,21 +547,32 @@ class ServingSimulator:
             if len(heap) > queue_peaks[queue]:
                 queue_peaks[queue] = len(heap)
             queued.add(request.index)
+            mature_s = request.arrival_s + max_wait_s
+            head = heap[0][2]
             # a plain sweep only if one could act now (module docstring)
             if routed:
-                if num_idle:
-                    schedule(time, _DISPATCH)
-            else:
-                head = heap[0][2]
-                if (num_idle and ready(len(heap), time - head.arrival_s)) or (
-                    shedding and time > head.arrival_s + deadline_s
+                if shedding:  # the landed request may head its queue
+                    expiry_s = request.arrival_s + deadline_s
+                    if expiry_s < expiry_floor_s:
+                        expiry_floor_s = expiry_s
+                if num_idle and (
+                    mature_s <= time
+                    or (
+                        (stealing or (idle[queue] and online[queue]))
+                        and ready(len(heap), time - head.arrival_s)
+                    )
+                    or (overdue and still_overdue())
+                    or time > expiry_floor_s  # a head may have expired
                 ):
-                    schedule(time, _DISPATCH)
+                    sweep(time)
+            elif (num_idle and ready(len(heap), time - head.arrival_s)) or (
+                shedding and time > head.arrival_s + deadline_s
+            ):
+                sweep(time)
             if timed_wait:
                 # the maturity timer is the forced sweep itself, due at once
                 # for a request already mature (a retry, or a hop of
                 # max_wait_s or more)
-                mature_s = request.arrival_s + max_wait_s
                 schedule(mature_s if mature_s > time else time, _DISPATCH, request.index)
 
         def dispatch(time: float, forced: int | None) -> None:
@@ -511,7 +585,7 @@ class ServingSimulator:
             may round below ``max_wait`` and would otherwise strand the
             queue.  A batch released as mature anyway does not spend it.
             """
-            nonlocal backlog, num_idle, seq
+            nonlocal backlog, num_idle, seq, expiry_floor_s
             force = forced is not None
             while True:
                 if force and forced not in queued:
@@ -522,13 +596,20 @@ class ServingSimulator:
                     # on) by the lowest-indexed chip that can, over a hop
                     if not num_idle or not backlog:
                         return
+                    if time > expiry_floor_s:
+                        # shed every expired head, then bound the heads left
+                        expiry_floor_s = _INF
+                        for heap in queues:
+                            while heap and time > heap[0][2].arrival_s + deadline_s:
+                                backlog -= 1
+                                shed_queued(heappop(heap)[2], time)
+                            if heap:
+                                expiry_floor_s = min(
+                                    expiry_floor_s, heap[0][2].arrival_s + deadline_s
+                                )
                     queue = -1
                     best = _LAST
-                    for q in all_chips:
-                        heap = queues[q]
-                        while shedding and heap and time > heap[0][2].arrival_s + deadline_s:
-                            backlog -= 1
-                            shed_queued(heappop(heap)[2], time)
+                    for q, heap in enumerate(queues):
                         if not heap or heap[0] >= best:
                             continue
                         if not stealing and not (idle[q] and online[q]):
@@ -579,6 +660,10 @@ class ServingSimulator:
                     queued.discard(request.index)
                     if request.seq_len > seq_len:
                         seq_len = request.seq_len
+                if shedding and routed and heap:
+                    expiry_s = heap[0][2].arrival_s + deadline_s  # the queue's new head
+                    if expiry_s < expiry_floor_s:
+                        expiry_floor_s = expiry_s
                 if not members:
                     continue  # everything popped was expired; re-evaluate
                 size = len(members)
@@ -617,23 +702,29 @@ class ServingSimulator:
             for chip in all_chips:
                 schedule(session.time_to_failure_s(chip), _FAIL, chip)
 
-        # open-loop arrivals come from a cursor merged with the heap
-        # (module docstring)
-        cursor = 0
-        num_ordered = len(ordered)
-        pop = loop.pop
-        pop_before = loop.pop_before
+        # three sources merged in (time, kind) order: the heap, the arrival
+        # cursor and the hop lanes (module docstring)
         while True:
-            if cursor < num_ordered:
-                request = ordered[cursor]
-                event = pop_before(request.arrival_s, ARRIVE)
-                if event is None:
-                    cursor += 1
-                    time, kind, data = request.arrival_s, ARRIVE, (request,)
+            if hop_key < arrival_key:
+                if events and events[0] < hop_key:
+                    time, kind, data = pop()
                 else:
-                    time, kind, data = event
-            elif loop:
+                    # the next hop lands; the earliest lane head is next
+                    time, _, order, request, queue = next_lane.popleft()
+                    hop_key = _LAST
+                    for lane in lanes:
+                        if lane and lane[0] < hop_key:
+                            hop_key = lane[0]
+                            next_lane = lane
+                    land(time, request, order, queue)
+                    continue
+            elif events and events[0] < arrival_key:
                 time, kind, data = pop()
+            elif cursor < num_ordered:
+                request = ordered[cursor]
+                cursor += 1
+                arrival_key = (ordered[cursor].arrival_s, ARRIVE) if cursor < num_ordered else _LAST
+                time, kind, data = request.arrival_s, ARRIVE, (request,)
             else:
                 break
             if kind == ARRIVE:
@@ -663,13 +754,17 @@ class ServingSimulator:
                     or [c for c in all_chips if state[c] != _SLEEPING],
                 )
                 hop = links[queue]
-                route_network_s += hop
                 if hop == 0.0:
                     # zero-latency link: land within the arrival event
                     land(time, request, order, queue)
-                else:
-                    hops_to[queue] += 1
-                    schedule(time + hop, _HOP, request, order, queue)
+                    continue
+                route_network_s += hop
+                entry = (time + hop, _HOP, order, request, queue)
+                lane = lane_of[queue]
+                lane.append(entry)
+                if entry < hop_key:
+                    hop_key = entry
+                    next_lane = lane
             elif kind == _DISPATCH:
                 # a maturity timer forces its sweep, and is moot once its
                 # request has left the queue
@@ -678,6 +773,12 @@ class ServingSimulator:
                     continue
                 dispatch_calls += 1
                 dispatch(time, forced)
+                if routed and forced in queued:
+                    # its timer fired and it still waits; pruning keeps the
+                    # set no larger than the queues
+                    overdue.add(forced)
+                    if len(overdue) > backlog:
+                        overdue.intersection_update(queued)
             elif kind == FREE:
                 chip, batch_seq = data
                 batch = inflight[chip]
@@ -694,11 +795,7 @@ class ServingSimulator:
                     for r in members:
                         think(client_of.pop(r.index), time)
                 if backlog:
-                    schedule(time, _DISPATCH)
-            elif kind == _HOP:
-                request, order, queue = data
-                hops_to[queue] -= 1
-                land(time, request, order, queue)
+                    sweep(time)
             elif kind == _FAIL:
                 chip = data[0]
                 if outstanding == 0:
@@ -808,7 +905,10 @@ class ServingSimulator:
                             break
                         if state[chip] != _AWAKE or not idle[chip]:
                             continue  # never park a busy chip
-                        if routed and (queues[chip] or hops_to[chip]):
+                        if routed and (
+                            queues[chip]
+                            or (lane_of[chip] and any(hop[4] == chip for hop in lane_of[chip]))
+                        ):
                             continue  # nor one with work bound for it
                         state[chip] = _SLEEPING
                         refresh(chip)

@@ -25,7 +25,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.serving.arrivals import Request, _trusted_request
-from repro.utils.validation import require_positive
+from repro.utils.validation import (
+    require_finite,
+    require_non_negative,
+    require_positive,
+    require_positive_int,
+)
 
 __all__ = ["SLOClass", "SLOPolicy"]
 
@@ -93,16 +98,18 @@ class SLOPolicy:
         one ``rng.choice`` array draw, and the result equals tagging each
         request with :meth:`tag`, without re-validating each request.
         """
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (self.num_classes,):
+        shares = np.asarray(weights, dtype=np.float64)
+        if shares.shape != (self.num_classes,):
             raise ValueError(
-                f"got {weights.size} weights for {self.num_classes} classes"
+                f"got {shares.size} weights for {self.num_classes} classes"
             )
-        if (weights < 0).any() or weights.sum() <= 0:
-            raise ValueError("weights must be non-negative and sum above zero")
+        for i, weight in enumerate(weights):
+            require_finite(require_non_negative(weight, f"weights[{i}]"), f"weights[{i}]")
+        if shares.sum() <= 0:
+            raise ValueError(f"weights must sum above zero, got {shares.tolist()}")
         rng = np.random.default_rng(seed)
         drawn = rng.choice(
-            self.num_classes, size=len(requests), p=weights / weights.sum()
+            self.num_classes, size=len(requests), p=shares / shares.sum()
         )
         return self._tagged(requests, drawn)
 
@@ -121,7 +128,9 @@ class SLOPolicy:
         tagging each request with :meth:`tag`, without re-validating each
         request.
         """
-        boundaries = [int(b) for b in boundaries]
+        boundaries = [
+            int(require_positive_int(b, f"boundaries[{i}]")) for i, b in enumerate(boundaries)
+        ]
         if len(boundaries) != self.num_classes - 1:
             raise ValueError(
                 f"need {self.num_classes - 1} boundaries for "

@@ -39,8 +39,11 @@ from repro.serving import (
     PricingCache,
     Request,
     RetryPolicy,
+    Router,
     ServingSimulator,
     ShardedServingSimulator,
+    SLOClass,
+    SLOPolicy,
     StarServiceModel,
     TieredServiceModel,
     TraceArrivals,
@@ -73,6 +76,8 @@ CLIENTS = ClosedLoopClients(2, 0.01)
 SHARDED = ShardedServingSimulator(ChipFleet(FIXED, num_chips=2), parallel=False)
 POISSON = PoissonArrivals(100.0)
 MMPP = MMPPArrivals.on_off(100.0)
+SLO = SLOPolicy((SLOClass("short", 0.05), SLOClass("long")))
+TAGGED = POISSON.generate(5)
 
 
 def template(**fields) -> ScheduleTemplate:
@@ -177,11 +182,18 @@ CASES = [
     ("ClosedLoopClients", "seq_len", "count", lambda v: ClosedLoopClients(2, 0.01, seq_len=v)),
     ("ClosedLoopClients", "slo_class", "index",
      lambda v: ClosedLoopClients(2, 0.01, slo_class=[0, v])),
+    ("ClosedLoopClients", "think_sigma", "time",
+     lambda v: ClosedLoopClients(2, 0.01, think_distribution="lognormal", think_sigma=v)),
+    ("SLOPolicy.tag_random", "weights[0]", "time",
+     lambda v: SLO.tag_random(TAGGED, weights=(v, 1.0))),
+    ("SLOPolicy.tag_by_length", "boundaries[0]", "count",
+     lambda v: SLO.tag_by_length(TAGGED, boundaries=(v,))),
     ("ChipFleet", "num_chips", "count", lambda v: ChipFleet(FIXED, num_chips=v)),
     *[
         ("Autoscaler", name, "count", lambda v, name=name: Autoscaler(**{name: v}))
         for name in ("min_chips", "max_chips", "step", "initial_chips", "scale_up_queue_depth")
     ],
+    ("Autoscaler", "interval_s", "time", lambda v: Autoscaler(interval_s=v)),
     ("ShardedServingSimulator", "num_shards", "count",
      lambda v: ShardedServingSimulator(ChipFleet(FIXED, num_chips=2), num_shards=v)),
     ("ShardedServingSimulator", "max_workers", "count",
@@ -235,6 +247,7 @@ def test_invalid_value_is_rejected_naming_field_and_value(field, kind, build, da
                      64.0, id="TraceArrivals.per_request_lens"),
         pytest.param(lambda v: Autoscaler(max_chips=v).max_chips,
                      np.int64(2), id="Autoscaler.max_chips"),
+        pytest.param(lambda v: Router(stealing=v).stealing, False, id="Router.stealing"),
     ],
 )
 def test_valid_boundary_values_build(build, value):
@@ -323,6 +336,25 @@ def test_valid_boundary_values_build(build, value):
                      "num_requests must be an integer, got 2.5", id="day-curve-generate"),
         pytest.param(lambda: SHARDED.run_poisson(POISSON, 10.5),
                      "num_requests must be an integer, got 10.5", id="run-poisson"),
+        # built; 200 requests at 1,500 rps on two chips, one awake, made no
+        # scale event, since the controller never ticked
+        pytest.param(lambda: Autoscaler(interval_s=math.inf),
+                     "interval_s must be finite, got inf", id="autoscale-interval"),
+        # built; its run failed with "event time must be non-negative, got nan"
+        pytest.param(lambda: ClosedLoopClients(2, 1e-3, think_distribution="lognormal",
+                                               think_sigma=math.inf),
+                     "think_sigma must be finite, got inf", id="think-sigma"),
+        # failed in NumPy ("Probabilities contain NaN"), or warned, naming no field
+        pytest.param(lambda: SLO.tag_random(TAGGED, weights=(math.nan, 1.0)),
+                     r"weights\[0\] must be non-negative, got nan", id="weights-nan"),
+        pytest.param(lambda: SLO.tag_random(TAGGED, weights=(math.inf, 1.0)),
+                     r"weights\[0\] must be finite, got inf", id="weights-inf"),
+        # failed with "cannot convert float NaN to integer"
+        pytest.param(lambda: SLO.tag_by_length(TAGGED, boundaries=(math.nan,)),
+                     r"boundaries\[0\] must be an integer, got nan", id="boundaries-nan"),
+        # built with stealing on: the string is true
+        pytest.param(lambda: Router(stealing="no"),
+                     "stealing must be a bool, got 'no'", id="stealing"),
     ],
 )
 def test_reported_inputs_fail_at_construction(build, message):

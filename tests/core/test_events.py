@@ -54,17 +54,16 @@ class TestEventLoop:
         with pytest.raises(ValueError, match="got nan"):
             EventLoop().schedule(float("nan"), ARRIVE)
 
-    def test_pop_before_merges_a_sorted_stream(self):
+    def test_heap_top_is_due_before_an_item_only_when_less_than_its_time_and_kind(self):
+        # the rule a client merging a sorted stream of its own reads heap[0] by
         loop = EventLoop()
-        assert loop.pop_before(0.0, ARRIVE) is None  # empty: the stream goes first
         loop.schedule(1.0, ARRIVE, "heap")
         loop.schedule(1.0, FREE, "free")
-        # an earlier kind at the same time is due first
-        assert loop.pop_before(1.0, ARRIVE) == (1.0, FREE, ("free",))
-        # an equal (time, kind) was scheduled later than the stream's item
-        assert loop.pop_before(1.0, ARRIVE) is None
-        assert loop.pop_before(1.0, ARRIVE + 1) == (1.0, ARRIVE, ("heap",))
-        assert loop.events_popped == 2 and not loop
+        assert loop.heap[0] < (1.0, ARRIVE)  # an earlier kind at the same time
+        loop.pop()
+        # an equal (time, kind) goes after the item, as if scheduled later
+        assert not loop.heap[0] < (1.0, ARRIVE)
+        assert loop.heap[0] < (1.0, ARRIVE + 1)
 
     def test_counts_scheduled_and_popped_events(self):
         loop = EventLoop()
@@ -73,8 +72,7 @@ class TestEventLoop:
         with pytest.raises(ValueError):
             loop.schedule(-1.0, ARRIVE)  # rejected before it is counted
         loop.pop()
-        assert loop.pop_before(2.0, FREE) is None  # not due: nothing popped
-        assert loop.pop_before(2.5, ARRIVE) is not None
+        loop.pop()
         assert (loop.events_scheduled, loop.events_popped) == (3, 2)
 
     def test_payload_never_compared(self):

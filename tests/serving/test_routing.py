@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.schedule_cache import ScheduleTemplate
@@ -294,13 +295,20 @@ class TestNetworkStage:
         assert report.routing.route_network_s == pytest.approx(60 * hop)
 
     def test_zero_latency_links_add_no_hop_events(self):
+        # a zero-latency route lands inside its arrival event and a delayed
+        # one lands from its link's FIFO, so neither run pushes a hop onto
+        # the heap: without a wait timer, each pops only its completions
         requests = PoissonArrivals(500.0, seed=6).generate(50)
-        simulator = routed()
-        simulator.run(requests, label="zero-hop")
-        zero_events = simulator.last_profile.events_scheduled
-        delayed = routed(network=NetworkModel(link_latency_s=1e-5))
-        delayed.run(requests, label="with-hop")
-        assert delayed.last_profile.events_scheduled == zero_events + len(requests)
+        for hop in (0.0, 1e-5):
+            simulator = routed(network=NetworkModel(link_latency_s=hop))
+            report = simulator.run(requests)
+            profile = simulator.last_profile
+            assert report.routing.num_routed == len(requests)
+            assert profile.events_scheduled == profile.events_popped == report.num_batches
+            # every chip is idle at each landing, so each request leaves at once
+            np.testing.assert_array_equal(
+                report.requests.dispatch_s, report.requests.arrival_s + hop
+            )
 
 
 class TestWorkStealing:
