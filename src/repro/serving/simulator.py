@@ -424,7 +424,7 @@ class ServingSimulator:
         queue_peak = 0
         queued: set[int] = set()  # indexes awaiting dispatch (timer liveness)
         # routed: indexes whose maturity timer fired while they waited,
-        # pruned of those that left when read or when it outgrows the queues
+        # pruned of those that left whenever it outgrows the queues
         overdue: set[int] = set()
         # routed shedding: a lower bound on every queue head's expiry
         # (arrival_s + deadline_s), so no head is past its deadline while
@@ -531,11 +531,6 @@ class ServingSimulator:
                 dispatch_calls += 1
                 dispatch(time, None)
 
-        def still_overdue() -> bool:
-            """Whether a request whose maturity timer fired is still queued."""
-            overdue.intersection_update(queued)
-            return bool(overdue)
-
         def land(time: float, request: Request, order: int, queue: int) -> None:
             """Join a queue: at arrival, or when the network hop completes."""
             nonlocal backlog, queue_peak, expiry_floor_s
@@ -561,7 +556,7 @@ class ServingSimulator:
                         (stealing or (idle[queue] and online[queue]))
                         and ready(len(heap), time - head.arrival_s)
                     )
-                    or (overdue and still_overdue())
+                    or (overdue and not overdue.isdisjoint(queued))
                     or time > expiry_floor_s  # a head may have expired
                 ):
                     sweep(time)
